@@ -1,8 +1,8 @@
 """Print a CSV table of normalized characters computed three ways.
 
-Columns are lambda,pi,method,value; methods are the cycle-diagram state sum,
-the Gelfand-Tsetlin trace, and (for one-row partitions) the Frobenius
-residue integral.
+Columns are lambda,pi,method,value; methods are the closed form of the
+cycle-diagram state sum, the Gelfand-Tsetlin trace, and (for one-row
+partitions) the Frobenius residue integral.
 
 Usage: python scripts/character_table.py [--max-lambda L] [--max-pi P]
 """
@@ -18,21 +18,6 @@ import ypa.sym_oracle as so
 from ypa.young import diagrams_up_to, format_diagram, weight
 
 
-def partitions_up_to(n):
-    out = set()
-
-    def build(remaining, maxpart, prefix):
-        if prefix:
-            out.add(tuple(prefix))
-        for p in range(min(remaining, maxpart), 0, -1):
-            prefix.append(p)
-            build(remaining - p, p, prefix)
-            prefix.pop()
-
-    build(n, n, [])
-    return sorted(out)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-lambda", type=int, default=6)
@@ -41,7 +26,7 @@ def main() -> int:
     print("lambda,pi,method,value")
     disagreements = 0
     for lam in diagrams_up_to(args.max_lambda):
-        for pi in partitions_up_to(args.max_pi):
+        for pi in diagrams_up_to(args.max_pi)[1:]:
             values = {
                 "diagram": hs.character_diagram(lam, pi),
                 "oracle": so.normalized_character(lam, pi),

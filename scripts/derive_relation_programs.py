@@ -79,7 +79,7 @@ def candidates(signature, n_cups: int, n_boxes: int, n_caps: int):
                     new, rows + [cap_row(pos, n)], (n_c, n_b, n_k - 1)
                 )
 
-    orient0 = tuple(UP if e > 0 else DOWN for e in reversed(signature))
+    orient0 = tangle.signature_orientations(signature)
     yield from extend(orient0, [], (n_cups, n_boxes, n_caps))
 
 

@@ -62,16 +62,6 @@ class Term:
         coef = self.coef * (sign ** (exp % 2) if sign < 0 else 1)
         return Term(coef, factors)
 
-    def variables(self) -> set[int]:
-        out: set[int] = set()
-        for k in self.factors:
-            if k[0] == "c":
-                out.add(k[1])
-            else:
-                out.add(k[1])
-                out.add(k[2])
-        return out
-
 
 TermSum = list  # list of Term
 

@@ -1,7 +1,8 @@
 """Command-line frontend: exact values and verification sweeps.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 parse error (bad literals or .tng sources).
+Exit codes: 0 success/verified, 1 verification failure or a vacuous sweep
+(no loops checked), 2 usage error or invalid parameter, 3 parse error (bad
+literals or .tng sources).
 """
 
 from __future__ import annotations
@@ -18,24 +19,14 @@ from . import heisenberg as hs
 from . import sym_oracle as so
 from .plancherel import PLANCHEREL, boolean_cumulant, moment
 from .tangle import TangleError, evaluate, parse_programs
-from .young import (
-    format_diagram,
-    parse_diagram,
-    parse_loop,
-    weight,
-)
+from .young import LiteralError, format_diagram, parse_diagram, parse_loop, weight
 
 MAX_CLI_LOOP_LENGTH = 8
 MAX_CLI_KEROV_WEIGHT = 5
 
 
 class CliParseError(Exception):
-    """Literal or DSL parse failure; mapped to exit code 3."""
-
-
-def _parse_partition(text: str) -> tuple[int, ...]:
-    parts = parse_diagram(text)
-    return parts
+    """A .tng source or program that fails to parse or apply; exit code 3."""
 
 
 def report_json(report: dict) -> str:
@@ -72,7 +63,7 @@ class CliUsage(Exception):
 
 def cmd_character(args) -> int:
     lam = parse_diagram(args.lam)
-    pi = _parse_partition(args.pi)
+    pi = parse_diagram(args.pi)
     methods = (
         ["diagram", "oracle", "frobenius"] if args.method == "all" else [args.method]
     )
@@ -114,6 +105,12 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     reports = [hs.verify_relation(n, args.max_weight, args.jobs) for n in names]
     ok = all(r.verified for r in reports)
+    if ok:
+        status = "verified"
+    elif any(r.failures for r in reports):
+        status = "failed"
+    else:
+        status = "vacuous"  # some relation had no loops to check
     report = {
         "command": "verify",
         "parameters": {
@@ -122,7 +119,7 @@ def cmd_verify(args) -> int:
             "jobs": args.jobs,
         },
         "results": {r.relation: r.to_json_dict() for r in reports},
-        "status": "verified" if ok else "failed",
+        "status": status,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
     emit(report, args.format)
@@ -151,6 +148,8 @@ def _moment_values(lam, upto: int, source: str, kind: str):
 
 def cmd_moments(args, kind: str) -> int:
     lam = parse_diagram(args.lam)
+    if args.upto < 1:
+        raise CliUsage("--upto must be >= 1")
     t0 = time.monotonic()
     values, ok = _moment_values(lam, args.upto, args.source, kind)
     report = {
@@ -184,10 +183,7 @@ def cmd_eval(args) -> int:
             f"found {sorted(programs)}"
         )
     prog = programs[args.name]
-    try:
-        loop = parse_loop(args.loop)
-    except ValueError as exc:
-        raise CliParseError(str(exc))
+    loop = parse_loop(args.loop)
     if len(loop) > MAX_CLI_LOOP_LENGTH:
         raise CliUsage(f"loop length capped at {MAX_CLI_LOOP_LENGTH}")
     t0 = time.monotonic()
@@ -245,8 +241,9 @@ def cmd_frobenius(args) -> int:
             step_ok &= fr.satellite_step_check(lam, n, k, samples)
         contour: dict[str, bool] = {"satellite_steps": step_ok}
         if n == 2:
+            r_id, r_sw = fr.radial_I(lam, 2), fr.radial_I(lam, 2, (2, 1))
             contour["n2_identity"] = (
-                fr.radial_I(lam, 2, (2, 1)) - fr.radial_I(lam, 2) == fr.satellite_I(lam, 2)
+                r_sw - r_id == fr.satellite_I(lam, 2) and r_sw == -r_id
             )
         if n == 3:
             contour["n3_exchange"] = fr.radial_I(lam, 3, (2, 1, 3)) == fr.radial_I(
@@ -280,7 +277,7 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_kerov(args) -> int:
-    pi = _parse_partition(args.pi)
+    pi = parse_diagram(args.pi)
     if sum(pi) > MAX_CLI_KEROV_WEIGHT:
         raise CliUsage(f"|pi| capped at {MAX_CLI_KEROV_WEIGHT}")
     t0 = time.monotonic()
@@ -389,16 +386,11 @@ def main(argv=None) -> int:
     except CliUsage as exc:
         print(f"ypa: {exc}", file=sys.stderr)
         return 2
-    except CliParseError as exc:
+    except (CliParseError, LiteralError) as exc:
         print(f"ypa: parse error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # Bad literals from young.parse_* surface here.
-        message = str(exc)
-        if "literal" in message or "loop" in message:
-            print(f"ypa: parse error: {message}", file=sys.stderr)
-            return 3
-        print(f"ypa: {message}", file=sys.stderr)
+    except ValueError as exc:  # invalid parameters rejected by the library
+        print(f"ypa: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,15 +17,16 @@ each side and re-derivable by scripts/derive_relation_programs.py.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 
 from .plancherel import PLANCHEREL, f_pl
 from .surd import ONE, Surd, sqrt_fraction
+from .sym_oracle import path_sum_character
 from .tangle import Element, TangleProgram, as_element, evaluate, parse
 from .young import (
     Diagram,
@@ -33,7 +34,7 @@ from .young import (
     Signature,
     box_content,
     diagrams_up_to,
-    down_covers,
+    dim,
     enumerate_loops,
     format_loop,
     weight,
@@ -75,17 +76,6 @@ def cross(loop: LoopPath) -> Surd:
     if l1 == l3:
         return cross_id(loop)
     return cross_ex(loop)
-
-
-def cross_value(loop: LoopPath, which: str = "t") -> Surd:
-    """Dispatch over the crossing family: which in {'t', 't_id', 't_ex'}."""
-    if which == "t":
-        return cross(loop)
-    if which == "t_id":
-        return cross_id(loop)
-    if which == "t_ex":
-        return cross_ex(loop)
-    raise ValueError(f"unknown crossing family member {which!r}")
 
 
 CROSS = Element("cross", CROSS_SIGNATURE, cross)
@@ -305,7 +295,8 @@ class RelationReport:
 
     @property
     def verified(self) -> bool:
-        return not self.failures
+        """True only if loops were checked and none failed."""
+        return self.loops_checked > 0 and not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -315,9 +306,6 @@ class RelationReport:
             "failures": [list(f) for f in self.failures],
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _verify_base(args: tuple[str, Diagram]) -> tuple[int, list[tuple[str, str, str]]]:
@@ -343,6 +331,8 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     sides = relation_sides(name)
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     t0 = time.monotonic()
     bases = diagrams_up_to(max_weight)
     tasks = [(name, base) for base in bases]
@@ -391,44 +381,21 @@ def cycle_program(k: int) -> TangleProgram:
 
 
 def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
-    """Normalized character via the evaluated cycle-diagram state sum.
+    """Normalized character as the closed form of the cycle-diagram state sum.
 
-    Sums over descending paths lam = d0 > d1 > ... > dk (k = |pi|) the
-    product of 1/(content gap) over the non-final index of each cycle block,
-    times f(dk)/f(lam); zero when |pi| > |lam|.
+    The state sum runs over descending paths lam = d0 > ... > dk (k = |pi|)
+    with weight f(dk)/f(lam) = (n)_k dim(dk) / dim(lam), so it is the
+    descending-path sum of :mod:`sym_oracle` rescaled; zero when |pi| > |lam|.
     """
     pi = tuple(pi)
     if any(p < 1 for p in pi) or any(
         pi[i] < pi[i + 1] for i in range(len(pi) - 1)
     ):
         raise ValueError(f"not a partition: {pi}")
-    k = sum(pi)
-    if k > weight(lam):
+    n, k = weight(lam), sum(pi)
+    if k > n:
         return Fraction(0)
-    if k == 0:
-        return Fraction(1)
-    skip = set()
-    acc = 0
-    for part in pi:
-        acc += part
-        skip.add(acc)  # last index of each cycle block contributes no factor
-    f_lam = f_pl(lam)
-    total = Fraction(0)
-
-    def descend(d: Diagram, j: int, contents: list[int], coeff: Fraction):
-        nonlocal total
-        if j == k:
-            total += coeff * (f_pl(d) / f_lam)
-            return
-        for mu, c in down_covers(d):
-            if j and (j not in skip):
-                gap = contents[-1] - c
-                descend(mu, j + 1, contents + [c], coeff / gap)
-            else:
-                descend(mu, j + 1, contents + [c], coeff)
-
-    descend(lam, 0, [], Fraction(1))
-    return total
+    return perm(n, k) * path_sum_character(lam, pi) / dim(lam)
 
 
 def character_from_cycle_tangle(lam: Diagram, k: int) -> Surd:

@@ -31,10 +31,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def const(c) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
     def linear(root: Fraction) -> "Poly":
         """The monic factor z - root."""
         return Poly([-Fraction(root), Fraction(1)])

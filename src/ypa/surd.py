@@ -80,6 +80,9 @@ class Surd:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A rational surd equals its Fraction, so it must hash like one.
+        if self.is_rational():
+            return hash(self.terms.get(1, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "Surd":
@@ -172,7 +175,6 @@ class Surd:
         return f"Surd({self.render()})"
 
 
-ZERO = Surd()
 ONE = Surd.from_rational(1)
 
 
@@ -187,7 +189,3 @@ def sqrt_fraction(q: Fraction) -> Surd:
     # sqrt(a/b) = (sa/(sb*fb)) * sqrt(fa*fb); fa*fb need not be squarefree.
     s, f = squarefree_split(fa * fb)
     return Surd({f: Fraction(sa * s, sb * fb)})
-
-
-def sqrt_ratio(num: Fraction, den: Fraction) -> Surd:
-    return sqrt_fraction(Fraction(num, den) if den != 1 else Fraction(num))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import perm
 
 from .surd import Surd, sqrt_fraction
 from .young import Diagram, box_content, dim, down_covers, up_covers, weight
@@ -156,10 +157,11 @@ def character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> 
 
 
 def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
-    """Independent oracle: the descending-path sum for the same character.
+    """The descending-path sum for the same character, independent of the trace.
 
     chi = sum over lam = d0 > d1 > ... > dk of dim(dk) times the product of
-    1/(content gap) over the non-final index of each cycle block.
+    1/(content gap) over the non-final index of each cycle block.  This is
+    the only copy; :func:`ypa.heisenberg.character_diagram` rescales it.
     """
     pi = tuple(pi)
     k = sum(pi)
@@ -196,7 +198,4 @@ def normalized_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     k = sum(pi)
     if n < k:
         return Fraction(0)
-    falling = 1
-    for t in range(k):
-        falling *= n - t
-    return Fraction(falling) * character(lam, pi) / dim(lam)
+    return perm(n, k) * character(lam, pi) / dim(lam)

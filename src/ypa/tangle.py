@@ -44,6 +44,11 @@ from .young import Diagram, LoopPath, Signature, box_content, down_covers, up_co
 UP, DOWN = 1, -1
 
 
+def signature_orientations(sig: Signature) -> tuple[int, ...]:
+    """Strand orientations left to right for boundary signs read right to left."""
+    return tuple(UP if e > 0 else DOWN for e in reversed(sig))
+
+
 class TangleError(ValueError):
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         if line is not None:
@@ -71,7 +76,7 @@ class Element:
 
     def legs(self) -> tuple[int, ...]:
         """Strand orientations left-to-right that the box window must show."""
-        return tuple(UP if e > 0 else DOWN for e in reversed(self.signature))
+        return signature_orientations(self.signature)
 
 
 # -- atoms and compiled rows ---------------------------------------------------
@@ -105,11 +110,6 @@ class TangleProgram:
     rows: tuple[tuple[Atom, ...], ...]
     bindings: dict[str, Element] = field(default_factory=dict)
     plans: tuple[RowPlan, ...] = ()
-    orientations: tuple[tuple[int, ...], ...] = ()  # per-row pre-insertion
-
-
-def _signature_orientations(sig: Signature) -> tuple[int, ...]:
-    return tuple(UP if e > 0 else DOWN for e in reversed(sig))
 
 
 def compile_program(
@@ -119,11 +119,9 @@ def compile_program(
     bindings: dict[str, Element],
 ) -> TangleProgram:
     """Validate orientations/arities row by row and fix all positions."""
-    orient = list(_signature_orientations(signature))
+    orient = list(signature_orientations(signature))
     plans: list[RowPlan] = []
-    pre_orients: list[tuple[int, ...]] = []
     for row in rows:
-        pre_orients.append(tuple(orient))
         n = len(orient)
         strand_atoms = [a for a in row if a.kind != "cup"]
         insertions: list[tuple[int, str]] = []
@@ -200,9 +198,7 @@ def compile_program(
         orient = [o for i, o in enumerate(orient, start=1) if i not in removed]
     if orient:
         raise TangleError(f"{len(orient)} strands remain after the last row")
-    return TangleProgram(
-        name, signature, rows, dict(bindings), tuple(plans), tuple(pre_orients)
-    )
+    return TangleProgram(name, signature, rows, dict(bindings), tuple(plans))
 
 
 # -- DSL parser ----------------------------------------------------------------
@@ -459,7 +455,11 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
         states = {k: v for k, v in new_states.items() if not v.is_zero()}
     total = Surd()
     for regions, amp in states.items():
-        assert len(regions) == 1 and regions[0] == loop.base
+        if len(regions) != 1 or regions[0] != loop.base:
+            raise TangleError(
+                f"program {program.name!r} ends in state {regions}, "
+                f"not the loop base {loop.base}"
+            )
         total = total + amp
     return total
 

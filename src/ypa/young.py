@@ -28,10 +28,14 @@ def is_diagram(parts) -> bool:
     ) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
+class LiteralError(ValueError):
+    """A malformed diagram or loop literal."""
+
+
 def check_diagram(parts) -> Diagram:
-    lam = tuple(int(p) for p in parts if p)
+    lam = tuple(int(p) for p in parts)
     if not is_diagram(lam):
-        raise ValueError(f"not weakly decreasing positive parts: {parts}")
+        raise LiteralError(f"not weakly decreasing positive parts: {list(lam)}")
     return lam
 
 
@@ -43,12 +47,6 @@ def transpose(lam: Diagram) -> Diagram:
     if not lam:
         return EMPTY
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
-
-
-def content(cell: tuple[int, int]) -> int:
-    """Content j - i of the box in row i, column j (both 1-based)."""
-    i, j = cell
-    return j - i
 
 
 @cache
@@ -101,14 +99,6 @@ def down_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
                 mu.pop()
             out.append((tuple(mu), here - i))
     return tuple(out)
-
-
-def covers(lam: Diagram, direction: str):
-    if direction == "up":
-        return up_covers(lam)
-    if direction == "down":
-        return down_covers(lam)
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 def box_content(big: Diagram, small: Diagram) -> int:
@@ -213,7 +203,7 @@ def parse_diagram(text: str) -> Diagram:
     """Parse ``[5,4,2,1,1]`` (``[]`` is the empty diagram)."""
     text = text.strip()
     if not _DIAGRAM_RE.fullmatch(text):
-        raise ValueError(f"bad diagram literal: {text!r}")
+        raise LiteralError(f"bad diagram literal: {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return EMPTY
@@ -229,7 +219,7 @@ def parse_loop(text: str) -> LoopPath:
     of empty signature."""
     tokens = text.split()
     if not tokens:
-        raise ValueError("empty loop literal")
+        raise LiteralError("empty loop literal")
     diagrams = [parse_diagram(tokens[0])]
     signs: list[int] = []
     i = 1
@@ -239,12 +229,15 @@ def parse_loop(text: str) -> LoopPath:
         elif tokens[i] == "v":
             signs.append(-1)
         else:
-            raise ValueError(f"expected '^' or 'v', got {tokens[i]!r}")
+            raise LiteralError(f"expected '^' or 'v', got {tokens[i]!r}")
         if i + 1 >= len(tokens):
-            raise ValueError("loop literal ends after a step marker")
+            raise LiteralError("loop literal ends after a step marker")
         diagrams.append(parse_diagram(tokens[i + 1]))
         i += 2
-    return LoopPath(tuple(diagrams), tuple(signs))
+    try:
+        return LoopPath(tuple(diagrams), tuple(signs))
+    except ValueError as exc:
+        raise LiteralError(f"bad loop literal {text!r}: {exc}") from exc
 
 
 def format_loop(loop: LoopPath) -> str:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +224,87 @@ def test_format_accepted_after_subcommand(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "verified"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["character", "--lambda", "[2,1]", "--pi", "[1]"], 0),
+        (["character", "--lambda", "[2,1]", "--pi", "[]"], 0),
+        (["character", "--lambda", "[1,2]", "--pi", "[1]"], 3),
+        (["character", "--lambda", "[2,0,1]", "--pi", "[1]"], 3),
+        (["character", "--lambda", "[2,1]", "--pi", "[0]"], 3),
+        (["character", "--lambda", "[2,1", "--pi", "[1]"], 3),
+        (["kerov", "--pi", "[0]"], 3),
+        (["verify", "--relation", "ind_ind", "--max-weight", "3", "--jobs", "-3"], 2),
+        (["verify", "--relation", "ind_ind", "--max-weight", "3", "--jobs", "0"], 2),
+        (["verify", "--relation", "ind_ind", "--max-weight", "0"], 2),
+        (["moments", "--lambda", "[2]", "--upto", "-1"], 2),
+        (["cumulants", "--lambda", "[2]", "--upto", "0"], 2),
+        (["verify", "--relation", "ybe", "--max-weight", "2"], 1),
+        (["verify", "--relation", "ybe", "--max-weight", "3"], 0),
+    ],
+)
+def test_exit_code_table(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
+def test_literal_error_names_the_parts(capsys):
+    code, _, err = run(capsys, "character", "--lambda", "[1,2]", "--pi", "[1]")
+    assert code == 3
+    assert "parse error" in err and "[1, 2]" in err and "generator" not in err
+
+
+def test_eval_loop_that_is_not_a_walk_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "c.tng"
+    f.write_text("tangle c : () { row cup_du; row cap; }\n")
+    code, _, err = run(
+        capsys, "eval", "--file", str(f), "--name", "c", "--loop", "[1] ^ [3] v [1]"
+    )
+    assert code == 3 and "does not cover" in err
+
+
+def test_verify_without_loops_is_vacuous(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "verify", "--relation", "ybe", "--max-weight", "2"
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "vacuous"
+    assert data["results"]["ybe"]["loops_checked"] == 0
+
+
+def test_frobenius_contour_identities_reported_once(capsys):
+    for n, keys in ((2, {"n2_identity"}), (3, {"n3_exchange", "n3_identity"})):
+        code, out, _ = run(
+            capsys, "--format", "json", "frobenius", "--lambda", "[2,1]",
+            "--n", str(n), "--check", "all",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert set(results["contours"]) == {"satellite_steps"} | keys
+        assert set(results["lemmas"]) == {"cyclic_sum", "inversion"}
+
+
+def test_character_table_script_smoke():
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(root / "scripts" / "character_table.py"),
+            "--max-lambda",
+            "3",
+            "--max-pi",
+            "2",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "lambda,pi,method,value"
+    assert len(lines) > 1
+    assert "disagreements" not in proc.stderr

@@ -87,6 +87,14 @@ def test_verify_relation_rejects_bad_input():
         hs.verify_relation("nosuch", 4)
     with pytest.raises(ValueError):
         hs.verify_relation("ybe", 0)
+    with pytest.raises(ValueError, match="jobs"):
+        hs.verify_relation("ind_ind", 3, jobs=0)
+
+
+def test_sweep_without_loops_is_not_verified():
+    report = hs.verify_relation("ybe", 2)
+    assert report.loops_checked == 0 and report.failures == []
+    assert not report.verified
 
 
 def test_report_json_shape():

@@ -112,3 +112,25 @@ def test_canonical_uniqueness(a):
     for d, coef in sorted(a.terms.items(), reverse=True):
         rebuilt = rebuilt + sqrt_fraction(F(d * d * d, d * d)) * coef  # sqrt(d)
     assert rebuilt == a and rebuilt.terms == a.terms
+
+
+def test_rational_surd_hashes_like_its_fraction():
+    assert Surd.from_rational(1) == 1
+    assert len({Surd.from_rational(1): "surd", 1: "int"}) == 1
+    assert hash(Surd()) == hash(0) == hash(F(0))
+
+
+@given(
+    st.one_of(
+        small_surds,
+        st.fractions(max_denominator=50).map(Surd.from_rational),
+    )
+)
+def test_hash_agrees_with_equality(a):
+    twin = (a + sqrt_fraction(F(2))) - sqrt_fraction(F(2))
+    assert twin == a and hash(twin) == hash(a)
+    if a.is_rational():
+        q = a.as_fraction()
+        assert a == q and hash(a) == hash(q)
+        if q.denominator == 1:
+            assert a == int(q) and hash(a) == hash(int(q))

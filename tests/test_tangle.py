@@ -5,6 +5,7 @@ from ypa.plancherel import PLANCHEREL, f_pl
 from ypa.surd import Surd, sqrt_fraction
 from ypa.tangle import (
     TangleError,
+    TangleProgram,
     as_element,
     evaluate,
     parse,
@@ -181,6 +182,14 @@ def test_empty_program_is_constant_one():
 
     prog = compile_program("e", (), (), {})
     assert evaluate(prog, _base_loop((3, 1)), PLANCHEREL) == ONE
+
+
+def test_unclosed_final_state_is_a_tangle_error():
+    # Only a program built without compile_program can leave strands open;
+    # the evaluator raises rather than asserts, so the check survives -O.
+    prog = TangleProgram("raw", (-1, 1), ())
+    with pytest.raises(TangleError, match="ends in state"):
+        evaluate(prog, parse_loop("[1] v [] ^ [1]"), PLANCHEREL)
 
 
 def test_as_element_signature_check():

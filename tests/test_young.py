@@ -1,9 +1,11 @@
+import re
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ypa.young import (
+    LiteralError,
     LoopPath,
     box_content,
     diagrams_up_to,
@@ -136,3 +138,44 @@ def test_transpose_involution_random(parts):
 
 def test_diagram_counts():
     assert [len(diagrams_up_to(n)) for n in range(6)] == [1, 2, 4, 7, 12, 19]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=5))
+def test_diagram_literal_round_trip_or_literal_error(parts):
+    # A literal parses to exactly its parts or raises; zero parts and
+    # increasing parts are never silently repaired.
+    text = "[" + ",".join(str(p) for p in parts) + "]"
+    lam = tuple(parts)
+    if all(p > 0 for p in lam) and list(lam) == sorted(lam, reverse=True):
+        assert parse_diagram(text) == lam
+        assert format_diagram(lam) == text
+    else:
+        with pytest.raises(LiteralError, match=re.escape(str(parts))):
+            parse_diagram(text)
+
+
+@given(
+    st.sampled_from(diagrams_up_to(4)),
+    st.sampled_from([(-1, 1), (1, -1), (-1, -1, 1, 1), (1, -1, 1, -1), (-1, 1, 1, -1)]),
+    st.data(),
+)
+def test_loop_literal_round_trip(base, signature, data):
+    loops = enumerate_loops(base, signature)
+    assume(loops)
+    loop = data.draw(st.sampled_from(loops))
+    assert parse_loop(format_loop(loop)) == loop
+
+
+@given(
+    st.lists(
+        st.sampled_from(["[]", "[1]", "[2]", "[1,1]", "[2,1]", "[1,2]", "[0]", "^", "v", "x"]),
+        max_size=7,
+    )
+)
+def test_loop_literal_parses_exactly_or_raises_literal_error(tokens):
+    text = " ".join(tokens)
+    try:
+        loop = parse_loop(text)
+    except LiteralError:
+        return
+    assert format_loop(loop) == text
