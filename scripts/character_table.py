@@ -2,7 +2,8 @@
 
 Columns are lambda,pi,method,value; methods are the closed form of the
 cycle-diagram state sum, the Gelfand-Tsetlin trace, and (for one-row
-partitions) the Frobenius residue integral.
+partitions) the Frobenius residue integral.  The values come from
+``ypa.cli.character_values``, the routine behind ``ypa character``.
 
 Usage: python scripts/character_table.py [--max-lambda L] [--max-pi P]
 """
@@ -12,10 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import ypa.frobenius as fr
-import ypa.heisenberg as hs
-import ypa.sym_oracle as so
-from ypa.young import diagrams_up_to, format_diagram, weight
+from ypa.cli import character_values
+from ypa.young import diagrams_up_to, format_diagram
 
 
 def main() -> int:
@@ -27,15 +26,10 @@ def main() -> int:
     disagreements = 0
     for lam in diagrams_up_to(args.max_lambda):
         for pi in diagrams_up_to(args.max_pi)[1:]:
-            values = {
-                "diagram": hs.character_diagram(lam, pi),
-                "oracle": so.normalized_character(lam, pi),
-            }
-            if len(pi) == 1 and weight(lam) >= pi[0]:
-                values["frobenius"] = fr.frobenius_sigma(lam, pi[0])
+            values = character_values(lam, pi)
             if len(set(values.values())) != 1:
                 disagreements += 1
-            for method, value in sorted(values.items()):
+            for method, value in values.items():
                 print(
                     f"{format_diagram(lam)},{format_diagram(pi)},{method},{value}"
                 )

@@ -1,8 +1,14 @@
 """Command-line frontend: exact values and verification sweeps.
 
-Exit codes: 0 success/verified, 1 verification failure or a vacuous sweep
-(no loops checked), 2 usage error or invalid parameter, 3 parse error (bad
-literals or .tng sources).
+Every subcommand maps the parsed arguments to ``(results, status)``; ``main``
+builds the one report shape (command, parameters, results, status,
+elapsed_ms) and prints it.  Each command checks all of its parameters before
+it computes anything.
+
+Exit codes: 0 status ok/verified, 1 any other status (a disagreement, a
+failed check, a vacuous sweep with no loops checked, an underdetermined
+fit), 2 usage error or invalid parameter, 3 parse error (bad literals or
+.tng sources).
 """
 
 from __future__ import annotations
@@ -19,10 +25,20 @@ from . import heisenberg as hs
 from . import sym_oracle as so
 from .plancherel import PLANCHEREL, boolean_cumulant, moment
 from .tangle import TangleError, evaluate, parse_programs
-from .young import LiteralError, format_diagram, parse_diagram, parse_loop, weight
+from .young import LiteralError, format_diagram, parse_diagram, parse_loop
 
 MAX_CLI_LOOP_LENGTH = 8
 MAX_CLI_KEROV_WEIGHT = 5
+
+CHARACTER_METHODS = {
+    "diagram": hs.character_diagram,
+    "oracle": so.normalized_character,
+    "frobenius": lambda lam, pi: fr.frobenius_sigma(lam, pi[0]),
+}
+
+
+class CliUsage(Exception):
+    """A usage error or invalid parameter; exit code 2."""
 
 
 class CliParseError(Exception):
@@ -31,18 +47,6 @@ class CliParseError(Exception):
 
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True)
-
-
-def emit(report: dict, fmt: str, csv_rows: list[list[str]] | None = None) -> None:
-    if fmt == "json":
-        print(report_json(report))
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise CliUsage("--format csv is not defined for this command")
-        for row in csv_rows:
-            print(",".join(row))
-    else:
-        _emit_text(report)
 
 
 def _emit_text(report: dict, indent: str = "") -> None:
@@ -57,117 +61,65 @@ def _emit_text(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-class CliUsage(Exception):
-    pass
+def character_values(lam, pi, method: str = "all") -> dict[str, Fraction]:
+    """The normalized character of lam at pi by one method, or by all three.
+
+    The Frobenius residues need a one-part pi; ``"all"`` leaves them out for
+    any other pi.  They give 0 by themselves when |pi| > |lam|.
+    """
+    if method == "all":
+        methods = [m for m in CHARACTER_METHODS if m != "frobenius" or len(pi) == 1]
+    elif method == "frobenius" and len(pi) != 1:
+        raise CliUsage("--method frobenius needs a single-part partition")
+    else:
+        methods = [method]
+    return {m: CHARACTER_METHODS[m](lam, pi) for m in sorted(methods)}
 
 
-def cmd_character(args) -> int:
-    lam = parse_diagram(args.lam)
-    pi = parse_diagram(args.pi)
-    methods = (
-        ["diagram", "oracle", "frobenius"] if args.method == "all" else [args.method]
-    )
-    if "frobenius" in methods and len(pi) != 1:
-        if args.method == "all":
-            methods.remove("frobenius")
-        else:
-            raise CliUsage("--method frobenius needs a single-part partition")
-    t0 = time.monotonic()
-    values: dict[str, Fraction] = {}
-    for m in methods:
-        if m == "diagram":
-            values[m] = hs.character_diagram(lam, pi)
-        elif m == "oracle":
-            values[m] = so.normalized_character(lam, pi)
-        else:
-            values[m] = fr.frobenius_sigma(lam, sum(pi)) if weight(lam) >= sum(pi) else Fraction(0)
-    agree = len(set(values.values())) == 1
-    report = {
-        "command": "character",
-        "parameters": {"lambda": args.lam, "pi": args.pi, "method": args.method},
-        "results": {m: str(v) for m, v in sorted(values.items())},
-        "status": "ok" if agree else "disagree",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    csv_rows = [["lambda", "pi", "method", "value"]] + [
-        [format_diagram(lam), format_diagram(pi), m, str(v)]
-        for m, v in sorted(values.items())
-    ]
-    emit(report, args.format, csv_rows)
-    return 0 if agree else 1
+def cmd_character(args):
+    lam, pi = parse_diagram(getattr(args, "lambda")), parse_diagram(args.pi)
+    values = character_values(lam, pi, args.method)
+    status = "ok" if len(set(values.values())) == 1 else "disagree"
+    return {m: str(v) for m, v in values.items()}, status
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     names = list(hs.RELATION_IDS) if args.relation == "all" else [args.relation]
     for name in names:
         if name not in hs.RELATIONS:
             raise CliUsage(f"unknown relation {name!r}")
-    t0 = time.monotonic()
     reports = [hs.verify_relation(n, args.max_weight, args.jobs) for n in names]
-    ok = all(r.verified for r in reports)
-    if ok:
+    if all(r.verified for r in reports):
         status = "verified"
     elif any(r.failures for r in reports):
         status = "failed"
     else:
         status = "vacuous"  # some relation had no loops to check
-    report = {
-        "command": "verify",
-        "parameters": {
-            "relation": args.relation,
-            "max_weight": args.max_weight,
-            "jobs": args.jobs,
-        },
-        "results": {r.relation: r.to_json_dict() for r in reports},
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    emit(report, args.format)
-    return 0 if ok else 1
+    return {r.relation: r.to_json_dict() for r in reports}, status
 
 
-def _moment_values(lam, upto: int, source: str, kind: str):
-    values = {}
-    ok = True
-    for k in range(1, upto + 1):
+def cmd_moments(args):
+    lam = parse_diagram(getattr(args, "lambda"))
+    if args.upto < 1:
+        raise CliUsage("--upto must be >= 1")
+    moments = args.command == "moments"
+    results, ok = {}, True
+    for k in range(1, args.upto + 1):
         entry = {}
-        if source in ("series", "both"):
-            entry["series"] = (
-                moment(lam, k) if kind == "moments" else boolean_cumulant(lam, k)
-            )
-        if source in ("diagram", "both"):
-            if kind == "moments":
+        if args.source in ("series", "both"):
+            entry["series"] = moment(lam, k) if moments else boolean_cumulant(lam, k)
+        if args.source in ("diagram", "both"):
+            if moments:
                 entry["diagram"] = hs.moment_diagram(lam, k)
             elif k >= 2:
                 entry["diagram"] = hs.cumulant_diagram(lam, k - 2)
         if len(entry) == 2 and entry["series"] != entry["diagram"]:
             ok = False
-        values[k] = {s: str(v) for s, v in entry.items()}
-    return values, ok
+        results[str(k)] = {s: str(v) for s, v in entry.items()}
+    return results, "ok" if ok else "disagree"
 
 
-def cmd_moments(args, kind: str) -> int:
-    lam = parse_diagram(args.lam)
-    if args.upto < 1:
-        raise CliUsage("--upto must be >= 1")
-    t0 = time.monotonic()
-    values, ok = _moment_values(lam, args.upto, args.source, kind)
-    report = {
-        "command": kind,
-        "parameters": {
-            "lambda": args.lam,
-            "upto": args.upto,
-            "source": args.source,
-        },
-        "results": {str(k): v for k, v in values.items()},
-        "status": "ok" if ok else "disagree",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    emit(report, args.format)
-    return 0 if ok else 1
-
-
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     try:
         with open(args.file) as fh:
             text = fh.read()
@@ -182,57 +134,40 @@ def cmd_eval(args) -> int:
             f"no tangle named {args.name!r} in {args.file}; "
             f"found {sorted(programs)}"
         )
-    prog = programs[args.name]
     loop = parse_loop(args.loop)
     if len(loop) > MAX_CLI_LOOP_LENGTH:
         raise CliUsage(f"loop length capped at {MAX_CLI_LOOP_LENGTH}")
-    t0 = time.monotonic()
     try:
-        value = evaluate(prog, loop, PLANCHEREL)
+        value = evaluate(programs[args.name], loop, PLANCHEREL)
     except TangleError as exc:
         raise CliParseError(str(exc))
-    report = {
-        "command": "eval",
-        "parameters": {"file": args.file, "name": args.name, "loop": args.loop},
-        "results": {"value": value.render()},
-        "status": "ok",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    if args.format == "text":
-        print(value.render())
-    else:
-        emit(report, args.format)
-    return 0
+    return {"value": value.render()}, "ok"
 
 
-def cmd_frobenius(args) -> int:
-    lam = parse_diagram(args.lam)
-    n = args.n
+def cmd_frobenius(args):
+    lam, n = parse_diagram(getattr(args, "lambda")), args.n
     checks = (
         ["satellite", "radial", "contours", "lemmas"]
         if args.check == "all"
         else [args.check]
     )
-    t0 = time.monotonic()
-    results: dict[str, object] = {}
-    ok = True
+    if n < 1:
+        raise CliUsage("--n must be >= 1")
+    if n < 2 and ("contours" in checks or "lemmas" in checks):
+        raise CliUsage(f"--check {args.check} needs --n >= 2")
+    results: dict[str, dict] = {}
     sigma_n = hs.character_diagram(lam, (n,))
     if "satellite" in checks:
-        sat = fr.satellite_I(lam, n)
-        frob = fr.frobenius_sigma(lam, n)
-        good = (-sat == n * sigma_n) and frob == sigma_n
-        ok &= good
+        sat, frob = fr.satellite_I(lam, n), fr.frobenius_sigma(lam, n)
         results["satellite"] = {
             "satellite_I": str(sat),
             "frobenius_sigma": str(frob),
             "normalized_character": str(sigma_n),
-            "ok": good,
+            "ok": -sat == n * sigma_n and frob == sigma_n,
         }
     if "radial" in checks:
         rad = fr.radial_I(lam, n)
-        good = rad == (-1) ** n * sigma_n
-        ok &= good
-        results["radial"] = {"radial_I": str(rad), "ok": good}
+        results["radial"] = {"radial_I": str(rad), "ok": rad == (-1) ** n * sigma_n}
     if "contours" in checks:
         rng = random.Random(args.seed)
         step_ok = True
@@ -250,64 +185,41 @@ def cmd_frobenius(args) -> int:
                 lam, 3, (2, 3, 1)
             )
             contour["n3_identity"] = fr.satellite_I(lam, 3) == 3 * fr.radial_I(lam, 3)
-        good = all(contour.values())
-        ok &= good
         results["contours"] = contour
     if "lemmas" in checks:
-        if n < 2:
-            raise CliUsage("--check lemmas needs n >= 2")
-        lem = fr.lemma_checks(lam, n, sample_count=20, seed=args.seed)
-        good = all(lem.values())
-        ok &= good
-        results["lemmas"] = lem
-    report = {
-        "command": "frobenius",
-        "parameters": {
-            "lambda": args.lam,
-            "n": n,
-            "check": args.check,
-            "seed": args.seed,
-        },
-        "results": results,
-        "status": "verified" if ok else "failed",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
-    emit(report, args.format)
-    return 0 if ok else 1
+        results["lemmas"] = fr.lemma_checks(lam, n, sample_count=20, seed=args.seed)
+    # Each check's verdicts are its boolean entries.
+    ok = all(v for r in results.values() for v in r.values() if isinstance(v, bool))
+    return results, "verified" if ok else "failed"
 
 
-def cmd_kerov(args) -> int:
+def cmd_kerov(args):
     pi = parse_diagram(args.pi)
     if sum(pi) > MAX_CLI_KEROV_WEIGHT:
         raise CliUsage(f"|pi| capped at {MAX_CLI_KEROV_WEIGHT}")
-    t0 = time.monotonic()
     try:
         expansion = hs.kerov_boolean_expansion(pi, args.sample_weight)
     except hs.KerovUnderdeterminedError as exc:
-        report = {
-            "command": "kerov",
-            "parameters": {"pi": args.pi, "sample_weight": args.sample_weight},
-            "results": {"error": str(exc)},
-            "status": "underdetermined",
-            "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        }
-        emit(report, args.format)
-        return 1
+        return {"error": str(exc)}, "underdetermined"
     p_poly = hs.kerov_p_polynomial(pi, expansion)
     nonneg = all(c >= 0 and c.denominator == 1 for c in p_poly.values())
-    report = {
-        "command": "kerov",
-        "parameters": {"pi": args.pi, "sample_weight": args.sample_weight},
-        "results": {
-            "sigma_in_B": hs.render_expansion(expansion),
-            "P_polynomial": hs.render_expansion(p_poly, var="x"),
-            "nonnegative_integer_coefficients": nonneg,
-        },
-        "status": "ok" if nonneg else "failed",
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
+    results = {
+        "sigma_in_B": hs.render_expansion(expansion),
+        "P_polynomial": hs.render_expansion(p_poly, var="x"),
+        "nonnegative_integer_coefficients": nonneg,
     }
-    emit(report, args.format)
-    return 0 if nonneg else 1
+    return results, "ok" if nonneg else "failed"
+
+
+COMMANDS = {
+    "character": cmd_character,
+    "verify": cmd_verify,
+    "moments": cmd_moments,
+    "cumulants": cmd_moments,
+    "eval": cmd_eval,
+    "frobenius": cmd_frobenius,
+    "kerov": cmd_kerov,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     p = sub.add_parser("character", help="normalized character three ways", parents=[fmt])
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", required=True)
     p.add_argument("--pi", required=True)
     p.add_argument(
         "--method", choices=("diagram", "oracle", "frobenius", "all"), default="all"
@@ -339,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for kind in ("moments", "cumulants"):
         p = sub.add_parser(kind, help=f"{kind} by series and/or diagrams", parents=[fmt])
-        p.add_argument("--lambda", dest="lam", required=True)
+        p.add_argument("--lambda", required=True)
         p.add_argument("--upto", type=int, required=True)
         p.add_argument(
             "--source", choices=("series", "diagram", "both"), default="both"
@@ -351,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", required=True)
 
     p = sub.add_parser("frobenius", help="contour-integral checks", parents=[fmt])
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--check",
@@ -367,22 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "format")}
     try:
-        if args.command == "character":
-            return cmd_character(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command in ("moments", "cumulants"):
-            return cmd_moments(args, args.command)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "frobenius":
-            return cmd_frobenius(args)
-        if args.command == "kerov":
-            return cmd_kerov(args)
-        raise CliUsage(f"unknown command {args.command!r}")
+        if args.format == "csv" and args.command != "character":
+            raise CliUsage("--format csv is not defined for this command")
+        t0 = time.monotonic()
+        results, status = COMMANDS[args.command](args)
+        elapsed_ms = int((time.monotonic() - t0) * 1000)
     except CliUsage as exc:
         print(f"ypa: {exc}", file=sys.stderr)
         return 2
@@ -392,6 +296,25 @@ def main(argv=None) -> int:
     except ValueError as exc:  # invalid parameters rejected by the library
         print(f"ypa: {exc}", file=sys.stderr)
         return 2
+    report = {
+        "command": args.command,
+        "parameters": params,
+        "results": results,
+        "status": status,
+        "elapsed_ms": elapsed_ms,
+    }
+    if args.format == "csv":
+        lam, pi = (format_diagram(parse_diagram(params[k])) for k in ("lambda", "pi"))
+        print("lambda,pi,method,value")
+        for method, value in results.items():
+            print(",".join((lam, pi, method, value)))
+    elif args.format == "json":
+        print(report_json(report))
+    elif args.command == "eval":
+        print(results["value"])  # the value alone, for use in shell pipelines
+    else:
+        _emit_text(report)
+    return 0 if status in ("ok", "verified") else 1
 
 
 if __name__ == "__main__":

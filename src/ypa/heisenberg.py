@@ -120,6 +120,8 @@ RIGHT_TURN = _prog(
 
 LEFT_CIRCLE = _prog("tangle left_circle : () { row cup_du; row cap; }")
 CW_CIRCLE = _prog("tangle cw_circle : () { row cup_ud; row cap; }")
+# The zero-row tangle: the constant function 1.
+EMPTY_TANGLE = _prog("tangle empty : () { }")
 
 
 def _x_gadget(p: int, n: int) -> str:
@@ -235,26 +237,24 @@ class RelationSides:
     signature: Signature
     lhs: tuple[tuple[int, TangleProgram], ...]
     rhs: tuple[tuple[int, TangleProgram], ...]
-    rhs_constant: Fraction | None = None  # rhs is this constant function
 
     def lhs_value(self, loop: LoopPath) -> Surd:
-        total = Surd()
-        for coef, prog in self.lhs:
-            total = total + evaluate(prog, loop, PLANCHEREL) * Fraction(coef)
-        return total
+        return _side_value(self.lhs, loop)
 
     def rhs_value(self, loop: LoopPath) -> Surd:
-        if self.rhs_constant is not None:
-            return Surd.from_rational(self.rhs_constant)
-        total = Surd()
-        for coef, prog in self.rhs:
-            total = total + evaluate(prog, loop, PLANCHEREL) * Fraction(coef)
-        return total
+        return _side_value(self.rhs, loop)
+
+
+def _side_value(side: tuple[tuple[int, TangleProgram], ...], loop: LoopPath) -> Surd:
+    total = Surd()  # an empty side is the zero function
+    for coef, prog in side:
+        total = total + evaluate(prog, loop, PLANCHEREL) * Fraction(coef)
+    return total
 
 
 RELATIONS: dict[str, RelationSides] = {
     "left_turn": RelationSides(
-        "left_turn", (-1, 1), ((1, LEFT_TURN_LHS),), (), Fraction(0)
+        "left_turn", (-1, 1), ((1, LEFT_TURN_LHS),), ()
     ),
     "ind_ind": RelationSides(
         "ind_ind", (-1, -1, 1, 1), ((1, IND_IND_LHS),), ((1, IND_IND_RHS),)
@@ -272,7 +272,7 @@ RELATIONS: dict[str, RelationSides] = {
         "ybe", (-1, -1, -1, 1, 1, 1), ((1, YBE_LHS),), ((1, YBE_RHS),)
     ),
     "left_circle": RelationSides(
-        "left_circle", (), ((1, LEFT_CIRCLE),), (), Fraction(1)
+        "left_circle", (), ((1, LEFT_CIRCLE),), ((1, EMPTY_TANGLE),)
     ),
 }
 
@@ -487,6 +487,8 @@ def kerov_boolean_expansion(
     """
     from .plancherel import boolean_cumulant
 
+    if sample_weight < 0:
+        raise ValueError("sample_weight must be >= 0")
     pi = tuple(pi)
     n, ell = sum(pi), len(pi)
     ks = list(range(2, n - ell + 3))

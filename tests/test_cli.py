@@ -243,6 +243,11 @@ def test_format_accepted_after_subcommand(capsys):
         (["cumulants", "--lambda", "[2]", "--upto", "0"], 2),
         (["verify", "--relation", "ybe", "--max-weight", "2"], 1),
         (["verify", "--relation", "ybe", "--max-weight", "3"], 0),
+        (["kerov", "--pi", "[2]", "--sample-weight", "-1"], 2),
+        (["frobenius", "--lambda", "[2]", "--n", "0"], 2),
+        (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "contours"], 2),
+        (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "satellite"], 0),
+        (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "radial"], 0),
     ],
 )
 def test_exit_code_table(capsys, argv, code):
@@ -286,25 +291,63 @@ def test_frobenius_contour_identities_reported_once(capsys):
         assert set(results["lemmas"]) == {"cyclic_sum", "inversion"}
 
 
-def test_character_table_script_smoke():
+def test_parameters_are_checked_before_any_work(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before the parameters were checked")
+
+    # Both frobenius and kerov compute characters first of all.
+    monkeypatch.setattr("ypa.heisenberg.character_diagram", boom)
+    for argv, message in (
+        (["frobenius", "--lambda", "[2]", "--n", "0"], "--n must be >= 1"),
+        (["frobenius", "--lambda", "[2]", "--n", "1"], "needs --n >= 2"),
+        (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "lemmas"],
+         "needs --n >= 2"),
+        (["kerov", "--pi", "[2]", "--sample-weight", "-1"],
+         "sample_weight must be >= 0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and message in err and out == ""
+
+
+def test_csv_outside_character_is_rejected_before_dispatch(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("verify_relation must not run")
+
+    monkeypatch.setattr("ypa.heisenberg.verify_relation", boom)
+    code, out, err = run(
+        capsys, "--format", "csv", "verify", "--relation", "ybe", "--max-weight", "7"
+    )
+    assert code == 2 and out == ""
+    assert "--format csv is not defined for this command" in err
+
+
+def _run_script(name, *argv):
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(root / "scripts" / "character_table.py"),
-            "--max-lambda",
-            "3",
-            "--max-pi",
-            "2",
-        ],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         timeout=120,
     )
+
+
+def test_character_table_script_smoke():
+    proc = _run_script("character_table.py", "--max-lambda", "3", "--max-pi", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "lambda,pi,method,value"
     assert len(lines) > 1
+    # |pi| > |lambda|: the Frobenius residues give 0 by themselves.
+    assert "[1],[2],frobenius,0" in lines
     assert "disagreements" not in proc.stderr
+
+
+def test_derive_relation_programs_script_smoke():
+    proc = _run_script(
+        "derive_relation_programs.py",
+        "--relation", "ind_ind", "--check-weight", "2", "--confirm-weight", "3",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "MATCH:" in proc.stdout

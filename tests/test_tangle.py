@@ -175,12 +175,8 @@ def test_closed_dot_diagrams_are_rational():
 
 
 def test_empty_program_is_constant_one():
-    prog = parse("tangle e : () { }") if False else None
-    # the grammar requires at least one row; the degenerate constant-1
-    # element is the zero-row program built directly
-    from ypa.tangle import compile_program
-
-    prog = compile_program("e", (), (), {})
+    prog = parse("tangle e : () { }")
+    assert prog.rows == ()
     assert evaluate(prog, _base_loop((3, 1)), PLANCHEREL) == ONE
 
 
