@@ -126,7 +126,7 @@ def cmd_eval(args):
     except OSError as exc:
         raise CliUsage(str(exc))
     try:
-        programs = parse_programs(text, hs.BUILTIN_ELEMENTS, PLANCHEREL)
+        programs = parse_programs(text, hs.BUILTIN_ELEMENTS)
     except TangleError as exc:
         raise CliParseError(f"{args.file}: {exc}")
     if args.name not in programs:
@@ -156,7 +156,8 @@ def cmd_frobenius(args):
     if n < 2 and ("contours" in checks or "lemmas" in checks):
         raise CliUsage(f"--check {args.check} needs --n >= 2")
     results: dict[str, dict] = {}
-    sigma_n = hs.character_diagram(lam, (n,))
+    if "satellite" in checks or "radial" in checks:
+        sigma_n = hs.character_diagram(lam, (n,))
     if "satellite" in checks:
         sat, frob = fr.satellite_I(lam, n), fr.frobenius_sigma(lam, n)
         results["satellite"] = {

@@ -7,12 +7,15 @@ added back), with ``r = c(l0/l1) - c(l1/l2)``,
     t_id = delta(l1, l3) / r * sqrt(f(l2)/f(l0))
     t_ex = (1 - delta(l1, l3)) * sqrt(1 - 1/r^2) * sqrt(f(l2)/f(l0))
 
+where ``f`` is the harmonic function the tangle is evaluated under.
 Stripped of the sqrt(f/f) part these are exactly the Gelfand-Tsetlin matrix
 entries of an adjacent transposition, which is why chaining crossing boxes
 lifts permutations.  The five local relations are verified by evaluating
 both sides as layered tangle programs over every loop up to a weight bound;
 the layered presentations below were derived from the state-sum shape of
-each side and re-derivable by scripts/derive_relation_programs.py.
+each side and re-derivable by scripts/derive_relation_programs.py.  ind_ind,
+ybe and left_circle hold for every harmonic ``f``; left_turn, ind_res and
+res_ind need the Plancherel function, which the sweep uses.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import perm
 
-from .plancherel import PLANCHEREL, f_pl
+from .plancherel import PLANCHEREL, HarmonicFunction
 from .surd import ONE, Surd, sqrt_fraction
 from .sym_oracle import path_sum_character
 from .tangle import Element, TangleProgram, as_element, evaluate, parse
@@ -48,34 +51,32 @@ def _check_cross_loop(loop: LoopPath):
         raise ValueError(f"crossing needs signature (-,-,+,+), got {loop.signature}")
 
 
-def cross_id(loop: LoopPath) -> Surd:
+def cross_id(loop: LoopPath, f: HarmonicFunction) -> Surd:
     """t_id: nonzero only when the two reading paths are identical."""
     _check_cross_loop(loop)
     l0, l1, l2, l3, _ = loop.diagrams
     if l1 != l3:
         return Surd()
     r = box_content(l0, l1) - box_content(l1, l2)
-    return sqrt_fraction(f_pl(l2) / f_pl(l0)) * Fraction(1, r)
+    return sqrt_fraction(f.value(l2) / f.value(l0)) * Fraction(1, r)
 
 
-def cross_ex(loop: LoopPath) -> Surd:
+def cross_ex(loop: LoopPath, f: HarmonicFunction) -> Surd:
     """t_ex: nonzero only when the two added boxes are exchanged."""
     _check_cross_loop(loop)
     l0, l1, l2, l3, _ = loop.diagrams
     if l1 == l3:
         return Surd()
     r = box_content(l0, l1) - box_content(l1, l2)
-    return sqrt_fraction(f_pl(l2) / f_pl(l0)) * sqrt_fraction(
+    return sqrt_fraction(f.value(l2) / f.value(l0)) * sqrt_fraction(
         Fraction(r * r - 1, r * r)
     )
 
 
-def cross(loop: LoopPath) -> Surd:
+def cross(loop: LoopPath, f: HarmonicFunction) -> Surd:
+    """t = t_id + t_ex, of which at most one is nonzero on any loop."""
     _check_cross_loop(loop)
-    l0, l1, l2, l3, _ = loop.diagrams
-    if l1 == l3:
-        return cross_id(loop)
-    return cross_ex(loop)
+    return (cross_id if loop.diagrams[1] == loop.diagrams[3] else cross_ex)(loop, f)
 
 
 CROSS = Element("cross", CROSS_SIGNATURE, cross)
@@ -83,7 +84,7 @@ CROSS_ID = Element("cross_id", CROSS_SIGNATURE, cross_id)
 CROSS_EX = Element("cross_ex", CROSS_SIGNATURE, cross_ex)
 
 
-def dot_value(loop: LoopPath) -> Surd:
+def dot_value(loop: LoopPath, f: HarmonicFunction) -> Surd:
     """Right-turn element on a loop (lam > mu < lam): c(lam/mu) sqrt(f(mu)/f(lam))."""
     if loop.signature != (-1, 1):
         raise ValueError(f"dot needs signature (-,+), got {loop.signature}")
@@ -91,7 +92,7 @@ def dot_value(loop: LoopPath) -> Surd:
     c = box_content(lam, mu)
     if not c:
         return Surd()
-    return sqrt_fraction(f_pl(mu) / f_pl(lam)) * Fraction(c)
+    return sqrt_fraction(f.value(mu) / f.value(lam)) * Fraction(c)
 
 
 DOT = Element("dot", (-1, 1), dot_value)
@@ -358,8 +359,8 @@ def cycle_element(k: int) -> Element:
     if k < 1:
         raise ValueError("cycle length must be >= 1")
     if k == 1:
-        return Element("cycle_1", (-1, 1), lambda loop: ONE)
-    return as_element(cycle_program(k), PLANCHEREL)
+        return Element("cycle_1", (-1, 1), lambda loop, f: ONE)
+    return as_element(cycle_program(k))
 
 
 def cycle_program(k: int) -> TangleProgram:
@@ -412,9 +413,7 @@ def character_from_cycle_tangle(lam: Diagram, k: int) -> Surd:
     text = (
         f"tangle wrapped_cycle_{k} : () {{\n{rows}\nrow box cycle_{k};\n}}"
     )
-    bindings = dict(BUILTIN_ELEMENTS)
-    bindings[f"cycle_{k}"] = cycle_element(k)
-    prog = parse(text, bindings)
+    prog = parse(text, {**BUILTIN_ELEMENTS, f"cycle_{k}": cycle_element(k)})
     return evaluate(prog, LoopPath((lam,), ()), PLANCHEREL)
 
 

@@ -29,11 +29,14 @@ box consumes ``2q`` strands whose orientations must match the bound
 element's signature read right-to-left (up = internal +, down = internal -),
 requires the two flanking regions to agree, and multiplies by the element's
 value on the loop read right-to-left across its legs.
+
+Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
+harmonic function ``f`` passed to :func:`evaluate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -64,15 +67,15 @@ class Element:
 
     name: str
     signature: Signature
-    fn: Callable[[LoopPath], Surd]
+    fn: Callable[[LoopPath, HarmonicFunction], Surd]
 
-    def evaluate(self, loop: LoopPath) -> Surd:
+    def evaluate(self, loop: LoopPath, f: HarmonicFunction) -> Surd:
         if loop.signature != self.signature:
             raise TangleError(
                 f"element {self.name} expects signature {self.signature}, "
                 f"got {loop.signature}"
             )
-        return self.fn(loop)
+        return self.fn(loop, f)
 
     def legs(self) -> tuple[int, ...]:
         """Strand orientations left-to-right that the box window must show."""
@@ -108,7 +111,6 @@ class TangleProgram:
     name: str
     signature: Signature
     rows: tuple[tuple[Atom, ...], ...]
-    bindings: dict[str, Element] = field(default_factory=dict)
     plans: tuple[RowPlan, ...] = ()
 
 
@@ -198,7 +200,7 @@ def compile_program(
         orient = [o for i, o in enumerate(orient, start=1) if i not in removed]
     if orient:
         raise TangleError(f"{len(orient)} strands remain after the last row")
-    return TangleProgram(name, signature, rows, dict(bindings), tuple(plans))
+    return TangleProgram(name, signature, rows, tuple(plans))
 
 
 # -- DSL parser ----------------------------------------------------------------
@@ -321,11 +323,13 @@ class _Parser:
             return Atom("box", box_name=nm[1], line=line, col=col)
         raise TangleError(f"unknown atom {tok[1]!r}", line, col)
 
-    def parse_program_source(self):
+    def parse_program_source(self, env: dict[str, Element]):
         self.expect("tangle")
         nm = self.next()
         if nm[0] != "ident":
             raise TangleError("expected tangle name", nm[2], nm[3])
+        if nm[1] in env:
+            raise TangleError(f"name {nm[1]!r} is already bound", nm[2], nm[3])
         self.expect(":")
         sig = self.parse_signature()
         self.expect("{")
@@ -354,24 +358,21 @@ class _Parser:
 
 
 def parse_programs(
-    text: str,
-    bindings: dict[str, Element] | None = None,
-    f: HarmonicFunction | None = None,
+    text: str, bindings: dict[str, Element] | None = None
 ) -> dict[str, TangleProgram]:
     """Parse a DSL source with any number of tangle definitions.
 
     Earlier definitions become available as box bindings for later ones
-    (wrapped by :func:`as_element`; requires ``f``).
+    (wrapped by :func:`as_element`).  A name that is already bound, by
+    ``bindings`` or by an earlier definition, is an error.
     """
     parser = _Parser(_tokenize(text))
     env: dict[str, Element] = dict(bindings or {})
     out: dict[str, TangleProgram] = {}
     while parser.peek() is not None:
-        name, sig, rows = parser.parse_program_source()
-        prog = compile_program(name, sig, rows, env)
-        out[name] = prog
-        if f is not None:
-            env[name] = as_element(prog, f)
+        name, sig, rows = parser.parse_program_source(env)
+        out[name] = compile_program(name, sig, rows, env)
+        env[name] = as_element(out[name])
     return out
 
 
@@ -441,7 +442,7 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
                             dead = True
                             break
                         diagrams = tuple(reversed(regs[p - 1 : p + q2]))
-                        value = elem.fn(LoopPath(diagrams, elem.signature))
+                        value = elem.fn(LoopPath(diagrams, elem.signature), f)
                         if value.is_zero():
                             dead = True
                             break
@@ -464,8 +465,8 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
     return total
 
 
-def as_element(program: TangleProgram, f: HarmonicFunction) -> Element:
+def as_element(program: TangleProgram) -> Element:
     """Wrap the program as an element usable inside boxes of other tangles."""
     return Element(
-        program.name, program.signature, lambda loop: evaluate(program, loop, f)
+        program.name, program.signature, lambda loop, f: evaluate(program, loop, f)
     )

@@ -73,7 +73,8 @@ def test_criterion_3_dot():
     for lam in diagrams_up_to(8):
         for mu, _ in down_covers(lam):
             loop = LoopPath((lam, mu, lam), (-1, 1))
-            ok &= hs.dot_value(loop) == evaluate(hs.RIGHT_TURN, loop, PLANCHEREL)
+            right_turn = evaluate(hs.RIGHT_TURN, loop, PLANCHEREL)
+            ok &= hs.dot_value(loop, PLANCHEREL) == right_turn
     _report(
         3, "dot closed form equals the composed tangle on all edges, |lam| <= 8", ok, t0
     )

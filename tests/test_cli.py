@@ -248,9 +248,13 @@ def test_format_accepted_after_subcommand(capsys):
         (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "contours"], 2),
         (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "satellite"], 0),
         (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "radial"], 0),
+        (["eval", "--file", "<dup.tng>", "--name", "a", "--loop", "[]"], 3),
     ],
 )
-def test_exit_code_table(capsys, argv, code):
+def test_exit_code_table(capsys, tmp_path, argv, code):
+    dup = tmp_path / "dup.tng"  # one name defined twice
+    dup.write_text("tangle a : () { }\ntangle a : () { }\n")
+    argv = [str(dup) if a == "<dup.tng>" else a for a in argv]
     assert run(capsys, *argv)[0] == code
 
 
@@ -307,6 +311,25 @@ def test_parameters_are_checked_before_any_work(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and message in err and out == ""
+
+
+def test_frobenius_contours_and_lemmas_compute_no_character(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a character that no check reports")
+
+    monkeypatch.setattr("ypa.heisenberg.character_diagram", boom)
+    for check in ("contours", "lemmas"):
+        code, _, err = run(
+            capsys, "frobenius", "--lambda", "[2,1]", "--n", "2", "--check", check
+        )
+        assert code == 0, err
+
+
+def test_eval_rejects_a_rebound_name(tmp_path, capsys):
+    f = tmp_path / "t.tng"
+    f.write_text("tangle c : () { }\ntangle cross : (-,+) { row cap; }\n")
+    code, _, err = run(capsys, "eval", "--file", str(f), "--name", "c", "--loop", "[]")
+    assert code == 3 and "line 2, col 8" in err and "already bound" in err
 
 
 def test_csv_outside_character_is_rejected_before_dispatch(capsys, monkeypatch):

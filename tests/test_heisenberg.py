@@ -11,17 +11,17 @@ from ypa.young import diagrams_up_to, enumerate_loops, parse_loop
 
 def test_cross_values_spec_examples():
     lp = parse_loop("[2] v [1] v [] ^ [1] ^ [2]")
-    assert hs.cross_id(lp) == sqrt_fraction(F(2))
-    assert hs.cross(lp) == sqrt_fraction(F(2))
-    assert hs.cross_ex(lp).is_zero()
+    assert hs.cross_id(lp, PLANCHEREL) == sqrt_fraction(F(2))
+    assert hs.cross(lp, PLANCHEREL) == sqrt_fraction(F(2))
+    assert hs.cross_ex(lp, PLANCHEREL).is_zero()
     lp2 = parse_loop("[2,1] v [2] v [1] ^ [1,1] ^ [2,1]")
-    assert hs.cross_ex(lp2) == Surd.from_rational(F(3, 2))
-    assert hs.cross_id(lp2).is_zero()
+    assert hs.cross_ex(lp2, PLANCHEREL) == Surd.from_rational(F(3, 2))
+    assert hs.cross_id(lp2, PLANCHEREL).is_zero()
 
 
 def test_cross_signature_check():
     with pytest.raises(ValueError, match="signature"):
-        hs.cross(parse_loop("[1] v [] ^ [1]"))
+        hs.cross(parse_loop("[1] v [] ^ [1]"), PLANCHEREL)
 
 
 def test_cross_support_carrying_boxes():
@@ -30,12 +30,13 @@ def test_cross_support_carrying_boxes():
         for loop in enumerate_loops(base, hs.CROSS_SIGNATURE):
             l0, l1, l2, l3, _ = loop.diagrams
             if l1 == l3:
-                assert hs.cross_ex(loop).is_zero()
-                assert not hs.cross_id(loop).is_zero()
+                assert hs.cross_ex(loop, PLANCHEREL).is_zero()
+                assert not hs.cross_id(loop, PLANCHEREL).is_zero()
             else:
-                assert hs.cross_id(loop).is_zero()
-                assert not hs.cross_ex(loop).is_zero()
-            assert hs.cross(loop) == hs.cross_id(loop) + hs.cross_ex(loop)
+                assert hs.cross_id(loop, PLANCHEREL).is_zero()
+                assert not hs.cross_ex(loop, PLANCHEREL).is_zero()
+            parts = hs.cross_id(loop, PLANCHEREL) + hs.cross_ex(loop, PLANCHEREL)
+            assert hs.cross(loop, PLANCHEREL) == parts
 
 
 def test_cross_square_radicand_structure():
@@ -44,20 +45,24 @@ def test_cross_square_radicand_structure():
         for loop in enumerate_loops(base, hs.CROSS_SIGNATURE):
             ratio = f_pl(loop.diagrams[0]) / f_pl(loop.diagrams[2])
             for fn in (hs.cross_id, hs.cross_ex):
-                v = fn(loop)
+                v = fn(loop, PLANCHEREL)
                 assert (v * v * ratio).is_rational()
 
 
 def test_dot_examples():
-    assert hs.dot_value(parse_loop("[2] v [1] ^ [2]")) == sqrt_fraction(F(2))
-    assert hs.dot_value(parse_loop("[1,1] v [1] ^ [1,1]")) == -sqrt_fraction(F(2))
-    assert hs.dot_value(parse_loop("[1] v [] ^ [1]")).is_zero()
+    def dot(text):
+        return hs.dot_value(parse_loop(text), PLANCHEREL)
+
+    assert dot("[2] v [1] ^ [2]") == sqrt_fraction(F(2))
+    assert dot("[1,1] v [1] ^ [1,1]") == -sqrt_fraction(F(2))
+    assert dot("[1] v [] ^ [1]").is_zero()
 
 
 def test_dot_equals_composed_tangle():
     for base in diagrams_up_to(6):
         for loop in enumerate_loops(base, (-1, 1)):
-            assert hs.dot_value(loop) == evaluate(hs.RIGHT_TURN, loop, PLANCHEREL)
+            right_turn = evaluate(hs.RIGHT_TURN, loop, PLANCHEREL)
+            assert hs.dot_value(loop, PLANCHEREL) == right_turn
 
 
 @pytest.mark.parametrize("name", hs.RELATION_IDS)
@@ -114,10 +119,11 @@ def test_jobs_do_not_change_the_report():
 
 def test_cycle_elements():
     c1 = hs.cycle_element(1)
-    assert c1.evaluate(parse_loop("[2] v [1] ^ [2]")) == Surd.from_rational(1)
+    one = Surd.from_rational(1)
+    assert c1.evaluate(parse_loop("[2] v [1] ^ [2]"), PLANCHEREL) == one
     c2 = hs.cycle_element(2)
     lp = parse_loop("[2] v [1] v [] ^ [1] ^ [2]")
-    assert c2.evaluate(lp) == hs.cross(lp)
+    assert c2.evaluate(lp, PLANCHEREL) == hs.cross(lp, PLANCHEREL)
     with pytest.raises(ValueError):
         hs.cycle_element(0)
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ypa.plancherel import cauchy_g, inv_h
 from ypa.ratfun import ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly
@@ -88,24 +89,24 @@ def test_residue_matches_brute_force_laurent():
             assert R.residue_at(r) == _oracle_residue(R, r)
 
 
-def test_global_residue_theorem():
-    # The sum of all residues equals the coefficient of z^-1 at infinity:
-    # zero for functions that are O(z^-2), the leading series coefficient
-    # for functions decaying exactly like 1/z.
-    rng = random.Random(11)
-    for _ in range(60):
-        roots = rng.sample(range(-5, 6), rng.randint(2, 4))
-        den = {F(r): rng.randint(1, 2) for r in roots}
-        deg_den = sum(den.values())
-        numer = Poly([F(rng.randint(-9, 9)) for _ in range(max(1, deg_den))])
-        if numer.is_zero():
-            continue
-        R = FactoredRatFun.make(numer, den)
-        gap = R.numer.degree - sum(m for _, m in R.denom)
-        if gap == -1:
-            assert R.sum_of_residues() == R.series_at_infinity(0)[0]
-        elif gap <= -2:
-            assert R.sum_of_residues() == 0
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+    st.dictionaries(
+        st.fractions(min_value=-5, max_value=5, max_denominator=3),
+        st.integers(1, 3),
+        max_size=4,
+    ),
+)
+def test_global_residue_theorem(numer, den):
+    # The finite residues and the residue at infinity sum to zero: the sum of
+    # all residues is the coefficient of z^-1 at infinity, a_(g+1) of the
+    # series for a degree gap g >= -1 and zero for g <= -2.
+    assume(any(numer))
+    R = FactoredRatFun.make(Poly(numer), den)
+    gap = R.numer.degree - sum(m for _, m in R.denom)
+    at_infinity = R.series_at_infinity(gap + 1)[gap + 1] if gap >= -1 else 0
+    assert R.sum_of_residues() == at_infinity
 
 
 def test_g_times_h_is_one_up_to_weight_10():

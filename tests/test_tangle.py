@@ -1,7 +1,10 @@
-import pytest
+from fractions import Fraction
 
-from ypa.heisenberg import BUILTIN_ELEMENTS
-from ypa.plancherel import PLANCHEREL, f_pl
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ypa.heisenberg import BUILTIN_ELEMENTS, RELATIONS
+from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
 from ypa.surd import Surd, sqrt_fraction
 from ypa.tangle import (
     TangleError,
@@ -11,13 +14,23 @@ from ypa.tangle import (
     parse,
     parse_programs,
 )
-from ypa.young import LoopPath, diagrams_up_to, enumerate_loops, parse_loop
+from ypa.young import LoopPath, diagrams_up_to, enumerate_loops, parse_loop, up_covers
 
 ONE = Surd.from_rational(1)
 
 
 def _base_loop(lam):
     return LoopPath((lam,), ())
+
+
+def _one_row_mix(lam):
+    # Harmonicity is linear, so the Plancherel function plus the indicator of
+    # at-most-one-row diagrams (the extreme one-row boundary point) is again
+    # harmonic, and it is strictly positive.
+    return f_pl(lam) + (1 if len(lam) <= 1 else 0)
+
+
+ONE_ROW_MIX = HarmonicFunction("plancherel+row", _one_row_mix)
 
 
 def test_parse_left_circle_valid():
@@ -66,7 +79,6 @@ def test_parse_comments_and_multiple_programs():
         tangle b : () { row cup_ud; row cap; }
         """,
         {},
-        PLANCHEREL,
     )
     assert sorted(progs) == ["a", "b"]
 
@@ -78,22 +90,36 @@ def test_left_circle_is_one_everywhere():
 
 
 def test_left_circle_for_another_harmonic_function():
-    # The left-circle value is 1 for any harmonic function.  Harmonicity is
-    # linear, so the Plancherel function plus the indicator of at-most-one-row
-    # diagrams (the extreme one-row boundary point) is again harmonic, and it
-    # is strictly positive.
-    from ypa.plancherel import HarmonicFunction, f_pl
-    from ypa.young import up_covers
-
-    def mix(lam):
-        return f_pl(lam) + (1 if len(lam) <= 1 else 0)
-
-    f = HarmonicFunction("plancherel+row", mix)
+    # The left-circle value is 1 for any harmonic function.
+    f = ONE_ROW_MIX
     for lam in diagrams_up_to(7):
-        assert mix(lam) == sum(mix(mu) for mu, _ in up_covers(lam))
+        assert f(lam) == sum(f(mu) for mu, _ in up_covers(lam))
     prog = parse("tangle c : () { row cup_du; row cap; }")
     for lam in diagrams_up_to(7):
         assert evaluate(prog, _base_loop(lam), f) == ONE
+
+
+def test_every_weight_reads_the_evaluated_f():
+    # Cups, caps and the crossing boxes all read the f given to evaluate, so
+    # the relations that hold for any harmonic function hold under a second
+    # one; the others need Plancherel and must fail somewhere.
+    def side(terms, loop):
+        total = Surd()
+        for coef, prog in terms:
+            total = total + evaluate(prog, loop, ONE_ROW_MIX) * Fraction(coef)
+        return total
+
+    for name, sides in RELATIONS.items():
+        differ = [
+            loop
+            for base in diagrams_up_to(5)
+            for loop in enumerate_loops(base, sides.signature)
+            if side(sides.lhs, loop) != side(sides.rhs, loop)
+        ]
+        if name in ("ind_ind", "ybe", "left_circle"):
+            assert not differ, (name, differ[:3])
+        else:
+            assert differ, name
 
 
 def test_clockwise_circle_is_weight():
@@ -142,7 +168,7 @@ def test_arc_element_value():
 def test_composition_consistency_two_legs():
     # A boxed sub-tangle evaluates like the flattened program.
     sub = parse("tangle sub : (-,+) { row cap; }")
-    sub_elem = as_element(sub, PLANCHEREL)
+    sub_elem = as_element(sub)
     outer = parse("tangle o : () { row cup_ud; row box sub; }", {"sub": sub_elem})
     flat = parse("tangle f : () { row cup_ud; row cap; }")
     for lam in diagrams_up_to(5):
@@ -153,7 +179,7 @@ def test_composition_consistency_two_legs():
 
 def test_composition_consistency_four_legs():
     sub = parse("tangle sub : (-,-,+,+) { row | cap |; row cap; }")
-    sub_elem = as_element(sub, PLANCHEREL)
+    sub_elem = as_element(sub)
     outer = parse(
         "tangle o : (-,+) { row cup_ud@1; row box sub; }", {"sub": sub_elem}
     )
@@ -190,6 +216,79 @@ def test_unclosed_final_state_is_a_tangle_error():
 
 def test_as_element_signature_check():
     sub = parse("tangle sub : (-,+) { row cap; }")
-    elem = as_element(sub, PLANCHEREL)
+    elem = as_element(sub)
     with pytest.raises(TangleError, match="signature"):
-        elem.evaluate(parse_loop("[1] ^ [2] v [1]"))
+        elem.evaluate(parse_loop("[1] ^ [2] v [1]"), PLANCHEREL)
+
+
+def test_rebinding_a_name_is_an_error():
+    text = "tangle a : () { }\ntangle a : () { row cup_du; row cap; }"
+    with pytest.raises(TangleError, match="line 2, col 8: .*'a' is already bound"):
+        parse_programs(text)
+    with pytest.raises(TangleError, match="line 1, col 8: .*'cross' is already bound"):
+        parse_programs("tangle cross : (-,+) { row cap; }", BUILTIN_ELEMENTS)
+
+
+def test_earlier_tangles_are_boxes_under_the_callers_f():
+    progs = parse_programs(
+        "tangle arc : (-,+) { row cap; }\n"
+        "tangle boxed : () { row cup_ud; row box arc; }\n"
+        "tangle flat : () { row cup_ud; row cap; }"
+    )
+    for f in (PLANCHEREL, ONE_ROW_MIX):
+        for lam in diagrams_up_to(4):
+            loop = _base_loop(lam)
+            assert evaluate(progs["boxed"], loop, f) == evaluate(progs["flat"], loop, f)
+
+
+_DSL_TOKENS = (
+    "tangle", "t", "u", ":", "(", ")", "+", "-", ",", "{", "}", "row", ";", "|",
+    "*", "cap", "cup_du", "cup_ud", "@", "0", "1", "2", "3", "box", "cross",
+    "cross_id", "cross_ex", "dot", "\n", "#", "$",
+)
+# Atoms with the number of strands each consumes and the number it removes.
+_ATOMS = (
+    ("|", 1, 0), ("*", 1, 0), ("cap", 2, 2), ("box dot", 2, 2),
+    ("box cross", 4, 4), ("box cross_id", 4, 4), ("box cross_ex", 4, 4),
+)
+
+
+@st.composite
+def _row_program(draw):
+    """A program whose rows tile the strands; orientations are left to chance."""
+    k = draw(st.integers(0, 2))
+    signs = draw(st.permutations("+" * k + "-" * k))
+    n, rows = 2 * k, []
+    for _ in range(draw(st.integers(0, 4))):
+        if n == 0 or draw(st.booleans()):
+            cup = draw(st.sampled_from(["cup_du", "cup_ud"]))
+            gap = draw(st.one_of(st.just(""), st.integers(0, n).map("@{}".format)))
+            rows.append(cup + gap)
+            n += 2
+            continue
+        atoms, left = [], n
+        while left:
+            fitting = [a for a in _ATOMS if a[1] <= left]
+            atom, arity, removed = draw(st.sampled_from(fitting))
+            atoms.append(atom)
+            left, n = left - arity, n - removed
+        rows.append(" ".join(atoms))
+    for t in range(n // 2, 0, -1):  # close with nested caps
+        rows.append("| " * (t - 1) + "cap" + " |" * (t - 1))
+    body = " ".join(f"row {row};" for row in rows)
+    return f"tangle t : ({','.join(signs)}) {{ {body} }}"
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(st.lists(st.sampled_from(_DSL_TOKENS)).map(" ".join), _row_program()))
+def test_dsl_fuzz_parses_and_evaluates_or_raises_tangle_error(text):
+    try:
+        prog = parse(text, BUILTIN_ELEMENTS)
+    except TangleError:
+        return
+    for base in diagrams_up_to(3):
+        for loop in enumerate_loops(base, prog.signature):
+            try:
+                assert isinstance(evaluate(prog, loop, PLANCHEREL), Surd)
+            except TangleError:
+                pass
