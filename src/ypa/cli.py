@@ -155,6 +155,14 @@ def cmd_frobenius(args):
         raise CliUsage("--n must be >= 1")
     if n < 2 and ("contours" in checks or "lemmas" in checks):
         raise CliUsage(f"--check {args.check} needs --n >= 2")
+    limits = {
+        "radial": fr.MAX_RADIAL_N,
+        "contours": fr.MAX_CONTOUR_N,
+        "lemmas": fr.MAX_LEMMA_N,
+    }
+    top = min(limits.get(check, n) for check in checks)
+    if n > top:
+        raise CliUsage(f"--check {args.check} needs --n <= {top}")
     results: dict[str, dict] = {}
     if "satellite" in checks or "radial" in checks:
         sigma_n = hs.character_diagram(lam, (n,))

@@ -34,7 +34,12 @@ def h_shifted(lam: Diagram, a: int | Fraction) -> FactoredRatFun:
 
 
 def h_product(lam: Diagram, shifts) -> FactoredRatFun:
-    """prod_s H(z + s)."""
+    """prod_s H(z + s), for any iterable of shifts; memoized on their tuple."""
+    return _h_product(lam, tuple(shifts))
+
+
+@cache
+def _h_product(lam: Diagram, shifts: tuple) -> FactoredRatFun:
     out = None
     for s in shifts:
         h = h_shifted(lam, s)
@@ -52,6 +57,7 @@ def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
 
 # -- satellite scheme -----------------------------------------------------------
 
+@cache
 def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
     """The fully collapsed integrand: (prod H(z+j) + prod H(z-j)) / 2."""
     plus = h_product(lam, range(n))
@@ -83,12 +89,13 @@ def satellite_level_form(
     half = Fraction(1, 2)
     total = None
     for sgn in (1, -1):
-        t = h_product(lam, [sgn * j for j in range(k + 1)])
-        t = t * FactoredRatFun.from_roots([], [w])
-        for zj in tail:
-            t = t * FactoredRatFun.from_roots(
-                [zj, zj - sgn * k], [zj + sgn, zj - sgn * (k + 1)]
-            )
+        # 1/(z - w) times prod over the tail of
+        # (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1))).
+        tail_factors = FactoredRatFun.from_roots(
+            [r for zj in tail for r in (zj, zj - sgn * k)],
+            [w] + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))],
+        )
+        t = h_product(lam, [sgn * j for j in range(k + 1)]) * tail_factors
         total = t if total is None else total + t
     # Trailing factor F^(n-k-1) over the outer variables, a constant here.
     return total * (half * f_eval(lam, n - k - 1, tail))
@@ -177,8 +184,10 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"sigma must permute 1..{n}")
     is_id = sigma == tuple(range(1, n + 1))
-    if (is_id and n > 5) or (not is_id and n > 3):
-        raise ValueError("radial integrals supported for sigma=id up to n=5, else n<=3")
+    if (is_id and n > MAX_RADIAL_N) or (not is_id and n > 3):
+        raise ValueError(
+            f"radial integrals supported for sigma=id up to n={MAX_RADIAL_N}, else n<=3"
+        )
     terms = [f_term(lam, n)]
     for v in sigma:
         terms = affine.residue_in(terms, v, affine.include_constants)
@@ -188,6 +197,13 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
 # -- sampling and the cyclic/inversion lemmas ------------------------------------
 
 _SAMPLE_DENOMS = (7, 11, 13, 17, 19, 23, 29)
+
+# The largest n each check supports: radial_I with sigma = id, the satellite
+# step checks (their first step samples n - 1 outer variables) and the lemma
+# checks (which sample all n).
+MAX_RADIAL_N = 5
+MAX_CONTOUR_N = len(_SAMPLE_DENOMS) + 1
+MAX_LEMMA_N = len(_SAMPLE_DENOMS)
 
 
 def sample_points(lam: Diagram, n: int, rng: random.Random) -> tuple[Fraction, ...]:

@@ -80,6 +80,7 @@ def cauchy_g(lam: Diagram) -> FactoredRatFun:
     return FactoredRatFun.from_roots(ys, xs)
 
 
+@cache
 def inv_h(lam: Diagram) -> FactoredRatFun:
     """H(z) = 1/G(z) = prod(z - x_i) / prod(z - y_i)."""
     xs, ys = profile(lam)

@@ -10,6 +10,7 @@ extraction at a point, for poles of any order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,6 +35,18 @@ class Poly:
     def linear(root: Fraction) -> "Poly":
         """The monic factor z - root."""
         return Poly([-Fraction(root), Fraction(1)])
+
+    @staticmethod
+    def from_roots(roots) -> "Poly":
+        """The monic polynomial prod (z - r) over the roots, with repeats."""
+        cs = [Fraction(1)]
+        for r in roots:
+            # (z - r) * sum c_i z^i: each c_i moves up a degree, -r c_i stays.
+            cs.append(cs[-1])
+            for i in range(len(cs) - 2, 0, -1):
+                cs[i] = cs[i - 1] - r * cs[i]
+            cs[0] = -r * cs[0]
+        return Poly(cs)
 
     @property
     def degree(self) -> int:
@@ -112,10 +125,21 @@ class Poly:
         return Poly(out)
 
     def taylor_at(self, p: Fraction, order: int) -> list[Fraction]:
-        """Coefficients of (z - p)^0 .. (z - p)^order in the expansion at p."""
-        return list(self.shift(p).coeffs[: order + 1]) + [Fraction(0)] * max(
-            0, order + 1 - len(self.coeffs)
-        )
+        """Coefficients of (z - p)^0 .. (z - p)^order in the expansion at p.
+
+        Each coefficient is the remainder of one synthetic division by
+        (z - p), whose quotient feeds the next; only order + 1 divisions run.
+        """
+        cs = list(self.coeffs)
+        out: list[Fraction] = []
+        for _ in range(order + 1):
+            carry = Fraction(0)
+            for i in range(len(cs) - 1, -1, -1):
+                carry = cs[i] + p * carry
+                cs[i] = carry
+            # cs[0] is the remainder, cs[1:] the quotient.
+            out.append(cs.pop(0) if cs else Fraction(0))
+        return out
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
@@ -137,15 +161,10 @@ class FactoredRatFun:
         if any(m < 0 for m in dd.values()):
             raise ValueError("denominator multiplicities must be positive")
         # Reduce: cancel denominator roots that are numerator roots.
-        if not numer.is_zero():
-            for r in list(dd):
-                while dd.get(r, 0) and numer(r) == 0:
-                    numer = numer.divide_linear(r)
-                    dd[r] -= 1
-                if not dd.get(r, 1):
-                    del dd[r]
-        else:
-            dd = {}
+        if numer.is_zero():
+            return FactoredRatFun(numer, ())
+        for r, m in list(dd.items()):
+            numer = _divide_out(numer, r, m, dd)
         return FactoredRatFun(numer, tuple(sorted(dd.items())))
 
     @staticmethod
@@ -154,25 +173,25 @@ class FactoredRatFun:
 
     @staticmethod
     def from_roots(numer_roots, denom_roots) -> "FactoredRatFun":
-        num = ONE_POLY
-        for r in numer_roots:
-            num = num * Poly.linear(r)
-        den: dict[Fraction, int] = {}
-        for r in denom_roots:
-            r = Fraction(r)
-            den[r] = den.get(r, 0) + 1
-        return FactoredRatFun.make(num, den)
+        """prod (z - a) / prod (z - b), reduced by cancelling roots as multisets.
+
+        Every numerator root is known, so no polynomial is evaluated.
+        """
+        num = Counter(Fraction(r) for r in numer_roots)
+        den = Counter(Fraction(r) for r in denom_roots)
+        common = num & den
+        num -= common
+        den -= common
+        return FactoredRatFun(
+            Poly.from_roots(num.elements()), tuple(sorted(den.items()))
+        )
 
     @property
     def denom_dict(self) -> dict[Fraction, int]:
         return dict(self.denom)
 
     def denom_poly(self) -> Poly:
-        p = ONE_POLY
-        for r, m in self.denom:
-            for _ in range(m):
-                p = p * Poly.linear(r)
-        return p
+        return Poly.from_roots(r for r, m in self.denom for _ in range(m))
 
     def poles(self) -> list[Fraction]:
         return [r for r, _ in self.denom]
@@ -191,11 +210,22 @@ class FactoredRatFun:
 
     def __mul__(self, other: "FactoredRatFun | Fraction | int") -> "FactoredRatFun":
         if isinstance(other, (int, Fraction)):
-            return FactoredRatFun(self.numer * other, self.denom) if other else FactoredRatFun.make(Poly([]), {})
+            if other:
+                return FactoredRatFun(self.numer * other, self.denom)
+            return FactoredRatFun.make(Poly([]), {})
+        if self.is_zero() or other.is_zero():
+            return FactoredRatFun.make(Poly([]), {})
+        # Both sides are reduced, so only a denominator root of one side can
+        # cancel, and only against the numerator of the other side.
+        a, b = self.numer, other.numer
         den = self.denom_dict
         for r, m in other.denom:
             den[r] = den.get(r, 0) + m
-        return FactoredRatFun.make(self.numer * other.numer, den)
+        for r, m in self.denom:
+            b = _divide_out(b, r, m, den)
+        for r, m in other.denom:
+            a = _divide_out(a, r, m, den)
+        return FactoredRatFun(a * b, tuple(sorted(den.items())))
 
     __rmul__ = __mul__
 
@@ -203,12 +233,13 @@ class FactoredRatFun:
         return FactoredRatFun(-self.numer, self.denom)
 
     def __add__(self, other: "FactoredRatFun") -> "FactoredRatFun":
-        den = self.denom_dict
+        sd = self.denom_dict
+        den = dict(sd)
         for r, m in other.denom:
             den[r] = max(den.get(r, 0), m)
         a = self.numer
         for r, m in den.items():
-            need = m - self.denom_dict.get(r, 0)
+            need = m - sd.get(r, 0)
             for _ in range(need):
                 a = a * Poly.linear(r)
         b = other.numer
@@ -298,6 +329,18 @@ class FactoredRatFun:
             base = f"({var}-{r})" if r >= 0 else f"({var}+{-r})"
             parts.append(base if m == 1 else f"{base}^{m}")
         return f"({num}) / ({''.join(parts)})"
+
+
+def _divide_out(p: Poly, r: Fraction, m: int, den: dict[Fraction, int]) -> Poly:
+    """Divide up to m factors (z - r) out of p, lowering den[r] to match and
+    dropping r from den when none is left."""
+    while m and p(r) == 0:
+        p = p.divide_linear(r)
+        den[r] -= 1
+        m -= 1
+    if not den[r]:
+        del den[r]
+    return p
 
 
 def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:

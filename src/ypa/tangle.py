@@ -119,14 +119,19 @@ def compile_program(
     signature: Signature,
     rows: tuple[tuple[Atom, ...], ...],
     bindings: dict[str, Element],
+    name_at: tuple[int | None, int | None] = (None, None),
 ) -> TangleProgram:
-    """Validate orientations/arities row by row and fix all positions."""
+    """Validate orientations/arities row by row and fix all positions.
+
+    ``name_at`` is the (line, col) of the tangle's name, where an error of a
+    program without rows is reported.
+    """
     orient = list(signature_orientations(signature))
     plans: list[RowPlan] = []
     for row in rows:
         n = len(orient)
         strand_atoms = [a for a in row if a.kind != "cup"]
-        insertions: list[tuple[int, str]] = []
+        cups: list[tuple[int, Atom]] = []  # (pre-row gap, cup atom)
         cursor = 0
         spans: list[tuple[str, int, int, object]] = []  # kind, start, end, extra
         for atom in row:
@@ -139,7 +144,7 @@ def compile_program(
                     gap = n
                 if not 0 <= gap <= n:
                     raise TangleError(f"cup gap {gap} out of range 0..{n}", atom.line, atom.col)
-                insertions.append((gap, atom.cup_kind))
+                cups.append((gap, atom))
                 continue
             if atom.kind in ("pass", "dot"):
                 arity = 1
@@ -174,13 +179,19 @@ def compile_program(
             spans.append((atom.kind, start, end, extra))
             cursor = end
         if strand_atoms and cursor != n:
-            raise TangleError(f"{n - cursor} strands remain untiled in a row")
+            last = row[-1]
+            raise TangleError(
+                f"{n - cursor} strands remain untiled in a row", last.line, last.col
+            )
         # Post-insertion coordinates; insertion inside a consuming span would
         # break the span's contiguity.
-        gaps = sorted(g for g, _ in insertions)
+        gaps = sorted(g for g, _ in cups)
         for kind, start, end, _ in spans:
-            if end > start and any(start <= g <= end - 1 for g in gaps):
-                raise TangleError("cup inserted inside a cap/box span")
+            for gap, cup in cups:
+                if start <= gap <= end - 1:
+                    raise TangleError(
+                        "cup inserted inside a cap/box span", cup.line, cup.col
+                    )
 
         def post(p: int) -> int:
             return p + 2 * sum(1 for g in gaps if g <= p - 1)
@@ -188,7 +199,8 @@ def compile_program(
         ops = tuple(
             (kind, post(start), extra) for kind, start, end, extra in spans if kind != "pass"
         )
-        plans.append(RowPlan(tuple(insertions), ops))
+        insertions = tuple((gap, cup.cup_kind) for gap, cup in cups)
+        plans.append(RowPlan(insertions, ops))
         # Update orientations: apply insertions right-to-left, then remove spans.
         for gap, ck in sorted(insertions, key=lambda t: t[0], reverse=True):
             pair = [DOWN, UP] if ck == "du" else [UP, DOWN]
@@ -199,7 +211,8 @@ def compile_program(
                 removed.update(range(post(start), post(start) + (end - start) + 1))
         orient = [o for i, o in enumerate(orient, start=1) if i not in removed]
     if orient:
-        raise TangleError(f"{len(orient)} strands remain after the last row")
+        line, col = (rows[-1][-1].line, rows[-1][-1].col) if rows else name_at
+        raise TangleError(f"{len(orient)} strands remain after the last row", line, col)
     return TangleProgram(name, signature, rows, tuple(plans))
 
 
@@ -263,9 +276,14 @@ class _Parser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise TangleError("unexpected end of input")
+            raise self.at_end("unexpected end of input")
         self.pos += 1
         return tok
+
+    def at_end(self, message: str) -> TangleError:
+        """An error at the last token read, for input that stops too early."""
+        last = self.tokens[self.pos - 1]
+        return TangleError(message, last[2], last[3])
 
     def expect(self, value: str):
         tok = self.next()
@@ -294,7 +312,7 @@ class _Parser:
             if tok[1] != ",":
                 raise TangleError(f"expected ',' or ')', got {tok[1]!r}", tok[2], tok[3])
         if sum(signs) != 0:
-            raise TangleError("signature signs must sum to zero")
+            raise TangleError("signature signs must sum to zero", tok[2], tok[3])
         return tuple(signs)
 
     def parse_atom(self) -> Atom:
@@ -337,24 +355,24 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok is None:
-                raise TangleError("unterminated tangle body")
+                raise self.at_end("unterminated tangle body")
             if tok[1] == "}":
                 self.next()
                 break
-            self.expect("row")
+            row = self.expect("row")
             atoms: list[Atom] = []
             while True:
                 tok = self.peek()
                 if tok is None:
-                    raise TangleError("unterminated row")
+                    raise self.at_end("unterminated row")
                 if tok[1] == ";":
                     self.next()
                     break
                 atoms.append(self.parse_atom())
             if not atoms:
-                raise TangleError("empty row")
+                raise TangleError("empty row", row[2], row[3])
             rows.append(tuple(atoms))
-        return nm[1], sig, tuple(rows)
+        return nm, sig, tuple(rows)
 
 
 def parse_programs(
@@ -370,8 +388,8 @@ def parse_programs(
     env: dict[str, Element] = dict(bindings or {})
     out: dict[str, TangleProgram] = {}
     while parser.peek() is not None:
-        name, sig, rows = parser.parse_program_source(env)
-        out[name] = compile_program(name, sig, rows, env)
+        (_, name, line, col), sig, rows = parser.parse_program_source(env)
+        out[name] = compile_program(name, sig, rows, env, (line, col))
         env[name] = as_element(out[name])
     return out
 

@@ -299,13 +299,21 @@ def test_parameters_are_checked_before_any_work(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("computed before the parameters were checked")
 
-    # Both frobenius and kerov compute characters first of all.
+    # Both frobenius and kerov compute characters first of all; frobenius
+    # --check all then takes the satellite integral.
     monkeypatch.setattr("ypa.heisenberg.character_diagram", boom)
+    monkeypatch.setattr("ypa.frobenius.satellite_I", boom)
     for argv, message in (
         (["frobenius", "--lambda", "[2]", "--n", "0"], "--n must be >= 1"),
         (["frobenius", "--lambda", "[2]", "--n", "1"], "needs --n >= 2"),
         (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "lemmas"],
          "needs --n >= 2"),
+        (["frobenius", "--lambda", "[2]", "--n", "6", "--check", "all"],
+         "needs --n <= 5"),
+        (["frobenius", "--lambda", "[2]", "--n", "9", "--check", "contours"],
+         "needs --n <= 8"),
+        (["frobenius", "--lambda", "[2]", "--n", "8", "--check", "lemmas"],
+         "needs --n <= 7"),
         (["kerov", "--pi", "[2]", "--sample-weight", "-1"],
          "sample_weight must be >= 0"),
     ):

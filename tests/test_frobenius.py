@@ -108,3 +108,27 @@ def test_h_product_shifts():
     from ypa.ratfun import FactoredRatFun
 
     assert h == FactoredRatFun.from_roots([F(-1), F(0), F(3)], [F(1)])
+
+
+def test_step_check_fails_against_a_wrong_final_form(monkeypatch):
+    # The last step compares with the final form; doubling it must be seen,
+    # so the check cannot pass vacuously.
+    lam, n = (2, 1), 3
+    rng = random.Random(2)
+    samples = [fr.sample_points(lam, 1, rng) for _ in range(5)]
+    assert fr.satellite_step_check(lam, n, n - 2, samples)
+    true_form = fr.satellite_final_form
+    monkeypatch.setattr(
+        fr, "satellite_final_form", lambda lam, n: true_form(lam, n) * 2
+    )
+    assert not fr.satellite_step_check(lam, n, n - 2, samples)
+
+
+def test_h_product_cache_keys_on_the_shifts_not_their_container():
+    lam = (3, 1)
+    assert (
+        fr.h_product(lam, range(3))
+        == fr.h_product(lam, [0, 1, 2])
+        == fr.h_product(lam, (0, 1, 2))
+    )
+    assert fr.h_product(lam, [0, 1, 2]) != fr.h_product(lam, [0, 1])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -126,3 +127,52 @@ def test_addition():
 def test_render():
     R = FactoredRatFun.from_roots([F(0)], [F(1), F(-1)])
     assert R.render() == "(z) / ((z+1)(z-1))"
+
+
+# Few, small roots, so that numerator and denominator roots collide often.
+SMALL_ROOTS = st.sampled_from([F(k, 2) for k in range(-4, 5)])
+ROOT_LISTS = st.lists(SMALL_ROOTS, max_size=6)
+
+
+def _linear_product(roots):
+    p = ONE_POLY
+    for r in roots:
+        p = p * Poly.linear(r)
+    return p
+
+
+@st.composite
+def reduced_ratfuns(draw):
+    """make() of a numerator with many small roots, times a small polynomial
+    with any leading coefficient (zero included), over a small root multiset."""
+    extra = Poly(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+    numer = _linear_product(draw(ROOT_LISTS)) * extra
+    return FactoredRatFun.make(numer, Counter(draw(ROOT_LISTS)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(ROOT_LISTS, ROOT_LISTS)
+def test_from_roots_is_the_reduced_form(numer_roots, denom_roots):
+    expected = FactoredRatFun.make(_linear_product(numer_roots), Counter(denom_roots))
+    assert FactoredRatFun.from_roots(numer_roots, denom_roots) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(reduced_ratfuns(), reduced_ratfuns(), st.fractions(-3, 3, max_denominator=4))
+def test_product_is_the_reduced_form(a, b, c):
+    merged = Counter(a.denom_dict) + Counter(b.denom_dict)
+    assert a * b == FactoredRatFun.make(a.numer * b.numer, merged)
+    assert a * c == FactoredRatFun.make(a.numer * c, a.denom_dict)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.fractions(-5, 5, max_denominator=3), max_size=7),
+    st.fractions(-4, 4, max_denominator=3),
+    st.integers(0, 9),
+)
+def test_taylor_at_is_the_head_of_the_shift(coeffs, p, order):
+    poly = Poly(coeffs)
+    shifted = list(poly.shift(p).coeffs)
+    expected = (shifted + [F(0)] * (order + 1))[: order + 1]
+    assert poly.taylor_at(p, order) == expected

@@ -221,6 +221,28 @@ def test_as_element_signature_check():
         elem.evaluate(parse_loop("[1] ^ [2] v [1]"), PLANCHEREL)
 
 
+@pytest.mark.parametrize(
+    "source, message, position",
+    [
+        ("tangle t : (-,+) { row |; }", "untiled in a row", (1, 24)),
+        ("tangle t : (-,+) { row cap cup_du@1; }", "inside a cap/box span", (1, 28)),
+        ("tangle t : (-,+) { row cap; row cup_du; }", "after the last row", (1, 33)),
+        ("tangle t : (-,+) { }", "after the last row", (1, 8)),
+        ("tangle t : (-,-) { }", "must sum to zero", (1, 16)),
+        ("tangle t : () {\n  row ; }", "empty row", (2, 3)),
+        ("tangle t : () { row cup_du", "unterminated row", (1, 21)),
+        ("tangle t : () { row cup_du; row cap;", "unterminated tangle body", (1, 36)),
+        ("tangle t : (", "unexpected end of input", (1, 12)),
+    ],
+)
+def test_every_parse_and_compile_error_has_a_position(source, message, position):
+    with pytest.raises(TangleError, match=message) as info:
+        parse_programs(source)
+    err = info.value
+    assert err.line is not None
+    assert (err.line, err.col) == position
+
+
 def test_rebinding_a_name_is_an_error():
     text = "tangle a : () { }\ntangle a : () { row cup_du; row cap; }"
     with pytest.raises(TangleError, match="line 2, col 8: .*'a' is already bound"):
