@@ -9,9 +9,10 @@ taking residues at poles located at rational constants.
 
 Residues are computed per term (residue extraction is linear); within one
 term, factors at the same pole location share a dict key, so the pole order
-is always the net exponent.  Poles whose location still involves another,
-not-yet-integrated variable may only be excluded -- including one would
-leave the class -- and asking for one raises :class:`AffinePoleError`.
+is always the net exponent.  Only poles at constant locations are taken:
+poles whose location still involves another, not-yet-integrated variable
+are left out (including one would leave the class).  Substituting a value
+at a pole raises :class:`AffinePoleError`.
 """
 
 from __future__ import annotations
@@ -147,46 +148,25 @@ def derivative(term: Term, v: int) -> TermSum:
     return out
 
 
-def _pole_locations(term: Term, v: int) -> list[tuple[FactorKey, int, object]]:
-    """Factors of the term with a pole in z_v: (key, order, location).
-
-    location is ('const', c) or ('var', j, c) meaning z_v = z_j + c.
-    """
-    out = []
-    for key, e in term.factors.items():
-        if e >= 0:
-            continue
-        if key[0] == "c" and key[1] == v:
-            out.append((key, -e, ("const", key[2])))
-        elif key[0] == "d":
-            if key[1] == v:
-                out.append((key, -e, ("var", key[2], key[3])))
-            elif key[2] == v:
-                out.append((key, -e, ("var", key[1], -key[3])))
-    return out
+def _constant_poles(term: Term, v: int) -> list[tuple[FactorKey, int, Fraction]]:
+    """Factors z_v - c of the term with a pole: (key, order, c)."""
+    return [
+        (key, -e, key[2])
+        for key, e in term.factors.items()
+        if e < 0 and key[0] == "c" and key[1] == v
+    ]
 
 
-def include_constants(location) -> bool:
-    """The radial-contour rule: constant locations in, variable-dependent out."""
-    return location[0] == "const"
+def residue_in(terms: TermSum, v: int) -> TermSum:
+    """Sum of residues of the term sum in z_v at its constant-located poles.
 
-
-def residue_in(terms: TermSum, v: int, include=include_constants) -> TermSum:
-    """Sum of residues of the term sum in z_v over all included poles.
-
-    The result no longer mentions z_v.  Higher-order poles at constant
-    locations are handled by differentiation inside the class.
+    This is the radial-contour rule: poles at locations involving another
+    variable lie outside and are left out.  The result no longer mentions
+    z_v.  Higher-order poles are handled by differentiation inside the class.
     """
     out: TermSum = []
     for term in terms:
-        for key, order, location in _pole_locations(term, v):
-            if not include(location):
-                continue
-            if location[0] != "const":
-                raise AffinePoleError(
-                    f"pole of z_{v} at variable-dependent location {location}"
-                )
-            p = location[1]
+        for key, order, p in _constant_poles(term, v):
             rest = Term(term.coef, {k: e for k, e in term.factors.items() if k != key})
             if order == 1:
                 sub = substitute(rest, v, p)

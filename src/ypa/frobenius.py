@@ -23,28 +23,26 @@ from functools import cache
 
 from . import affine
 from .affine import PoleHit, Term, const_factor, diff_factor
-from .plancherel import inv_h
 from .ratfun import FactoredRatFun, PoleEvaluationError
 from .young import Diagram, profile
 
 
+def _h_roots(lam: Diagram, shifts) -> tuple[list, list]:
+    """Zeros x - s and poles y - s of prod_s H(z + s), over the profile
+    minima x and maxima y of lam."""
+    xs, ys = profile(lam)
+    shifts = tuple(shifts)
+    return [x - s for s in shifts for x in xs], [y - s for s in shifts for y in ys]
+
+
 def h_shifted(lam: Diagram, a: int | Fraction) -> FactoredRatFun:
     """H(z + a)."""
-    return inv_h(lam).shift(Fraction(a))
+    return h_product(lam, (a,))
 
 
 def h_product(lam: Diagram, shifts) -> FactoredRatFun:
-    """prod_s H(z + s), for any iterable of shifts; memoized on their tuple."""
-    return _h_product(lam, tuple(shifts))
-
-
-@cache
-def _h_product(lam: Diagram, shifts: tuple) -> FactoredRatFun:
-    out = None
-    for s in shifts:
-        h = h_shifted(lam, s)
-        out = h if out is None else out * h
-    return out if out is not None else FactoredRatFun.from_roots([], [])
+    """prod_s H(z + s), for any iterable of shifts, built from its roots."""
+    return FactoredRatFun.from_roots(*_h_roots(lam, shifts))
 
 
 def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
@@ -89,13 +87,13 @@ def satellite_level_form(
     half = Fraction(1, 2)
     total = None
     for sgn in (1, -1):
-        # 1/(z - w) times prod over the tail of
+        # prod_(j<=k) H(z + sgn j) / (z - w) times prod over the tail of
         # (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1))).
-        tail_factors = FactoredRatFun.from_roots(
-            [r for zj in tail for r in (zj, zj - sgn * k)],
-            [w] + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))],
+        zeros, poles = _h_roots(lam, [sgn * j for j in range(k + 1)])
+        t = FactoredRatFun.from_roots(
+            zeros + [r for zj in tail for r in (zj, zj - sgn * k)],
+            poles + [w] + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))],
         )
-        t = h_product(lam, [sgn * j for j in range(k + 1)]) * tail_factors
         total = t if total is None else total + t
     # Trailing factor F^(n-k-1) over the outer variables, a constant here.
     return total * (half * f_eval(lam, n - k - 1, tail))
@@ -190,7 +188,7 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
         )
     terms = [f_term(lam, n)]
     for v in sigma:
-        terms = affine.residue_in(terms, v, affine.include_constants)
+        terms = affine.residue_in(terms, v)
     return affine.constant_value(terms)
 
 

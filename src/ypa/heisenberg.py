@@ -40,6 +40,7 @@ from .young import (
     dim,
     enumerate_loops,
     format_loop,
+    is_diagram,
     weight,
 )
 
@@ -339,7 +340,7 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     tasks = [(name, base) for base in bases]
     results = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_verify_base, tasks, chunksize=4))
     else:
         results = [_verify_base(t) for t in tasks]
@@ -389,9 +390,7 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     descending-path sum of :mod:`sym_oracle` rescaled; zero when |pi| > |lam|.
     """
     pi = tuple(pi)
-    if any(p < 1 for p in pi) or any(
-        pi[i] < pi[i + 1] for i in range(len(pi) - 1)
-    ):
+    if not is_diagram(pi):
         raise ValueError(f"not a partition: {pi}")
     n, k = weight(lam), sum(pi)
     if k > n:

@@ -32,11 +32,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def linear(root: Fraction) -> "Poly":
-        """The monic factor z - root."""
-        return Poly([-Fraction(root), Fraction(1)])
-
-    @staticmethod
     def from_roots(roots) -> "Poly":
         """The monic polynomial prod (z - r) over the roots, with repeats."""
         cs = [Fraction(1)]
@@ -163,8 +158,12 @@ class FactoredRatFun:
         # Reduce: cancel denominator roots that are numerator roots.
         if numer.is_zero():
             return FactoredRatFun(numer, ())
-        for r, m in list(dd.items()):
-            numer = _divide_out(numer, r, m, dd)
+        for r in list(dd):
+            while dd[r] and numer(r) == 0:
+                numer = numer.divide_linear(r)
+                dd[r] -= 1
+            if not dd[r]:
+                del dd[r]
         return FactoredRatFun(numer, tuple(sorted(dd.items())))
 
     @staticmethod
@@ -213,19 +212,10 @@ class FactoredRatFun:
             if other:
                 return FactoredRatFun(self.numer * other, self.denom)
             return FactoredRatFun.make(Poly([]), {})
-        if self.is_zero() or other.is_zero():
-            return FactoredRatFun.make(Poly([]), {})
-        # Both sides are reduced, so only a denominator root of one side can
-        # cancel, and only against the numerator of the other side.
-        a, b = self.numer, other.numer
         den = self.denom_dict
         for r, m in other.denom:
             den[r] = den.get(r, 0) + m
-        for r, m in self.denom:
-            b = _divide_out(b, r, m, den)
-        for r, m in other.denom:
-            a = _divide_out(a, r, m, den)
-        return FactoredRatFun(a * b, tuple(sorted(den.items())))
+        return FactoredRatFun.make(self.numer * other.numer, den)
 
     __rmul__ = __mul__
 
@@ -237,17 +227,14 @@ class FactoredRatFun:
         den = dict(sd)
         for r, m in other.denom:
             den[r] = max(den.get(r, 0), m)
-        a = self.numer
-        for r, m in den.items():
-            need = m - sd.get(r, 0)
-            for _ in range(need):
-                a = a * Poly.linear(r)
-        b = other.numer
+        # Lift each numerator by the factors of den that its side lacks.
         od = other.denom_dict
-        for r, m in den.items():
-            need = m - od.get(r, 0)
-            for _ in range(need):
-                b = b * Poly.linear(r)
+        a = self.numer * Poly.from_roots(
+            r for r, m in den.items() for _ in range(m - sd.get(r, 0))
+        )
+        b = other.numer * Poly.from_roots(
+            r for r, m in den.items() for _ in range(m - od.get(r, 0))
+        )
         return FactoredRatFun.make(a + b, den)
 
     def __sub__(self, other: "FactoredRatFun") -> "FactoredRatFun":
@@ -329,18 +316,6 @@ class FactoredRatFun:
             base = f"({var}-{r})" if r >= 0 else f"({var}+{-r})"
             parts.append(base if m == 1 else f"{base}^{m}")
         return f"({num}) / ({''.join(parts)})"
-
-
-def _divide_out(p: Poly, r: Fraction, m: int, den: dict[Fraction, int]) -> Poly:
-    """Divide up to m factors (z - r) out of p, lowering den[r] to match and
-    dropping r from den when none is left."""
-    while m and p(r) == 0:
-        p = p.divide_linear(r)
-        den[r] -= 1
-        m -= 1
-    if not den[r]:
-        del den[r]
-    return p
 
 
 def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:

@@ -96,14 +96,19 @@ class Atom:
 
 @dataclass(frozen=True)
 class RowPlan:
-    """A validated row: gap insertions plus strand operations.
+    """A validated row: cup insertions, strand operations, surviving regions.
 
-    Insertions hold (pre-row gap, cup kind).  Strand operations hold the
-    post-insertion start position (1-based) of each consuming atom.
+    Cups hold (pre-row gap, cup kind) in the order they are applied: right
+    to left, so gap indices stay valid, and on equal gaps the later-listed
+    cup first, so the listed order reads west to east.  Strand operations
+    hold the post-insertion start position (1-based) of each consuming atom.
+    ``keep`` lists the post-insertion indices of the regions left after the
+    row's caps and boxes close.
     """
 
-    insertions: tuple[tuple[int, str], ...]
+    cups: tuple[tuple[int, str], ...]
     ops: tuple[tuple[str, int, object], ...]  # (kind, post_start, extra)
+    keep: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -199,16 +204,19 @@ def compile_program(
         ops = tuple(
             (kind, post(start), extra) for kind, start, end, extra in spans if kind != "pass"
         )
-        insertions = tuple((gap, cup.cup_kind) for gap, cup in cups)
-        plans.append(RowPlan(insertions, ops))
-        # Update orientations: apply insertions right-to-left, then remove spans.
-        for gap, ck in sorted(insertions, key=lambda t: t[0], reverse=True):
-            pair = [DOWN, UP] if ck == "du" else [UP, DOWN]
-            orient[gap:gap] = pair
+        applied = tuple(
+            (gap, cup.cup_kind) for gap, cup in reversed(sorted(cups, key=lambda t: t[0]))
+        )
+        for gap, ck in applied:
+            orient[gap:gap] = [DOWN, UP] if ck == "du" else [UP, DOWN]
+        # A cap or box on post-insertion strands p..q removes them and the
+        # regions p..q: those between its strands and the one east of them.
         removed: set[int] = set()
         for kind, start, end, extra in spans:
             if kind in ("cap", "box"):
                 removed.update(range(post(start), post(start) + (end - start) + 1))
+        keep = tuple(i for i in range(len(orient) + 1) if i not in removed)
+        plans.append(RowPlan(applied, ops, keep))
         orient = [o for i, o in enumerate(orient, start=1) if i not in removed]
     if orient:
         line, col = (rows[-1][-1].line, rows[-1][-1].col) if rows else name_at
@@ -416,17 +424,9 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
     fval = f.value
     for plan in program.plans:
         new_states: dict[tuple[Diagram, ...], Surd] = {}
-        # Insertions apply right-to-left so gap indices stay valid; on equal
-        # gaps the later-listed cup goes first, leaving listed order west-east.
-        order = sorted(
-            range(len(plan.insertions)),
-            key=lambda k: (plan.insertions[k][0], k),
-            reverse=True,
-        )
         for regions, amp in states.items():
             branches = [(list(regions), amp)]
-            for k in order:
-                gap, ck = plan.insertions[k]
+            for gap, ck in plan.cups:
                 grown: list[tuple[list[Diagram], Surd]] = []
                 for regs, a in branches:
                     region = regs[gap]
@@ -436,41 +436,35 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
                         grown.append((regs[: gap + 1] + [s, region] + regs[gap + 1 :], a * w))
                 branches = grown
             for regs, a in branches:
-                drop: set[int] = set()
-                dead = False
+                # A break leaves the state dead; else it survives the row.
                 for kind, p, extra in plan.ops:
                     if kind == "dot":
                         w, e = regs[p - 1], regs[p]
                         big, small = (e, w) if sum(w) < sum(e) else (w, e)
                         c = box_content(big, small)
                         if not c:  # content 0 annihilates the state
-                            dead = True
                             break
                         a = a * Fraction(c)
                     elif kind == "cap":
                         if regs[p - 1] != regs[p + 1]:
-                            dead = True
                             break
                         a = a * sqrt_fraction(fval(regs[p]) / fval(regs[p - 1]))
-                        drop.update((p, p + 1))
                     else:  # box
                         elem: Element = extra
                         q2 = len(elem.signature)
                         if regs[p - 1] != regs[p + q2 - 1]:
-                            dead = True
                             break
                         diagrams = tuple(reversed(regs[p - 1 : p + q2]))
                         value = elem.fn(LoopPath(diagrams, elem.signature), f)
                         if value.is_zero():
-                            dead = True
                             break
                         a = a * value
-                        drop.update(range(p, p + q2))
-                if dead or a.is_zero():
-                    continue
-                new_regs = tuple(r for i, r in enumerate(regs) if i not in drop)
-                acc = new_states.get(new_regs)
-                new_states[new_regs] = a if acc is None else acc + a
+                else:
+                    if a.is_zero():
+                        continue
+                    new_regs = tuple(regs[i] for i in plan.keep)
+                    acc = new_states.get(new_regs)
+                    new_states[new_regs] = a if acc is None else acc + a
         states = {k: v for k, v in new_states.items() if not v.is_zero()}
     total = Surd()
     for regions, amp in states.items():

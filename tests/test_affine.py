@@ -1,9 +1,7 @@
 from fractions import Fraction as F
 
-import pytest
-
 from ypa import affine
-from ypa.affine import AffinePoleError, diff_factor
+from ypa.affine import diff_factor
 
 
 def _term(factors):
@@ -31,12 +29,6 @@ def test_nothing_enclosed():
     # 1/(z1-z2)^2 integrated in z1 with only-constant rule encloses nothing.
     t = _term([(1, 2, F(0), -2)])
     assert affine.residue_in([t], 1) == []
-
-
-def test_variable_located_pole_raises_when_included():
-    t = _term([(1, 2, F(0), -1)])
-    with pytest.raises(AffinePoleError):
-        affine.residue_in([t], 1, include=lambda loc: True)
 
 
 def test_higher_order_constant_pole():

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.sym_oracle as so
 from ypa.affine import PoleHit
+from ypa.plancherel import inv_h
+from ypa.ratfun import FactoredRatFun
 from ypa.young import diagrams_up_to
 
 
@@ -105,8 +108,6 @@ def test_n2_n3_contour_identities():
 
 def test_h_product_shifts():
     h = fr.h_product((2,), [0, -1])
-    from ypa.ratfun import FactoredRatFun
-
     assert h == FactoredRatFun.from_roots([F(-1), F(0), F(3)], [F(1)])
 
 
@@ -124,7 +125,7 @@ def test_step_check_fails_against_a_wrong_final_form(monkeypatch):
     assert not fr.satellite_step_check(lam, n, n - 2, samples)
 
 
-def test_h_product_cache_keys_on_the_shifts_not_their_container():
+def test_h_product_reads_the_shifts_not_their_container():
     lam = (3, 1)
     assert (
         fr.h_product(lam, range(3))
@@ -132,3 +133,15 @@ def test_h_product_cache_keys_on_the_shifts_not_their_container():
         == fr.h_product(lam, (0, 1, 2))
     )
     assert fr.h_product(lam, [0, 1, 2]) != fr.h_product(lam, [0, 1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(diagrams_up_to(6)), st.lists(st.integers(-4, 4), max_size=5))
+def test_h_product_is_the_product_of_shifted_h(lam, shifts):
+    # The reference multiplies shifted copies of H pairwise and reduces.
+    expected = FactoredRatFun.from_roots([], [])
+    for s in shifts:
+        expected = expected * inv_h(lam).shift(s)
+        assert fr.h_shifted(lam, s) == inv_h(lam).shift(s)
+    got = fr.h_product(lam, shifts)
+    assert got == expected and repr(got) == repr(expected)

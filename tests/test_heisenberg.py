@@ -117,6 +117,33 @@ def test_jobs_do_not_change_the_report():
     assert a == b
 
 
+def test_pool_has_at_most_one_worker_per_base(monkeypatch):
+    # A serial stand-in for the pool records the worker count it is asked
+    # for; no process is started.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(hs, "ProcessPoolExecutor", SerialPool)
+    pooled = hs.verify_relation("left_circle", 1, jobs=64).to_json_dict()
+    assert asked == [len(diagrams_up_to(1))] == [2]
+    serial = hs.verify_relation("left_circle", 1).to_json_dict()
+    pooled.pop("elapsed_ms")
+    serial.pop("elapsed_ms")
+    assert pooled == serial
+
+
 def test_cycle_elements():
     c1 = hs.cycle_element(1)
     one = Surd.from_rational(1)

@@ -65,7 +65,7 @@ def _oracle_residue(R: FactoredRatFun, p: F) -> F:
     for r, mr in R.denom:
         if r != p:
             for _ in range(mr):
-                cof = cof * Poly.linear(r)
+                cof = cof * Poly.from_roots([r])
     num = R.numer.shift(p).coeffs
     den = cof.shift(p).coeffs
     q = []
@@ -137,7 +137,7 @@ ROOT_LISTS = st.lists(SMALL_ROOTS, max_size=6)
 def _linear_product(roots):
     p = ONE_POLY
     for r in roots:
-        p = p * Poly.linear(r)
+        p = p * Poly.from_roots([r])
     return p
 
 
@@ -163,6 +163,26 @@ def test_product_is_the_reduced_form(a, b, c):
     merged = Counter(a.denom_dict) + Counter(b.denom_dict)
     assert a * b == FactoredRatFun.make(a.numer * b.numer, merged)
     assert a * c == FactoredRatFun.make(a.numer * c, a.denom_dict)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    reduced_ratfuns(),
+    reduced_ratfuns(),
+    SMALL_ROOTS,
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(-6, 6),
+)
+def test_sum_is_the_reduced_sum(a, b, r, m, extra, k):
+    # Give both sides the pole r, of different orders (unless a numerator
+    # root cancels some of it); other poles may be shared too.
+    a = a * FactoredRatFun.from_roots([], [r] * m)
+    b = b * FactoredRatFun.from_roots([], [r] * (m + extra))
+    x = k + F(1, 3)  # never one of the halves that roots are drawn from
+    total = a + b
+    assert total(x) == a(x) + b(x)
+    assert all(total.numer(p) != 0 for p in total.poles())
 
 
 @settings(deadline=None, max_examples=300)

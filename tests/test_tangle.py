@@ -7,6 +7,7 @@ from ypa.heisenberg import BUILTIN_ELEMENTS, RELATIONS
 from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
 from ypa.surd import Surd, sqrt_fraction
 from ypa.tangle import (
+    Element,
     TangleError,
     TangleProgram,
     as_element,
@@ -14,7 +15,14 @@ from ypa.tangle import (
     parse,
     parse_programs,
 )
-from ypa.young import LoopPath, diagrams_up_to, enumerate_loops, parse_loop, up_covers
+from ypa.young import (
+    LoopPath,
+    diagrams_up_to,
+    down_covers,
+    enumerate_loops,
+    parse_loop,
+    up_covers,
+)
 
 ONE = Surd.from_rational(1)
 
@@ -198,6 +206,27 @@ def test_closed_dot_diagrams_are_rational():
             prog = parse(f"tangle c : () {{ {' '.join(rows)} }}")
             for lam in diagrams_up_to(5):
                 assert evaluate(prog, _base_loop(lam), PLANCHEREL).is_rational()
+
+
+def test_cups_at_one_gap_compile_in_the_order_they_evaluate():
+    # Listed order reads west to east: cup_du's (down, up) pair lies west of
+    # cup_ud's (up, down) pair, for the leg check and the state sum alike.
+    lam = (2, 1)
+    seen = []
+
+    def legs_value(loop, f):
+        seen.append(loop.diagrams)
+        return ONE
+
+    box = Element("X", (-1, 1, 1, -1), legs_value)
+    prog = parse("tangle t : () { row cup_du@0 cup_ud@0; row box X; }", {"X": box})
+    f = PLANCHEREL.value
+    ups = sum((sqrt_fraction(f(t) / f(lam)) for t, _ in up_covers(lam)), Surd())
+    downs = sum((sqrt_fraction(f(s) / f(lam)) for s, _ in down_covers(lam)), Surd())
+    assert evaluate(prog, _base_loop(lam), PLANCHEREL) == ups * downs
+    assert {(d[1], d[3]) for d in seen} == {
+        (s, t) for s, _ in down_covers(lam) for t, _ in up_covers(lam)
+    }
 
 
 def test_empty_program_is_constant_one():
