@@ -47,37 +47,33 @@ from .young import (
 CROSS_SIGNATURE: Signature = (-1, -1, 1, 1)
 
 
-def _check_cross_loop(loop: LoopPath):
+def _crossing(loop: LoopPath, f: HarmonicFunction, identical: bool | None) -> Surd:
+    """t on the loop; only its t_id part if identical, only t_ex if not."""
     if loop.signature != CROSS_SIGNATURE:
         raise ValueError(f"crossing needs signature (-,-,+,+), got {loop.signature}")
+    l0, l1, l2, l3, _ = loop.diagrams
+    if identical is not None and identical != (l1 == l3):
+        return Surd()
+    r = box_content(l0, l1) - box_content(l1, l2)
+    w = sqrt_fraction(f.value(l2) / f.value(l0))
+    if l1 == l3:
+        return w * Fraction(1, r)
+    return w * sqrt_fraction(Fraction(r * r - 1, r * r))
 
 
 def cross_id(loop: LoopPath, f: HarmonicFunction) -> Surd:
     """t_id: nonzero only when the two reading paths are identical."""
-    _check_cross_loop(loop)
-    l0, l1, l2, l3, _ = loop.diagrams
-    if l1 != l3:
-        return Surd()
-    r = box_content(l0, l1) - box_content(l1, l2)
-    return sqrt_fraction(f.value(l2) / f.value(l0)) * Fraction(1, r)
+    return _crossing(loop, f, True)
 
 
 def cross_ex(loop: LoopPath, f: HarmonicFunction) -> Surd:
     """t_ex: nonzero only when the two added boxes are exchanged."""
-    _check_cross_loop(loop)
-    l0, l1, l2, l3, _ = loop.diagrams
-    if l1 == l3:
-        return Surd()
-    r = box_content(l0, l1) - box_content(l1, l2)
-    return sqrt_fraction(f.value(l2) / f.value(l0)) * sqrt_fraction(
-        Fraction(r * r - 1, r * r)
-    )
+    return _crossing(loop, f, False)
 
 
 def cross(loop: LoopPath, f: HarmonicFunction) -> Surd:
     """t = t_id + t_ex, of which at most one is nonzero on any loop."""
-    _check_cross_loop(loop)
-    return (cross_id if loop.diagrams[1] == loop.diagrams[3] else cross_ex)(loop, f)
+    return _crossing(loop, f, None)
 
 
 CROSS = Element("cross", CROSS_SIGNATURE, cross)

@@ -307,16 +307,6 @@ class FactoredRatFun:
     def sum_of_residues(self) -> Fraction:
         return sum((self.residue_at(r) for r, _ in self.denom), Fraction(0))
 
-    def render(self, var: str = "z") -> str:
-        num = _render_poly(self.numer, var)
-        if not self.denom:
-            return num
-        parts = []
-        for r, m in self.denom:
-            base = f"({var}-{r})" if r >= 0 else f"({var}+{-r})"
-            parts.append(base if m == 1 else f"{base}^{m}")
-        return f"({num}) / ({''.join(parts)})"
-
 
 def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
     out = [Fraction(0)] * (order + 1)
@@ -326,23 +316,3 @@ def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction
         for j, y in enumerate(b[: order + 1 - i]):
             out[i + j] += x * y
     return out
-
-
-def _render_poly(p: Poly, var: str) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)

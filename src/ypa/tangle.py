@@ -36,6 +36,7 @@ harmonic function ``f`` passed to :func:`evaluate`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -226,50 +227,28 @@ def compile_program(
 
 # -- DSL parser ----------------------------------------------------------------
 
-_PUNCT = set("{}():;,@")
+_TOKEN_RE = re.compile(
+    r"(?P<int>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>[{}():;,@|*+-])"
+    r"|(?P<newline>\n)"
+    r"|(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<other>.)"
+)
 
 
 def _tokenize(text: str):
-    tokens: list[tuple[str, str, int, int]] = []  # (type, value, line, col)
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT or ch in "|*+-":
-            tokens.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise TangleError(f"unexpected character {ch!r}", line, col)
+    """(type, value, line, col) for each token; integers and names are ASCII."""
+    tokens: list[tuple[str, str, int, int]] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other":
+            raise TangleError(f"unexpected character {value!r}", line, col)
+        elif kind != "skip":
+            tokens.append((kind, value, line, col))
     return tokens
 
 

@@ -4,10 +4,13 @@ Diagrams are tuples of weakly decreasing positive integers (no trailing
 zeros); the empty tuple is the empty diagram.  An edge ``mu -> lam`` of the
 Young graph adds one box; loops carry a sign per step (+ adds, - removes).
 
-Caching: :func:`dim` and the cover maps use per-process ``functools.cache``
-tables.  Under the process-pool verifier every worker owns its table, and
-within one process CPython's GIL makes the idempotent inserts safe, so no
-further locking is needed.
+The cover maps are the one edge table: :func:`profile` and
+:func:`box_content` read the contents of the boxes off them.
+
+Caching: :func:`dim`, :func:`profile` and the cover maps use per-process
+``functools.cache`` tables.  Under the process-pool verifier every worker
+owns its table, and within one process CPython's GIL makes the idempotent
+inserts safe, so no further locking is needed.
 """
 
 from __future__ import annotations
@@ -50,26 +53,6 @@ def transpose(lam: Diagram) -> Diagram:
 
 
 @cache
-def profile(lam: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Local minima and maxima of the Russian-convention profile.
-
-    Minima are the contents of addable boxes, maxima of removable boxes;
-    they interlace strictly and share the same sum.
-    """
-    l = len(lam)
-    minima = []
-    maxima = []
-    for i in range(1, l + 2):  # rows 1..l+1, with row l+1 allowing a new row
-        here = lam[i - 1] if i <= l else 0
-        above = lam[i - 2] if i >= 2 else None
-        if above is None or above > here:
-            minima.append(here + 1 - i)
-        if i <= l and here > (lam[i] if i < l else 0):
-            maxima.append(here - i)
-    return tuple(sorted(minima)), tuple(sorted(maxima))
-
-
-@cache
 def up_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
     """All (mu, content) with lam -> mu by adding one box."""
     out = []
@@ -101,19 +84,24 @@ def down_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
     return tuple(out)
 
 
+@cache
+def profile(lam: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Local minima and maxima of the Russian-convention profile.
+
+    Minima are the contents of addable boxes, maxima of removable boxes;
+    they interlace strictly and share the same sum.
+    """
+    return (
+        tuple(sorted(c for _, c in up_covers(lam))),
+        tuple(sorted(c for _, c in down_covers(lam))),
+    )
+
+
 def box_content(big: Diagram, small: Diagram) -> int:
     """Content of the single box of big/small; requires small -> big."""
-    if weight(big) != weight(small) + 1:
-        raise ValueError(f"{big} does not cover {small}")
-    for i in range(len(big)):
-        b = big[i]
-        s = small[i] if i < len(small) else 0
-        if b == s + 1:
-            rest_ok = big[i + 1 :] == small[i + 1 :] and big[:i] == small[:i]
-            if rest_ok:
-                return b - (i + 1)
-        elif b != s:
-            break
+    for mu, c in down_covers(big):
+        if mu == small:
+            return c
     raise ValueError(f"{big} does not cover {small}")
 
 
@@ -196,7 +184,7 @@ def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
 
 # -- literals -----------------------------------------------------------------
 
-_DIAGRAM_RE = re.compile(r"\[\s*(?:\d+\s*(?:,\s*\d+\s*)*)?\]")
+_DIAGRAM_RE = re.compile(r"\[\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?\]")
 
 
 def parse_diagram(text: str) -> Diagram:

@@ -249,12 +249,25 @@ def test_format_accepted_after_subcommand(capsys):
         (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "satellite"], 0),
         (["frobenius", "--lambda", "[2]", "--n", "1", "--check", "radial"], 0),
         (["eval", "--file", "<dup.tng>", "--name", "a", "--loop", "[]"], 3),
+        (["character", "--lambda", "[\u0661]", "--pi", "[1]"], 3),
+        (["eval", "--file", "<superscript.tng>", "--name", "a", "--loop", "[]"], 3),
+        (["eval", "--file", "<arabic.tng>", "--name", "a", "--loop", "[]"], 3),
+        (["eval", "--file", "<accent.tng>", "--name", "a", "--loop", "[]"], 3),
     ],
 )
 def test_exit_code_table(capsys, tmp_path, argv, code):
-    dup = tmp_path / "dup.tng"  # one name defined twice
-    dup.write_text("tangle a : () { }\ntangle a : () { }\n")
-    argv = [str(dup) if a == "<dup.tng>" else a for a in argv]
+    sources = {
+        "<dup.tng>": "tangle a : () { }\ntangle a : () { }\n",  # a name defined twice
+        # Integers and names are ASCII: no other digit or letter is read.
+        "<superscript.tng>": "tangle a : () { row cup_du@\u00b2; row cap; }\n",
+        "<arabic.tng>": "tangle a : () { row cup_du@\u0661; row cap; }\n",
+        "<accent.tng>": "tangle caf\u00e9 : () { }\n",
+    }
+    for i, arg in enumerate(argv):
+        if arg in sources:
+            path = tmp_path / arg.strip("<>")
+            path.write_text(sources[arg], encoding="utf-8")
+            argv[i] = str(path)
     assert run(capsys, *argv)[0] == code
 
 

@@ -124,11 +124,6 @@ def test_addition():
     assert s == FactoredRatFun.make(Poly([0, 2]), {F(1): 1, F(-1): 1})
 
 
-def test_render():
-    R = FactoredRatFun.from_roots([F(0)], [F(1), F(-1)])
-    assert R.render() == "(z) / ((z+1)(z-1))"
-
-
 # Few, small roots, so that numerator and denominator roots collide often.
 SMALL_ROOTS = st.sampled_from([F(k, 2) for k in range(-4, 5)])
 ROOT_LISTS = st.lists(SMALL_ROOTS, max_size=6)

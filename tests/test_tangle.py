@@ -10,6 +10,7 @@ from ypa.tangle import (
     Element,
     TangleError,
     TangleProgram,
+    _tokenize,
     as_element,
     evaluate,
     parse,
@@ -262,6 +263,9 @@ def test_as_element_signature_check():
         ("tangle t : () { row cup_du", "unterminated row", (1, 21)),
         ("tangle t : () { row cup_du; row cap;", "unterminated tangle body", (1, 36)),
         ("tangle t : (", "unexpected end of input", (1, 12)),
+        ("tangle t : () { row cup_du@\u00b2; row cap; }", "unexpected character", (1, 28)),
+        ("tangle t : () {\n row cup_du@\u0661; row cap; }", "unexpected character", (2, 13)),
+        ("tangle caf\u00e9 : () { }", "unexpected character", (1, 11)),
     ],
 )
 def test_every_parse_and_compile_error_has_a_position(source, message, position):
@@ -328,6 +332,17 @@ def _row_program(draw):
         rows.append("| " * (t - 1) + "cap" + " |" * (t - 1))
     body = " ".join(f"row {row};" for row in rows)
     return f"tangle t : ({','.join(signs)}) {{ {body} }}"
+
+
+_DSL_ALPHABET = "abcdeinoprtuwxyz_ABXYZ0123456789{}():;,@|*+- \t\r\n#"
+
+
+@settings(deadline=None)
+@given(st.text(alphabet=_DSL_ALPHABET, max_size=60))
+def test_tokens_point_at_their_text(source):
+    lines = source.split("\n")
+    for _kind, value, line, col in _tokenize(source):
+        assert lines[line - 1][col - 1 : col - 1 + len(value)] == value
 
 
 @settings(deadline=None, max_examples=400)

@@ -99,6 +99,23 @@ def test_box_content():
         box_content((3,), (1,))
 
 
+def test_box_content_is_the_differing_cell():
+    def cells(lam):
+        return {(i, j) for i, part in enumerate(lam) for j in range(part)}
+
+    diagrams = diagrams_up_to(7)
+    for big in diagrams:
+        for small in diagrams:
+            if weight(big) != weight(small) + 1:
+                continue
+            if cells(small) <= cells(big):
+                ((i, j),) = cells(big) - cells(small)
+                assert box_content(big, small) == j - i
+            else:
+                with pytest.raises(ValueError, match="does not cover"):
+                    box_content(big, small)
+
+
 def test_enumerate_loops_examples():
     loops = enumerate_loops((2, 1), (-1, 1))
     assert len(loops) == 2
