@@ -40,7 +40,7 @@ def cap_row(pos: int, n: int) -> tuple[Atom, ...]:
 
 
 def candidates(signature, n_cups: int, n_boxes: int, n_caps: int):
-    """Yield compiled programs with the given atom-row counts."""
+    """Yield (rows, compiled program) pairs with the given atom-row counts."""
     legs = (UP, UP, DOWN, DOWN)
 
     def extend(orient, rows, counts):
@@ -49,7 +49,7 @@ def candidates(signature, n_cups: int, n_boxes: int, n_caps: int):
         if not (n_c or n_b or n_k):
             if n == 0:
                 try:
-                    yield compile_program("cand", signature, tuple(rows), {"cross": CROSS})
+                    yield rows, compile_program("cand", signature, tuple(rows), {"cross": CROSS})
                 except TangleError:
                     pass
             return
@@ -102,7 +102,7 @@ def search(relation: str, check_weight: int, confirm_weight: int):
     for n_cups, n_boxes, n_caps in [(2, 2, 0), (3, 2, 1), (4, 2, 2)]:
         print(f"-- structure: {n_cups} cups, {n_boxes} boxes, {n_caps} caps")
         count = 0
-        for prog in candidates(signature, n_cups, n_boxes, n_caps):
+        for rows, prog in candidates(signature, n_cups, n_boxes, n_caps):
             count += 1
             if all(
                 evaluate(prog, lp, PLANCHEREL) == target[lp.diagrams] for lp in quick
@@ -112,7 +112,7 @@ def search(relation: str, check_weight: int, confirm_weight: int):
                     for lp in confirm
                 ):
                     print("   MATCH:")
-                    for row in prog.rows:
+                    for row in rows:
                         print("     ", render_row(row))
                     found.append(prog)
                     if len(found) >= 4:

@@ -31,7 +31,7 @@ class AffinePoleError(ValueError):
 
 
 class PoleHit(ZeroDivisionError):
-    """A sample point landed on a pole; callers resample."""
+    """A sample point landed on a pole of the evaluated terms."""
 
 
 def diff_factor(i: int, j: int, c) -> tuple[FactorKey, int]:

@@ -131,14 +131,16 @@ def cmd_eval(args):
             f"no tangle named {args.name!r} in {args.file}; "
             f"found {sorted(programs)}"
         )
+    program = programs[args.name]
     loop = parse_loop(args.loop)
     if len(loop) > MAX_CLI_LOOP_LENGTH:
         raise CliUsage(f"loop length capped at {MAX_CLI_LOOP_LENGTH}")
-    try:
-        value = evaluate(programs[args.name], loop, PLANCHEREL)
-    except TangleError as exc:
-        raise CliParseError(str(exc))
-    return {"value": value.render()}, "ok"
+    if loop.signature != program.signature:
+        raise CliUsage(
+            f"loop signature {loop.signature} does not match the signature "
+            f"{program.signature} of tangle {args.name!r}"
+        )
+    return {"value": evaluate(program, loop, PLANCHEREL).render()}, "ok"
 
 
 def cmd_frobenius(args):

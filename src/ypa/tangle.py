@@ -30,6 +30,16 @@ element's signature read right-to-left (up = internal +, down = internal -),
 requires the two flanking regions to agree, and multiplies by the element's
 value on the loop read right-to-left across its legs.
 
+Steps
+-----
+:func:`compile_program` turns each row into primitive steps, and
+:func:`evaluate` is one loop over them; after every step, states (region
+tuples with their amplitudes) with equal regions merge.  A row's cups lie
+above its other atoms, so they come first.  The cups, and then the dots,
+caps and boxes, each run right to left: inserting or deleting regions moves
+only the regions east of it, so every step still to come keeps its compiled
+position.
+
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
 """
@@ -38,7 +48,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .plancherel import HarmonicFunction
@@ -83,7 +92,7 @@ class Element:
         return signature_orientations(self.signature)
 
 
-# -- atoms and compiled rows ---------------------------------------------------
+# -- atoms and compiled steps --------------------------------------------------
 
 @dataclass(frozen=True)
 class Atom:
@@ -95,29 +104,23 @@ class Atom:
     col: int | None = None
 
 
-@dataclass(frozen=True)
-class RowPlan:
-    """A validated row: cup insertions, strand operations, surviving regions.
-
-    Cups hold (pre-row gap, cup kind) in the order they are applied: right
-    to left, so gap indices stay valid, and on equal gaps the later-listed
-    cup first, so the listed order reads west to east.  Strand operations
-    hold the post-insertion start position (1-based) of each consuming atom.
-    ``keep`` lists the post-insertion indices of the regions left after the
-    row's caps and boxes close.
-    """
-
-    cups: tuple[tuple[int, str], ...]
-    ops: tuple[tuple[str, int, object], ...]  # (kind, post_start, extra)
-    keep: tuple[int, ...]
+Step = tuple[str, int, object]  # (kind, position, cup kind or element)
 
 
 @dataclass(frozen=True)
 class TangleProgram:
+    """A validated tangle as the steps of its state sum, in order.
+
+    Per row: its cups ``("cup", gap, kind)`` at pre-row gaps, right to left,
+    and on equal gaps the later-listed cup first, so the listed order reads
+    west to east; then its dots, caps and boxes ``(kind, position,
+    element)`` at 1-based positions after the cups are inserted, right to
+    left.  A cap or box deletes the regions it closes.
+    """
+
     name: str
     signature: Signature
-    rows: tuple[tuple[Atom, ...], ...]
-    plans: tuple[RowPlan, ...] = ()
+    steps: tuple[Step, ...]
 
 
 def compile_program(
@@ -133,7 +136,7 @@ def compile_program(
     program without rows is reported.
     """
     orient = list(signature_orientations(signature))
-    plans: list[RowPlan] = []
+    steps: list[Step] = []
     for row in rows:
         n = len(orient)
         strand_atoms = [a for a in row if a.kind != "cup"]
@@ -182,47 +185,33 @@ def compile_program(
                         atom.line,
                         atom.col,
                     )
-            spans.append((atom.kind, start, end, extra))
+            if atom.kind != "pass":
+                spans.append((atom.kind, start, end, extra))
             cursor = end
         if strand_atoms and cursor != n:
             last = row[-1]
             raise TangleError(
                 f"{n - cursor} strands remain untiled in a row", last.line, last.col
             )
-        # Post-insertion coordinates; insertion inside a consuming span would
-        # break the span's contiguity.
-        gaps = sorted(g for g, _ in cups)
-        for kind, start, end, _ in spans:
+        # Insertion inside a consuming span would break the span's contiguity.
+        for _, start, end, _ in spans:
             for gap, cup in cups:
                 if start <= gap <= end - 1:
                     raise TangleError(
                         "cup inserted inside a cap/box span", cup.line, cup.col
                     )
-
-        def post(p: int) -> int:
-            return p + 2 * sum(1 for g in gaps if g <= p - 1)
-
-        ops = tuple(
-            (kind, post(start), extra) for kind, start, end, extra in spans if kind != "pass"
-        )
-        applied = tuple(
-            (gap, cup.cup_kind) for gap, cup in reversed(sorted(cups, key=lambda t: t[0]))
-        )
-        for gap, ck in applied:
-            orient[gap:gap] = [DOWN, UP] if ck == "du" else [UP, DOWN]
-        # A cap or box on post-insertion strands p..q removes them and the
-        # regions p..q: those between its strands and the one east of them.
-        removed: set[int] = set()
-        for kind, start, end, extra in spans:
-            if kind in ("cap", "box"):
-                removed.update(range(post(start), post(start) + (end - start) + 1))
-        keep = tuple(i for i in range(len(orient) + 1) if i not in removed)
-        plans.append(RowPlan(applied, ops, keep))
-        orient = [o for i, o in enumerate(orient, start=1) if i not in removed]
+        for gap, cup in reversed(sorted(cups, key=lambda t: t[0])):
+            steps.append(("cup", gap, cup.cup_kind))
+            orient[gap:gap] = [DOWN, UP] if cup.cup_kind == "du" else [UP, DOWN]
+        for kind, start, end, extra in reversed(spans):
+            p = start + 2 * sum(1 for g, _ in cups if g < start)
+            steps.append((kind, p, extra))
+            if kind != "dot":  # strands p..p+end-start close, with their regions
+                del orient[p - 1 : p + end - start]
     if orient:
         line, col = (rows[-1][-1].line, rows[-1][-1].col) if rows else name_at
         raise TangleError(f"{len(orient)} strands remain after the last row", line, col)
-    return TangleProgram(name, signature, rows, tuple(plans))
+    return TangleProgram(name, signature, tuple(steps))
 
 
 # -- DSL parser ----------------------------------------------------------------
@@ -391,59 +380,50 @@ def parse(text: str, bindings: dict[str, Element] | None = None) -> TangleProgra
 
 # -- evaluation ----------------------------------------------------------------
 
+def _moves(step: Step, regs: tuple[Diagram, ...], f: HarmonicFunction):
+    """The states one step takes ``regs`` to, each with its non-zero weight."""
+    kind, p, x = step
+    fval = f.value
+    if kind == "cup":
+        region = regs[p]
+        for s, _c in up_covers(region) if x == "du" else down_covers(region):
+            w = sqrt_fraction(fval(s) / fval(region))
+            yield regs[: p + 1] + (s, region) + regs[p + 1 :], w
+    elif kind == "dot":
+        w, e = regs[p - 1], regs[p]
+        big, small = (e, w) if sum(w) < sum(e) else (w, e)
+        c = box_content(big, small)
+        if c:  # content 0 annihilates the state
+            yield regs, c
+    elif kind == "cap":
+        if regs[p - 1] == regs[p + 1]:
+            yield regs[:p] + regs[p + 2 :], sqrt_fraction(fval(regs[p]) / fval(regs[p - 1]))
+    else:  # box
+        q2 = len(x.signature)
+        if regs[p - 1] == regs[p + q2 - 1]:
+            value = x.fn(LoopPath(tuple(reversed(regs[p - 1 : p + q2])), x.signature), f)
+            if not value.is_zero():
+                yield regs[:p] + regs[p + q2 :], value
+
+
 def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:
-    """Exact state-sum value of the program on the loop."""
+    """Exact state-sum value of the program on the loop.
+
+    A state is a tuple of regions with its amplitude; each step takes every
+    state to its moves, and moves that reach equal regions merge.
+    """
     if loop.signature != program.signature:
         raise TangleError(
             f"loop signature {loop.signature} does not match program "
             f"signature {program.signature}"
         )
-    init = tuple(reversed(loop.diagrams)) if len(loop) else (loop.diagrams[0],)
-    states: dict[tuple[Diagram, ...], Surd] = {init: ONE}
-    fval = f.value
-    for plan in program.plans:
+    states: dict[tuple[Diagram, ...], Surd] = {tuple(reversed(loop.diagrams)): ONE}
+    for step in program.steps:
         new_states: dict[tuple[Diagram, ...], Surd] = {}
-        for regions, amp in states.items():
-            branches = [(list(regions), amp)]
-            for gap, ck in plan.cups:
-                grown: list[tuple[list[Diagram], Surd]] = []
-                for regs, a in branches:
-                    region = regs[gap]
-                    pockets = up_covers(region) if ck == "du" else down_covers(region)
-                    for s, _c in pockets:
-                        w = sqrt_fraction(fval(s) / fval(region))
-                        grown.append((regs[: gap + 1] + [s, region] + regs[gap + 1 :], a * w))
-                branches = grown
-            for regs, a in branches:
-                # A break leaves the state dead; else it survives the row.
-                for kind, p, extra in plan.ops:
-                    if kind == "dot":
-                        w, e = regs[p - 1], regs[p]
-                        big, small = (e, w) if sum(w) < sum(e) else (w, e)
-                        c = box_content(big, small)
-                        if not c:  # content 0 annihilates the state
-                            break
-                        a = a * Fraction(c)
-                    elif kind == "cap":
-                        if regs[p - 1] != regs[p + 1]:
-                            break
-                        a = a * sqrt_fraction(fval(regs[p]) / fval(regs[p - 1]))
-                    else:  # box
-                        elem: Element = extra
-                        q2 = len(elem.signature)
-                        if regs[p - 1] != regs[p + q2 - 1]:
-                            break
-                        diagrams = tuple(reversed(regs[p - 1 : p + q2]))
-                        value = elem.fn(LoopPath(diagrams, elem.signature), f)
-                        if value.is_zero():
-                            break
-                        a = a * value
-                else:
-                    if a.is_zero():
-                        continue
-                    new_regs = tuple(regs[i] for i in plan.keep)
-                    acc = new_states.get(new_regs)
-                    new_states[new_regs] = a if acc is None else acc + a
+        for regs, amp in states.items():
+            for out, w in _moves(step, regs, f):
+                acc = new_states.get(out)
+                new_states[out] = amp * w if acc is None else acc + amp * w
         states = {k: v for k, v in new_states.items() if not v.is_zero()}
     total = Surd()
     for regions, amp in states.items():

@@ -253,6 +253,8 @@ def test_format_accepted_after_subcommand(capsys):
         (["eval", "--file", "<superscript.tng>", "--name", "a", "--loop", "[]"], 3),
         (["eval", "--file", "<arabic.tng>", "--name", "a", "--loop", "[]"], 3),
         (["eval", "--file", "<accent.tng>", "--name", "a", "--loop", "[]"], 3),
+        # Both inputs parse, but the loop does not fit the tangle.
+        (["eval", "--file", "<circle.tng>", "--name", "c", "--loop", "[2] v [1] ^ [2]"], 2),
     ],
 )
 def test_exit_code_table(capsys, tmp_path, argv, code):
@@ -262,6 +264,7 @@ def test_exit_code_table(capsys, tmp_path, argv, code):
         "<superscript.tng>": "tangle a : () { row cup_du@\u00b2; row cap; }\n",
         "<arabic.tng>": "tangle a : () { row cup_du@\u0661; row cap; }\n",
         "<accent.tng>": "tangle caf\u00e9 : () { }\n",
+        "<circle.tng>": "tangle c : () { row cup_du; row cap; }\n",
     }
     for i, arg in enumerate(argv):
         if arg in sources:
@@ -284,6 +287,15 @@ def test_eval_loop_that_is_not_a_walk_is_parse_error(tmp_path, capsys):
         capsys, "eval", "--file", str(f), "--name", "c", "--loop", "[1] ^ [3] v [1]"
     )
     assert code == 3 and "does not cover" in err
+
+
+def test_eval_loop_of_another_signature_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "c.tng"
+    f.write_text("tangle c : () { row cup_du; row cap; }\n")
+    code, _, err = run(
+        capsys, "eval", "--file", str(f), "--name", "c", "--loop", "[2] v [1] ^ [2]"
+    )
+    assert code == 2 and "(-1, 1)" in err and "()" in err
 
 
 def test_verify_without_loops_is_vacuous(capsys):

@@ -96,6 +96,20 @@ def test_lemma_checks():
     assert res["cyclic_sum"] and res["inversion"]
 
 
+def test_lemma_checks_raise_on_a_sample_at_a_pole(monkeypatch):
+    # The sampler never lands on a pole; if it did, the checks must not
+    # quietly draw again.  H_(1) has its pole at z = 0.
+    valid = fr.sample_points
+    draws = [(F(0), F(7, 3))]  # z_1 = 0 first, then the sampler's own points
+
+    def sample(lam, n, rng):
+        return draws.pop() if draws else valid(lam, n, rng)
+
+    monkeypatch.setattr(fr, "sample_points", sample)
+    with pytest.raises(PoleHit):
+        fr.lemma_checks((1,), 2, sample_count=3, seed=0)
+
+
 def test_n2_n3_contour_identities():
     for lam in diagrams_up_to(5):
         assert fr.radial_I(lam, 2, (2, 1)) == -fr.radial_I(lam, 2)

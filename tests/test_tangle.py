@@ -232,7 +232,7 @@ def test_cups_at_one_gap_compile_in_the_order_they_evaluate():
 
 def test_empty_program_is_constant_one():
     prog = parse("tangle e : () { }")
-    assert prog.rows == ()
+    assert prog.steps == ()
     assert evaluate(prog, _base_loop((3, 1)), PLANCHEREL) == ONE
 
 
@@ -306,11 +306,13 @@ _ATOMS = (
     ("|", 1, 0), ("*", 1, 0), ("cap", 2, 2), ("box dot", 2, 2),
     ("box cross", 4, 4), ("box cross_id", 4, 4), ("box cross_ex", 4, 4),
 )
+_PASS, _CAP = _ATOMS[0], _ATOMS[2]
 
 
 @st.composite
-def _row_program(draw):
-    """A program whose rows tile the strands; orientations are left to chance."""
+def _row_layers(draw):
+    """Signs and rows of a program whose rows tile the strands: a row is a cup
+    or a list of (atom, arity, removed); orientations are left to chance."""
     k = draw(st.integers(0, 2))
     signs = draw(st.permutations("+" * k + "-" * k))
     n, rows = 2 * k, []
@@ -324,14 +326,41 @@ def _row_program(draw):
         atoms, left = [], n
         while left:
             fitting = [a for a in _ATOMS if a[1] <= left]
-            atom, arity, removed = draw(st.sampled_from(fitting))
+            atom = draw(st.sampled_from(fitting))
             atoms.append(atom)
-            left, n = left - arity, n - removed
-        rows.append(" ".join(atoms))
+            left, n = left - atom[1], n - atom[2]
+        rows.append(atoms)
     for t in range(n // 2, 0, -1):  # close with nested caps
-        rows.append("| " * (t - 1) + "cap" + " |" * (t - 1))
-    body = " ".join(f"row {row};" for row in rows)
+        rows.append([_PASS] * (t - 1) + [_CAP] + [_PASS] * (t - 1))
+    return signs, rows
+
+
+def _source(signs, rows) -> str:
+    body = " ".join(
+        f"row {row if isinstance(row, str) else ' '.join(a for a, _, _ in row)};"
+        for row in rows
+    )
     return f"tangle t : ({','.join(signs)}) {{ {body} }}"
+
+
+_row_program = _row_layers().map(lambda layers: _source(*layers))
+
+
+def _one_atom_per_row(rows):
+    """Each tiling row as one row per non-pass atom, from the east end, with
+    ``|`` on every other strand."""
+    out = []
+    for row in rows:
+        if isinstance(row, str):
+            out.append(row)
+            continue
+        east = 0  # strands east of the atom once the atoms east of it are done
+        for i in reversed(range(len(row))):
+            if row[i] != _PASS:
+                west = sum(arity for _, arity, _ in row[:i])
+                out.append([_PASS] * west + [row[i]] + [_PASS] * east)
+            east += row[i][1] - row[i][2]
+    return out
 
 
 _DSL_ALPHABET = "abcdeinoprtuwxyz_ABXYZ0123456789{}():;,@|*+- \t\r\n#"
@@ -346,7 +375,7 @@ def test_tokens_point_at_their_text(source):
 
 
 @settings(deadline=None, max_examples=400)
-@given(st.one_of(st.lists(st.sampled_from(_DSL_TOKENS)).map(" ".join), _row_program()))
+@given(st.one_of(st.lists(st.sampled_from(_DSL_TOKENS)).map(" ".join), _row_program))
 def test_dsl_fuzz_parses_and_evaluates_or_raises_tangle_error(text):
     try:
         prog = parse(text, BUILTIN_ELEMENTS)
@@ -358,3 +387,19 @@ def test_dsl_fuzz_parses_and_evaluates_or_raises_tangle_error(text):
                 assert isinstance(evaluate(prog, loop, PLANCHEREL), Surd)
             except TangleError:
                 pass
+
+
+@settings(deadline=None, max_examples=400)
+@given(_row_layers())
+def test_a_row_equals_its_atoms_one_per_row_east_to_west(layers):
+    # Planar isotopy: sliding a row's atoms to heights of their own, east one
+    # highest, leaves the tangle, and so its value, unchanged.
+    signs, rows = layers
+    try:
+        prog = parse(_source(signs, rows), BUILTIN_ELEMENTS)
+    except TangleError:
+        return
+    split = parse(_source(signs, _one_atom_per_row(rows)), BUILTIN_ELEMENTS)
+    for base in diagrams_up_to(3):
+        for loop in enumerate_loops(base, prog.signature):
+            assert evaluate(split, loop, PLANCHEREL) == evaluate(prog, loop, PLANCHEREL)
