@@ -79,22 +79,29 @@ def term_product(coef: Fraction, factors: list[tuple[int, int | None, Fraction, 
     return t
 
 
-def _factor_value(key: FactorKey, values: dict[int, Fraction]) -> Fraction:
-    if key[0] == "c":
-        return values[key[1]] - key[2]
-    return values[key[1]] - values[key[2]] - key[3]
-
-
 def evaluate(terms: TermSum, values: dict[int, Fraction]) -> Fraction:
+    """The term sum at rational values: each value becomes an integer pair
+    once, each term one integer numerator and denominator, then one Fraction.
+    Raises PoleHit at any zero factor with a negative exponent, even in a
+    term that an earlier zero factor already made vanish."""
+    pairs = {i: (v.numerator, v.denominator) for i, v in values.items()}
     total = Fraction(0)
     for t in terms:
-        acc = t.coef
+        num, den = t.coef.numerator, t.coef.denominator
         for key, e in t.factors.items():
-            v = _factor_value(key, values)
-            if not v and e < 0:
-                raise PoleHit(f"sample hit pole of {key}")
-            acc *= v**e
-        total += acc
+            c = key[-1]
+            vn, vd = pairs[key[1]]
+            if key[0] == "d":
+                jn, jd = pairs[key[2]]
+                vn, vd = vn * jd - jn * vd, vd * jd
+            vn, vd = vn * c.denominator - c.numerator * vd, vd * c.denominator
+            if e < 0:
+                if not vn:
+                    raise PoleHit(f"sample hit pole of {key}")
+                vn, vd, e = vd, vn, -e
+            num *= vn**e
+            den *= vd**e
+        total += Fraction(num, den)
     return total
 
 

@@ -12,7 +12,10 @@ z +- k and z +- 1 and collapses to the univariate Frobenius integrand
 H(z) H(z-1) ... H(z-k+1); the radial scheme nests the contours by radius so
 that, at each step, poles at already-known rational locations are enclosed
 and poles at locations still involving an outer variable are not.  Both
-reproduce the normalized character on one-cycle partitions.
+reproduce the normalized character on one-cycle partitions.  The satellite
+steps are checked pointwise at samples with distinct prime denominators,
+where every contour pole is simple: a residue is the product of the other
+linear factors at the pole, in integers; other poles use the reduced form.
 """
 
 from __future__ import annotations
@@ -70,6 +73,31 @@ def satellite_I(lam: Diagram, n: int) -> Fraction:
     return satellite_final_form(lam, n).sum_of_residues()
 
 
+def _level_roots(lam: Diagram, k: int, tail, sgn: int) -> tuple[list, list]:
+    """Unreduced zeros and poles of one sign's term of the level-k form:
+    prod_(j<=k) H(z + sgn j) / (z - w) times prod over the tail of
+    (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1)))."""
+    zeros, poles = _h_roots(lam, [sgn * j for j in range(k + 1)])
+    zeros += [r for zj in tail for r in (zj, zj - sgn * k)]
+    poles += [tail[0]] + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))]
+    return zeros, poles
+
+
+def _product_at(x: Fraction, zeros, poles) -> Fraction:
+    """prod (x - a) / prod (x - b) over the roots other than x, in integers."""
+    xn, xd = x.numerator, x.denominator
+    num = den = 1
+    for a in zeros:
+        if a != x:
+            num *= xn * a.denominator - a.numerator * xd
+            den *= xd * a.denominator
+    for b in poles:
+        if b != x:
+            num *= xd * b.denominator
+            den *= xn * b.denominator - b.numerator * xd
+    return Fraction(num, den)
+
+
 def satellite_level_form(
     lam: Diagram, n: int, k: int, tail: tuple[Fraction, ...]
 ) -> FactoredRatFun:
@@ -83,49 +111,63 @@ def satellite_level_form(
         raise ValueError("level k must satisfy 0 <= k <= n-2")
     if len(tail) != n - k - 1:
         raise ValueError(f"need {n - k - 1} outer values, got {len(tail)}")
-    w = tail[0]
-    half = Fraction(1, 2)
-    total = None
-    for sgn in (1, -1):
-        # prod_(j<=k) H(z + sgn j) / (z - w) times prod over the tail of
-        # (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1))).
-        zeros, poles = _h_roots(lam, [sgn * j for j in range(k + 1)])
-        t = FactoredRatFun.from_roots(
-            zeros + [r for zj in tail for r in (zj, zj - sgn * k)],
-            poles + [w] + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))],
-        )
-        total = t if total is None else total + t
+    plus, minus = (FactoredRatFun.from_roots(*_level_roots(lam, k, tail, s)) for s in (1, -1))
     # Trailing factor F^(n-k-1) over the outer variables, a constant here.
-    return total * (half * f_eval(lam, n - k - 1, tail))
+    return (plus + minus) * (Fraction(1, 2) * f_eval(lam, n - k - 1, tail))
 
 
-def satellite_step_check(
-    lam: Diagram, n: int, k: int, samples
-) -> bool:
+def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
+    """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0]."""
+    roots = [_level_roots(lam, k, tail, sgn) for sgn in (1, -1)]
+    scale = f_eval(lam, n - k - 1, tail) / 2
+    total = Fraction(0)
+    for p in {tail[0] + d for d in (1, -1, k + 1, -k - 1)}:
+        orders = [poles.count(p) - zeros.count(p) for zeros, poles in roots]
+        if max(orders) > 1:
+            total += satellite_level_form(lam, n, k, tail).residue_at(p)
+        else:
+            total += scale * sum(_product_at(p, *r) for r, o in zip(roots, orders) if o == 1)
+    return total
+
+
+def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
+    """The level-k form at x, from its roots unless x is one of them."""
+    roots = [_level_roots(lam, k, tail, sgn) for sgn in (1, -1)]
+    if any(x in zeros + poles for zeros, poles in roots):
+        return satellite_level_form(lam, n, k, tail)(x)
+    return f_eval(lam, n - k - 1, tail) / 2 * sum(_product_at(x, *r) for r in roots)
+
+
+def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     """Check one induction step of the satellite recursion at rational samples.
 
     Integrating the level-k closed form in its first variable along the
     contour around w +- 1 and w +- (k+1) (all other poles excluded) must
-    reproduce the level-(k+1) closed form.
+    reproduce the level-(k+1) closed form at w.  Each sign's term stays a
+    list of roots: at a contour point of net pole order 1 the residue is the
+    product of the other factors there; the right side is the level-(k+1)
+    products at w.  On ``sample_points`` tails the coordinates have distinct
+    prime denominators, so every contour pole is simple.  A higher order, or
+    a root of the right side at w, uses the reduced form.  Raises ValueError
+    when ``samples`` is empty.
     """
     if not 0 <= k <= n - 2:
         raise ValueError("step k must satisfy 0 <= k <= n-2")
+    checked = 0
     for tail in samples:
+        checked += 1
         tail = tuple(Fraction(z) for z in tail)
         if len(tail) != n - k - 1:
             raise ValueError(f"sample needs {n - k - 1} values")
-        w = tail[0]
-        form = satellite_level_form(lam, n, k, tail)
-        lhs = sum(
-            (form.residue_at(p) for p in {w + 1, w - 1, w + k + 1, w - k - 1}),
-            Fraction(0),
-        )
+        lhs = _contour_sum(lam, n, k, tail)
         if k + 1 <= n - 2:
-            rhs = satellite_level_form(lam, n, k + 1, tail[1:])(w)
+            rhs = _level_value(lam, n, k + 1, tail[1:], tail[0])
         else:
-            rhs = satellite_final_form(lam, n)(w)
+            rhs = satellite_final_form(lam, n)(tail[0])
         if lhs != rhs:
             return False
+    if not checked:
+        raise ValueError("no samples to check")
     return True
 
 
@@ -233,19 +275,14 @@ def lemma_checks(
     sample points."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     rng = random.Random(seed)
-    cyclic_ok = True
-    inversion_ok = True
+    cyclic_ok = inversion_ok = True
     for _ in range(sample_count):
         pts = sample_points(lam, n, rng)
-        total = Fraction(0)
-        for p in range(n):
-            rotated = pts[p:] + pts[:p]
-            total += f_eval(lam, n, rotated)
-        if total:
+        if sum(f_eval(lam, n, pts[p:] + pts[:p]) for p in range(n)):
             cyclic_ok = False
-        base = f_eval(lam, n, pts)
-        rev = f_eval(lam, n, tuple(reversed(pts)))
-        if rev != (-1) ** (n - 1) * base:
+        if (-1) ** (n - 1) * f_eval(lam, n, pts) != f_eval(lam, n, pts[::-1]):
             inversion_ok = False
     return {"cyclic_sum": cyclic_ok, "inversion": inversion_ok}

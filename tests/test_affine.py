@@ -1,7 +1,11 @@
+import re
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ypa import affine
-from ypa.affine import diff_factor
+from ypa.affine import PoleHit, diff_factor
 
 
 def _term(factors):
@@ -62,3 +66,51 @@ def test_normalization_of_reversed_difference():
     key1, sign1 = diff_factor(2, 1, F(5))
     key2, sign2 = diff_factor(1, 2, F(-5))
     assert key1 == key2 and sign1 == -sign2
+
+
+def _fraction_product(terms, values):
+    # The reference: one Fraction product per term, acc *= v**e.
+    total = F(0)
+    for t in terms:
+        acc = t.coef
+        for key, e in t.factors.items():
+            if key[0] == "c":
+                v = values[key[1]] - key[2]
+            else:
+                v = values[key[1]] - values[key[2]] - key[3]
+            if not v and e < 0:
+                raise PoleHit(f"sample hit pole of {key}")
+            acc *= v**e
+        total += acc
+    return total
+
+
+# Few distinct values, so factors often vanish: zeros and poles in one term.
+_small = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2)]),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 3)),
+)
+_factor = st.tuples(
+    st.integers(1, 3), st.one_of(st.none(), st.integers(1, 3)), _small, st.integers(-3, 3)
+).filter(lambda f: f[0] != f[1])
+_terms = st.lists(st.builds(affine.term_product, _small, st.lists(_factor, max_size=8)),
+                  min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_terms, st.fixed_dictionaries({i: _small for i in (1, 2, 3)}))
+def test_integer_evaluate_equals_the_fraction_product(terms, values):
+    try:
+        expected = _fraction_product(terms, values)
+    except PoleHit as exc:
+        with pytest.raises(PoleHit, match=re.escape(str(exc))):
+            affine.evaluate(terms, values)
+        return
+    assert affine.evaluate(terms, values) == expected
+
+
+def test_a_pole_after_a_vanishing_factor_is_still_a_pole_hit():
+    # z1 = 0 zeroes the term before the pole factor 1/z2 is read.
+    t = _term([(1, None, F(0), 1), (2, None, F(0), -1)])
+    with pytest.raises(PoleHit):
+        affine.evaluate([t], {1: F(0), 2: F(0)})

@@ -26,6 +26,13 @@ def test_f_eval_pole_hit():
         fr.f_eval((1,), 1, [F(0)])  # H_(1) has its pole at 0
 
 
+def test_f_eval_raises_at_a_pole_after_a_zero_factor():
+    # A zero factor with a positive exponent comes before the pole; the term
+    # vanishing must not hide the pole.
+    with pytest.raises(PoleHit):
+        fr.f_eval((1, 1), 2, [F(1), F(-1)])
+
+
 def test_satellite_examples():
     assert fr.satellite_I((2,), 2) == -4
     assert fr.satellite_I((2, 1), 1) == -3
@@ -75,6 +82,13 @@ def test_step_check_rejects_bad_level():
         fr.satellite_step_check((1,), 2, 1, [])
 
 
+def test_step_check_with_no_samples_raises():
+    with pytest.raises(ValueError):
+        fr.satellite_step_check((2, 1), 3, 0, [])
+    with pytest.raises(ValueError):
+        fr.satellite_step_check((2, 1), 3, 0, iter(()))
+
+
 def test_sample_points_avoid_poles():
     rng = random.Random(3)
     for _ in range(50):
@@ -94,6 +108,11 @@ def test_lemma_checks():
             assert res == {"cyclic_sum": True, "inversion": True}, (lam, n, res)
     res = fr.lemma_checks((2,), 4, sample_count=5, seed=1)
     assert res["cyclic_sum"] and res["inversion"]
+
+
+def test_lemma_checks_with_no_samples_raise():
+    with pytest.raises(ValueError):
+        fr.lemma_checks((2, 1), 3, sample_count=0)
 
 
 def test_lemma_checks_raise_on_a_sample_at_a_pole(monkeypatch):
@@ -159,3 +178,71 @@ def test_h_product_is_the_product_of_shifted_h(lam, shifts):
         assert fr.h_shifted(lam, s) == inv_h(lam).shift(s)
     got = fr.h_product(lam, shifts)
     assert got == expected and repr(got) == repr(expected)
+
+
+def _reduced_contour_sum(lam, n, k, tail):
+    # The reduced-form algorithm: residues of the summed level-k form.
+    w = tail[0]
+    form = fr.satellite_level_form(lam, n, k, tail)
+    return sum((form.residue_at(p) for p in {w + 1, w - 1, w + k + 1, w - k - 1}), F(0))
+
+
+def _reduced_right_side(lam, n, k, tail):
+    # The level-(k+1) form, or the final form, evaluated at w.
+    if k + 1 <= n - 2:
+        return fr.satellite_level_form(lam, n, k + 1, tail[1:])(tail[0])
+    return fr.satellite_final_form(lam, n)(tail[0])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:  # PoleHit or PoleEvaluationError
+        return type(exc)
+
+
+@st.composite
+def _step_cases(draw):
+    lam = draw(st.sampled_from(diagrams_up_to(5)))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(0, n - 2))
+    tail = fr.sample_points(lam, n - k - 1, random.Random(draw(st.integers(0, 10**6))))
+    if draw(st.booleans()):
+        # Outer variables at w plus an integer: contour poles can collide
+        # (tail[j] = w + k + 2 doubles the pole at w + 1 for sgn = +1), and
+        # the right side can have a root or a pole at w.
+        offsets = draw(st.lists(st.integers(-k - 3, k + 3), min_size=len(tail) - 1,
+                                max_size=len(tail) - 1))
+        tail = (tail[0],) + tuple(tail[0] + d for d in offsets)
+    return lam, n, k, tail
+
+
+@settings(deadline=None, max_examples=300)
+@given(_step_cases())
+def test_pointwise_step_checks_equal_the_reduced_form_algorithm(case):
+    lam, n, k, tail = case
+    lhs = _outcome(_reduced_contour_sum, lam, n, k, tail)
+    rhs = _outcome(_reduced_right_side, lam, n, k, tail)
+    assert _outcome(fr._contour_sum, lam, n, k, tail) == lhs
+    if k + 1 <= n - 2:
+        assert _outcome(fr._level_value, lam, n, k + 1, tail[1:], tail[0]) == rhs
+    if isinstance(lhs, type) or isinstance(rhs, type):
+        expected = lhs if isinstance(lhs, type) else rhs
+    else:
+        expected = lhs == rhs
+    assert _outcome(fr.satellite_step_check, lam, n, k, iter([tail])) == expected
+
+
+def test_a_double_contour_pole_uses_the_reduced_form(monkeypatch):
+    # tail[1] = w + k + 2 puts a second pole at w + 1 in the sgn = +1 term.
+    lam, n, k = (2, 1), 3, 0
+    w = F(38, 7)
+    tail = (w, w + k + 2)
+    expected = _reduced_contour_sum(lam, n, k, tail)
+    forms = []
+    level_form = fr.satellite_level_form
+    monkeypatch.setattr(
+        fr, "satellite_level_form", lambda *a: forms.append(a) or level_form(*a)
+    )
+    assert fr._contour_sum(lam, n, k, tail) == expected
+    assert forms == [(lam, n, k, tail)]
