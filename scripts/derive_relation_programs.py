@@ -5,8 +5,10 @@ a side must be *presented* as a layered tangle program before the evaluator
 can check it.  Most presentations were found by hand from the state-sum
 structure; this script searches the space of small programs (cup rows, a
 crossing box row, cap rows) for one whose values agree with a target
-function on all loops up to a weight bound.  Run it to re-derive the
-presentations pinned in ypa.heisenberg.
+function on all loops up to a weight bound.  Each candidate is written as
+``.tng`` rows and read by ``ypa.tangle.parse``, so a match prints the very
+rows that were checked.  Run it to re-derive the presentations pinned in
+ypa.heisenberg.
 """
 
 from __future__ import annotations
@@ -17,50 +19,36 @@ import sys
 from ypa import tangle
 from ypa.heisenberg import CROSS, relation_sides
 from ypa.plancherel import PLANCHEREL
-from ypa.tangle import Atom, TangleError, compile_program, evaluate
+from ypa.tangle import evaluate, parse
 from ypa.young import enumerate_loops, diagrams_up_to
 
 UP, DOWN = tangle.UP, tangle.DOWN
 
 
-def cup_row(kind: str, gap: int) -> tuple[Atom, ...]:
-    return (Atom("cup", cup_kind=kind, gap=gap),)
-
-
-def box_row(pos: int, n: int) -> tuple[Atom, ...]:
-    atoms = [Atom("pass")] * (pos - 1) + [Atom("box", box_name="cross")]
-    atoms += [Atom("pass")] * (n - (pos + 3))
-    return tuple(atoms)
-
-
-def cap_row(pos: int, n: int) -> tuple[Atom, ...]:
-    atoms = [Atom("pass")] * (pos - 1) + [Atom("cap")]
-    atoms += [Atom("pass")] * (n - (pos + 1))
-    return tuple(atoms)
+def tiling_row(pos: int, atom: str, arity: int, n: int) -> str:
+    """A row of ``n`` strands with ``atom`` at strands ``pos..pos+arity-1``."""
+    return "row " + "| " * (pos - 1) + atom + " |" * (n - (pos + arity - 1)) + ";"
 
 
 def candidates(signature, n_cups: int, n_boxes: int, n_caps: int):
-    """Yield (rows, compiled program) pairs with the given atom-row counts."""
-    legs = (UP, UP, DOWN, DOWN)
+    """Yield (rows, parsed program) pairs with the given atom-row counts."""
+    legs = CROSS.legs()
+    header = "tangle cand : (" + ",".join("+" if e > 0 else "-" for e in signature) + ")"
 
     def extend(orient, rows, counts):
         n_c, n_b, n_k = counts
         n = len(orient)
         if not (n_c or n_b or n_k):
-            if n == 0:
-                try:
-                    yield rows, compile_program("cand", signature, tuple(rows), {"cross": CROSS})
-                except TangleError:
-                    pass
+            if n == 0:  # every row kept its orientation checks, so it parses
+                yield rows, parse(f"{header} {{ {' '.join(rows)} }}", {"cross": CROSS})
             return
         if n_c:
             for kind in ("du", "ud"):
                 for gap in range(n + 1):
                     new = list(orient)
-                    pair = [DOWN, UP] if kind == "du" else [UP, DOWN]
-                    new[gap:gap] = pair
+                    new[gap:gap] = [DOWN, UP] if kind == "du" else [UP, DOWN]
                     yield from extend(
-                        tuple(new), rows + [cup_row(kind, gap)], (n_c - 1, n_b, n_k)
+                        tuple(new), rows + [f"row cup_{kind}@{gap};"], (n_c - 1, n_b, n_k)
                     )
         if n_b:
             for pos in range(1, n - 2):
@@ -68,7 +56,7 @@ def candidates(signature, n_cups: int, n_boxes: int, n_caps: int):
                     continue
                 new = orient[: pos - 1] + orient[pos + 3 :]
                 yield from extend(
-                    new, rows + [box_row(pos, n)], (n_c, n_b - 1, n_k)
+                    new, rows + [tiling_row(pos, "box cross", 4, n)], (n_c, n_b - 1, n_k)
                 )
         if n_k:
             for pos in range(1, n):
@@ -76,7 +64,7 @@ def candidates(signature, n_cups: int, n_boxes: int, n_caps: int):
                     continue
                 new = orient[: pos - 1] + orient[pos + 1 :]
                 yield from extend(
-                    new, rows + [cap_row(pos, n)], (n_c, n_b, n_k - 1)
+                    new, rows + [tiling_row(pos, "cap", 2, n)], (n_c, n_b, n_k - 1)
                 )
 
     orient0 = tangle.signature_orientations(signature)
@@ -113,28 +101,12 @@ def search(relation: str, check_weight: int, confirm_weight: int):
                 ):
                     print("   MATCH:")
                     for row in rows:
-                        print("     ", render_row(row))
+                        print("     ", row)
                     found.append(prog)
                     if len(found) >= 4:
                         return found
         print(f"   ({count} candidates)")
     return found
-
-
-def render_row(row) -> str:
-    parts = []
-    for a in row:
-        if a.kind == "pass":
-            parts.append("|")
-        elif a.kind == "dot":
-            parts.append("*")
-        elif a.kind == "cap":
-            parts.append("cap")
-        elif a.kind == "cup":
-            parts.append(f"cup_{a.cup_kind}@{a.gap}")
-        else:
-            parts.append(f"box {a.box_name}")
-    return "row " + " ".join(parts) + ";"
 
 
 def main():

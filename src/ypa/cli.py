@@ -118,10 +118,12 @@ def cmd_moments(args):
 
 def cmd_eval(args):
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliUsage(str(exc))
+    except UnicodeDecodeError as exc:
+        raise CliParseError(f"{args.file}: not UTF-8: {exc}")
     try:
         programs = parse_programs(text, hs.BUILTIN_ELEMENTS)
     except TangleError as exc:

@@ -281,8 +281,9 @@ def lemma_checks(
     cyclic_ok = inversion_ok = True
     for _ in range(sample_count):
         pts = sample_points(lam, n, rng)
-        if sum(f_eval(lam, n, pts[p:] + pts[:p]) for p in range(n)):
+        rotated = [f_eval(lam, n, pts[p:] + pts[:p]) for p in range(n)]
+        if sum(rotated):
             cyclic_ok = False
-        if (-1) ** (n - 1) * f_eval(lam, n, pts) != f_eval(lam, n, pts[::-1]):
+        if (-1) ** (n - 1) * rotated[0] != f_eval(lam, n, pts[::-1]):
             inversion_ok = False
     return {"cyclic_sum": cyclic_ok, "inversion": inversion_ok}

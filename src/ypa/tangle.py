@@ -32,8 +32,11 @@ value on the loop read right-to-left across its legs.
 
 Steps
 -----
-:func:`compile_program` turns each row into primitive steps, and
-:func:`evaluate` is one loop over them; after every step, states (region
+:func:`parse_programs` reads and compiles in one pass: it checks each atom
+against the current strand orientations the moment it reads it, so a source
+with several errors reports the first one in reading order, and it turns
+each row into primitive steps at the row's ``;``.  :func:`evaluate` is one
+loop over the steps; after every step, states (region
 tuples with their amplitudes) with equal regions merge.  A row's cups lie
 above its other atoms, so they come first.  The cups, and then the dots,
 caps and boxes, each run right to left: inserting or deleting regions moves
@@ -92,17 +95,7 @@ class Element:
         return signature_orientations(self.signature)
 
 
-# -- atoms and compiled steps --------------------------------------------------
-
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # "pass" | "dot" | "cap" | "cup" | "box"
-    cup_kind: str | None = None  # "du" | "ud"
-    gap: int | None = None
-    box_name: str | None = None
-    line: int | None = None
-    col: int | None = None
-
+# -- DSL parser ----------------------------------------------------------------
 
 Step = tuple[str, int, object]  # (kind, position, cup kind or element)
 
@@ -123,99 +116,6 @@ class TangleProgram:
     steps: tuple[Step, ...]
 
 
-def compile_program(
-    name: str,
-    signature: Signature,
-    rows: tuple[tuple[Atom, ...], ...],
-    bindings: dict[str, Element],
-    name_at: tuple[int | None, int | None] = (None, None),
-) -> TangleProgram:
-    """Validate orientations/arities row by row and fix all positions.
-
-    ``name_at`` is the (line, col) of the tangle's name, where an error of a
-    program without rows is reported.
-    """
-    orient = list(signature_orientations(signature))
-    steps: list[Step] = []
-    for row in rows:
-        n = len(orient)
-        strand_atoms = [a for a in row if a.kind != "cup"]
-        cups: list[tuple[int, Atom]] = []  # (pre-row gap, cup atom)
-        cursor = 0
-        spans: list[tuple[str, int, int, object]] = []  # kind, start, end, extra
-        for atom in row:
-            if atom.kind == "cup":
-                if atom.gap is not None:
-                    gap = atom.gap
-                elif strand_atoms:
-                    gap = cursor
-                else:
-                    gap = n
-                if not 0 <= gap <= n:
-                    raise TangleError(f"cup gap {gap} out of range 0..{n}", atom.line, atom.col)
-                cups.append((gap, atom))
-                continue
-            if atom.kind in ("pass", "dot"):
-                arity = 1
-                extra: object = None
-            elif atom.kind == "cap":
-                arity = 2
-                extra = None
-            else:  # box
-                elem = bindings.get(atom.box_name)
-                if elem is None:
-                    raise TangleError(f"unbound box name {atom.box_name!r}", atom.line, atom.col)
-                arity = len(elem.signature)
-                extra = elem
-            start = cursor + 1
-            end = cursor + arity
-            if end > n:
-                raise TangleError(
-                    f"row consumes more strands than the {n} available", atom.line, atom.col
-                )
-            if atom.kind == "cap":
-                if orient[start - 1] == orient[end - 1]:
-                    raise TangleError("cap on same-direction strands", atom.line, atom.col)
-            if atom.kind == "box":
-                window = tuple(orient[start - 1 : end])
-                if window != extra.legs():
-                    raise TangleError(
-                        f"box {atom.box_name!r} legs {extra.legs()} do not match "
-                        f"strand orientations {window}",
-                        atom.line,
-                        atom.col,
-                    )
-            if atom.kind != "pass":
-                spans.append((atom.kind, start, end, extra))
-            cursor = end
-        if strand_atoms and cursor != n:
-            last = row[-1]
-            raise TangleError(
-                f"{n - cursor} strands remain untiled in a row", last.line, last.col
-            )
-        # Insertion inside a consuming span would break the span's contiguity.
-        for _, start, end, _ in spans:
-            for gap, cup in cups:
-                if start <= gap <= end - 1:
-                    raise TangleError(
-                        "cup inserted inside a cap/box span", cup.line, cup.col
-                    )
-        for gap, cup in reversed(sorted(cups, key=lambda t: t[0])):
-            steps.append(("cup", gap, cup.cup_kind))
-            orient[gap:gap] = [DOWN, UP] if cup.cup_kind == "du" else [UP, DOWN]
-        for kind, start, end, extra in reversed(spans):
-            p = start + 2 * sum(1 for g, _ in cups if g < start)
-            steps.append((kind, p, extra))
-            if kind != "dot":  # strands p..p+end-start close, with their regions
-                del orient[p - 1 : p + end - start]
-    if orient:
-        line, col = (rows[-1][-1].line, rows[-1][-1].col) if rows else name_at
-        raise TangleError(f"{len(orient)} strands remain after the last row", line, col)
-    return TangleProgram(name, signature, tuple(steps))
-
-
-# -- DSL parser ----------------------------------------------------------------
-
 _TOKEN_RE = re.compile(
     r"(?P<int>[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -227,8 +127,8 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str):
-    """(type, value, line, col) for each token; integers and names are ASCII."""
-    tokens: list[tuple[str, str, int, int]] = []
+    """Yield (type, value, line, col) for each token, lexing only as far as it
+    is read; integers and names are ASCII."""
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
@@ -237,34 +137,44 @@ def _tokenize(text: str):
         elif kind == "other":
             raise TangleError(f"unexpected character {value!r}", line, col)
         elif kind != "skip":
-            tokens.append((kind, value, line, col))
-    return tokens
+            yield kind, value, line, col
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    """Reads tangles token by token and compiles them as it goes.
+
+    ``orient`` holds the strand orientations of the current slice and
+    ``steps`` the steps of the tangle being read; each atom is checked
+    against ``orient`` the moment it is read, so the first error in reading
+    order is the one reported.
+    """
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.ahead = self.last = None  # the token peeked at, the last one read
+        self.orient: list[int] = []
+        self.steps: list[Step] = []
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        if self.ahead is None:
+            self.ahead = next(self.tokens, None)
+        return self.ahead
 
     def next(self):
         tok = self.peek()
         if tok is None:
             raise self.at_end("unexpected end of input")
-        self.pos += 1
+        self.ahead, self.last = None, tok
         return tok
 
     def at_end(self, message: str) -> TangleError:
         """An error at the last token read, for input that stops too early."""
-        last = self.tokens[self.pos - 1]
-        return TangleError(message, last[2], last[3])
+        return TangleError(message, *self.last[2:])
 
     def expect(self, value: str):
         tok = self.next()
         if tok[1] != value:
-            raise TangleError(f"expected {value!r}, got {tok[1]!r}", tok[2], tok[3])
+            raise TangleError(f"expected {value!r}, got {tok[1]!r}", *tok[2:])
         return tok
 
     def parse_signature(self) -> Signature:
@@ -281,53 +191,117 @@ class _Parser:
             elif tok[1] == "-":
                 signs.append(-1)
             else:
-                raise TangleError(f"expected '+' or '-', got {tok[1]!r}", tok[2], tok[3])
+                raise TangleError(f"expected '+' or '-', got {tok[1]!r}", *tok[2:])
             tok = self.next()
             if tok[1] == ")":
                 break
             if tok[1] != ",":
-                raise TangleError(f"expected ',' or ')', got {tok[1]!r}", tok[2], tok[3])
+                raise TangleError(f"expected ',' or ')', got {tok[1]!r}", *tok[2:])
         if sum(signs) != 0:
-            raise TangleError("signature signs must sum to zero", tok[2], tok[3])
+            raise TangleError("signature signs must sum to zero", *tok[2:])
         return tuple(signs)
 
-    def parse_atom(self) -> Atom:
-        tok = self.next()
-        line, col = tok[2], tok[3]
+    def parse_atom(self, tok) -> tuple[str, object]:
+        """The atom that starts at ``tok``: ``("pass" | "dot" | "cap", None)``,
+        ``("du" | "ud", gap or None without '@')`` or ``("box", name)``."""
         if tok[1] == "|":
-            return Atom("pass", line=line, col=col)
+            return "pass", None
         if tok[1] == "*":
-            return Atom("dot", line=line, col=col)
+            return "dot", None
         if tok[0] == "ident" and tok[1] == "cap":
-            return Atom("cap", line=line, col=col)
+            return "cap", None
         if tok[0] == "ident" and tok[1] in ("cup_du", "cup_ud"):
-            gap = None
             nxt = self.peek()
-            if nxt and nxt[1] == "@":
-                self.next()
-                gtok = self.next()
-                if gtok[0] != "int":
-                    raise TangleError("expected gap index after '@'", gtok[2], gtok[3])
-                gap = int(gtok[1])
-            return Atom("cup", cup_kind=tok[1][-2:], gap=gap, line=line, col=col)
+            if not (nxt and nxt[1] == "@"):
+                return tok[1][-2:], None
+            self.next()
+            gtok = self.next()
+            if gtok[0] != "int":
+                raise TangleError("expected gap index after '@'", *gtok[2:])
+            return tok[1][-2:], int(gtok[1])
         if tok[0] == "ident" and tok[1] == "box":
             nm = self.next()
             if nm[0] != "ident":
-                raise TangleError("expected box name", nm[2], nm[3])
-            return Atom("box", box_name=nm[1], line=line, col=col)
-        raise TangleError(f"unknown atom {tok[1]!r}", line, col)
+                raise TangleError("expected box name", *nm[2:])
+            return "box", nm[1]
+        raise TangleError(f"unknown atom {tok[1]!r}", *tok[2:])
 
-    def parse_program_source(self, env: dict[str, Element]):
+    def parse_row(self, env: dict[str, Element]):
+        """Read one row, check each atom as it is read, append the row's steps
+        and return its last atom's token."""
+        row = self.expect("row")
+        orient, n = self.orient, len(self.orient)
+        cups: list[tuple[int | None, str, tuple]] = []  # pre-row gap, kind, token
+        spans: list[tuple[str, int, int, object]] = []  # kind, start, end, element
+        cursor, tiled, last = 0, False, None
+        while True:
+            if self.peek() is None:
+                raise self.at_end("unterminated row")
+            tok = self.next()
+            if tok[1] == ";":
+                break
+            last = tok
+            kind, operand = self.parse_atom(tok)
+            if kind in ("du", "ud"):
+                gap = cursor if operand is None and tiled else operand
+                if gap is not None and not 0 <= gap <= n:
+                    raise TangleError(f"cup gap {gap} out of range 0..{n}", *tok[2:])
+                cups.append((gap, kind, tok))
+                continue
+            elem = env.get(operand) if kind == "box" else None
+            if kind == "box" and elem is None:
+                raise TangleError(f"unbound box name {operand!r}", *tok[2:])
+            start = cursor + 1
+            end = cursor + (len(elem.signature) if elem else 2 if kind == "cap" else 1)
+            if end > n:
+                raise TangleError(
+                    f"row consumes more strands than the {n} available", *tok[2:]
+                )
+            if kind == "cap" and orient[start - 1] == orient[end - 1]:
+                raise TangleError("cap on same-direction strands", *tok[2:])
+            if elem and tuple(orient[start - 1 : end]) != elem.legs():
+                raise TangleError(
+                    f"box {operand!r} legs {elem.legs()} do not match "
+                    f"strand orientations {tuple(orient[start - 1 : end])}",
+                    *tok[2:],
+                )
+            if kind != "pass":
+                spans.append((kind, start, end, elem))
+            cursor, tiled = end, True
+        if last is None:
+            raise TangleError("empty row", *row[2:])
+        if tiled and cursor != n:
+            raise TangleError(f"{n - cursor} strands remain untiled in a row", *last[2:])
+        # A cup without '@' ahead of every strand atom sits at gap 0, or at the
+        # right end in a row of cups alone.
+        cups = [((0 if tiled else n) if g is None else g, k, t) for g, k, t in cups]
+        # Insertion inside a consuming span would break the span's contiguity.
+        for _, start, end, _ in spans:
+            for gap, _, tok in cups:
+                if start <= gap <= end - 1:
+                    raise TangleError("cup inserted inside a cap/box span", *tok[2:])
+        for gap, kind, _ in reversed(sorted(cups, key=lambda c: c[0])):
+            self.steps.append(("cup", gap, kind))
+            orient[gap:gap] = [DOWN, UP] if kind == "du" else [UP, DOWN]
+        for kind, start, end, elem in reversed(spans):
+            p = start + 2 * sum(1 for g, _, _ in cups if g < start)
+            self.steps.append((kind, p, elem))
+            if kind != "dot":  # strands p..p+end-start close, with their regions
+                del orient[p - 1 : p + end - start]
+        return last
+
+    def parse_tangle(self, env: dict[str, Element]) -> TangleProgram:
         self.expect("tangle")
         nm = self.next()
         if nm[0] != "ident":
-            raise TangleError("expected tangle name", nm[2], nm[3])
+            raise TangleError("expected tangle name", *nm[2:])
         if nm[1] in env:
-            raise TangleError(f"name {nm[1]!r} is already bound", nm[2], nm[3])
+            raise TangleError(f"name {nm[1]!r} is already bound", *nm[2:])
         self.expect(":")
         sig = self.parse_signature()
         self.expect("{")
-        rows: list[tuple[Atom, ...]] = []
+        self.orient, self.steps = list(signature_orientations(sig)), []
+        last = nm  # open strands point at the last atom, or at the name
         while True:
             tok = self.peek()
             if tok is None:
@@ -335,20 +309,12 @@ class _Parser:
             if tok[1] == "}":
                 self.next()
                 break
-            row = self.expect("row")
-            atoms: list[Atom] = []
-            while True:
-                tok = self.peek()
-                if tok is None:
-                    raise self.at_end("unterminated row")
-                if tok[1] == ";":
-                    self.next()
-                    break
-                atoms.append(self.parse_atom())
-            if not atoms:
-                raise TangleError("empty row", row[2], row[3])
-            rows.append(tuple(atoms))
-        return nm, sig, tuple(rows)
+            last = self.parse_row(env)
+        if self.orient:
+            raise TangleError(
+                f"{len(self.orient)} strands remain after the last row", *last[2:]
+            )
+        return TangleProgram(nm[1], sig, tuple(self.steps))
 
 
 def parse_programs(
@@ -360,13 +326,13 @@ def parse_programs(
     (wrapped by :func:`as_element`).  A name that is already bound, by
     ``bindings`` or by an earlier definition, is an error.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     env: dict[str, Element] = dict(bindings or {})
     out: dict[str, TangleProgram] = {}
     while parser.peek() is not None:
-        (_, name, line, col), sig, rows = parser.parse_program_source(env)
-        out[name] = compile_program(name, sig, rows, env, (line, col))
-        env[name] = as_element(out[name])
+        prog = parser.parse_tangle(env)
+        out[prog.name] = prog
+        env[prog.name] = as_element(prog)
     return out
 
 

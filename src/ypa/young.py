@@ -202,28 +202,33 @@ def format_diagram(lam: Diagram) -> str:
     return "[" + ",".join(str(p) for p in lam) + "]"
 
 
+_LOOP_TOKEN_RE = re.compile(
+    rf"(?P<diagram>{_DIAGRAM_RE.pattern})|(?P<step>[\^v])|(?P<skip>\s+)|(?P<other>.)"
+)
+
+
 def parse_loop(text: str) -> LoopPath:
     """Parse ``[2,1] v [2] v [1] ^ [1,1] ^ [2,1]``; a bare diagram is a loop
-    of empty signature."""
-    tokens = text.split()
+    of empty signature.  Any whitespace may stand between tokens and inside
+    brackets."""
+    tokens: list[str] = []
+    for m in _LOOP_TOKEN_RE.finditer(text):
+        if m.lastgroup == "other":
+            raise LiteralError(f"bad loop literal {text!r} at {text[m.start():]!r}")
+        if m.lastgroup != "skip":
+            tokens.append(m.group())
     if not tokens:
         raise LiteralError("empty loop literal")
-    diagrams = [parse_diagram(tokens[0])]
-    signs: list[int] = []
-    i = 1
-    while i < len(tokens):
-        if tokens[i] == "^":
-            signs.append(1)
-        elif tokens[i] == "v":
-            signs.append(-1)
-        else:
-            raise LiteralError(f"expected '^' or 'v', got {tokens[i]!r}")
-        if i + 1 >= len(tokens):
-            raise LiteralError("loop literal ends after a step marker")
-        diagrams.append(parse_diagram(tokens[i + 1]))
-        i += 2
+    markers = {"^": 1, "v": -1}
+    for i, tok in enumerate(tokens):
+        if (tok in markers) != (i % 2 == 1):
+            expected = "'^' or 'v'" if i % 2 else "a diagram"
+            raise LiteralError(f"expected {expected}, got {tok!r}")
+    if len(tokens) % 2 == 0:
+        raise LiteralError("loop literal ends after a step marker")
+    diagrams = tuple(parse_diagram(t) for t in tokens[::2])
     try:
-        return LoopPath(tuple(diagrams), tuple(signs))
+        return LoopPath(diagrams, tuple(markers[t] for t in tokens[1::2]))
     except ValueError as exc:
         raise LiteralError(f"bad loop literal {text!r}: {exc}") from exc
 

@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from ypa.cli import main, report_json
+from ypa.heisenberg import BUILTIN_ELEMENTS, relation_sides
+from ypa.plancherel import PLANCHEREL
+from ypa.tangle import evaluate, parse
+from ypa.young import diagrams_up_to, enumerate_loops
 
 
 def run(capsys, *argv):
@@ -166,6 +170,28 @@ def test_eval_bad_tng_source_is_parse_error(tmp_path, capsys):
     f.write_text("tangle bad : () { row cup_du; }\n")
     code, _, err = run(capsys, "eval", "--file", str(f), "--name", "bad", "--loop", "[]")
     assert code == 3 and "parse error" in err
+
+
+def test_eval_reads_the_tng_file_as_utf8(tmp_path, capsys):
+    source = "tangle c : () { row cup_du; row cap; }\n"
+    f = tmp_path / "latin1.tng"
+    f.write_bytes(b"# caf\xe9\n" + source.encode())
+    code, out, err = run(capsys, "eval", "--file", str(f), "--name", "c", "--loop", "[]")
+    assert code == 3 and out == ""
+    assert "parse error" in err and str(f) in err
+    f = tmp_path / "utf8.tng"
+    f.write_text("# caf\u00e9\n" + source, encoding="utf-8")
+    code, out, _ = run(capsys, "eval", "--file", str(f), "--name", "c", "--loop", "[]")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_eval_loop_takes_spaced_diagram_literals(tmp_path, capsys):
+    f = tmp_path / "arc.tng"
+    f.write_text("tangle arc : (-,+) { row cap; }\n")
+    argv = ["eval", "--file", str(f), "--name", "arc", "--loop"]
+    code, spaced, _ = run(capsys, *argv, "[2, 1] v [2] ^ [2, 1]")
+    assert code == 0
+    assert (0, spaced, "") == run(capsys, *argv, "[2,1] v [2] ^ [2,1]")
 
 
 def test_eval_missing_name_is_usage_error(tmp_path, capsys):
@@ -406,4 +432,15 @@ def test_derive_relation_programs_script_smoke():
         "--relation", "ind_ind", "--check-weight", "2", "--confirm-weight", "3",
     )
     assert proc.returncode == 0, proc.stderr
-    assert "MATCH:" in proc.stdout
+    sides = relation_sides("ind_ind")
+    header = f"tangle m : ({','.join('+' if e > 0 else '-' for e in sides.signature)})"
+    blocks = proc.stdout.split("MATCH:")[1:]
+    assert blocks
+    loops = [
+        lp for base in diagrams_up_to(3) for lp in enumerate_loops(base, sides.signature)
+    ]
+    for block in blocks:
+        rows = [ln.strip() for ln in block.splitlines() if ln.strip().startswith("row ")]
+        prog = parse(f"{header} {{ {' '.join(rows)} }}", BUILTIN_ELEMENTS)
+        for loop in loops:
+            assert evaluate(prog, loop, PLANCHEREL) == sides.rhs_value(loop)

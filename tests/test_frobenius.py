@@ -110,6 +110,24 @@ def test_lemma_checks():
     assert res["cyclic_sum"] and res["inversion"]
 
 
+def test_lemma_checks_evaluate_f_n_plus_one_times_per_draw(monkeypatch):
+    # The n rotations of each draw include the unrotated sample, which is
+    # also the left side of the inversion law; only the reversal is extra.
+    calls = []
+    f_eval = fr.f_eval
+
+    def counted(lam, n, pts):
+        calls.append(tuple(pts))
+        return f_eval(lam, n, pts)
+
+    monkeypatch.setattr(fr, "f_eval", counted)
+    for n in (2, 3, 4):
+        calls.clear()
+        res = fr.lemma_checks((2, 1), n, sample_count=3, seed=4)
+        assert res == {"cyclic_sum": True, "inversion": True}
+        assert len(calls) == 3 * (n + 1)
+
+
 def test_lemma_checks_with_no_samples_raise():
     with pytest.raises(ValueError):
         fr.lemma_checks((2, 1), 3, sample_count=0)

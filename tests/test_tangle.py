@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,7 +239,7 @@ def test_empty_program_is_constant_one():
 
 
 def test_unclosed_final_state_is_a_tangle_error():
-    # Only a program built without compile_program can leave strands open;
+    # Only a program built by hand, not parsed, can leave strands open;
     # the evaluator raises rather than asserts, so the check survives -O.
     prog = TangleProgram("raw", (-1, 1), ())
     with pytest.raises(TangleError, match="ends in state"):
@@ -274,6 +276,28 @@ def test_every_parse_and_compile_error_has_a_position(source, message, position)
     err = info.value
     assert err.line is not None
     assert (err.line, err.col) == position
+
+
+def test_a_source_reports_its_first_error_in_reading_order():
+    # The box in the first row is checked as it is read, before the second
+    # row's syntax error, or its unexpected character, is reached.
+    for row in ("foo", "\u00e9"):
+        with pytest.raises(TangleError) as info:
+            parse(f"tangle t : (-,+) {{ row box nope; row {row}; }}")
+        assert str(info.value) == "line 1, col 24: unbound box name 'nope'"
+
+
+def _readme_tangle_blocks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    return [b for b in blocks if b.startswith("tangle")]
+
+
+def test_readme_tangle_blocks_parse():
+    blocks = _readme_tangle_blocks()
+    assert blocks
+    for block in blocks:
+        assert parse_programs(block, BUILTIN_ELEMENTS)
 
 
 def test_rebinding_a_name_is_an_error():

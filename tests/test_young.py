@@ -183,6 +183,32 @@ def test_loop_literal_round_trip(base, signature, data):
     assert parse_loop(format_loop(loop)) == loop
 
 
+def test_loop_literal_takes_the_diagram_literals_of_parse_diagram():
+    assert parse_diagram("[2, 1]") == (2, 1)
+    assert parse_loop("[2, 1] v [2] ^ [2, 1]") == parse_loop("[2,1]v[2]^[2,1]")
+    for bad in ("[2, 1", "[1] ^ ^ [1]", "[1] [1]", "v [1]", "[1] v", "[1]\u00a0x"):
+        with pytest.raises(LiteralError):
+            parse_loop(bad)
+
+
+@given(
+    st.sampled_from(diagrams_up_to(4)),
+    st.sampled_from([(), (-1, 1), (1, -1), (-1, -1, 1, 1), (1, -1, 1, -1)]),
+    st.data(),
+)
+def test_loop_literal_reads_any_whitespace_between_tokens(base, signature, data):
+    loops = enumerate_loops(base, signature)
+    assume(loops)
+    loop = data.draw(st.sampled_from(loops))
+    blank = st.text(alphabet=" \t\n", max_size=3)
+    # Whitespace may go anywhere but inside a number.
+    compact = format_loop(loop).replace(" ", "")
+    text = data.draw(blank)
+    for a, b in zip(compact, compact[1:] + " "):
+        text += a if a.isdigit() and b.isdigit() else a + data.draw(blank)
+    assert parse_loop(text) == loop
+
+
 @given(
     st.lists(
         st.sampled_from(["[]", "[1]", "[2]", "[1,1]", "[2,1]", "[1,2]", "[0]", "^", "v", "x"]),
