@@ -27,7 +27,7 @@ from functools import cache
 from . import affine
 from .affine import Term, const_factor, diff_factor
 from .ratfun import FactoredRatFun
-from .young import Diagram, profile
+from .young import Diagram, as_partition, profile
 
 
 def _h_roots(lam: Diagram, shifts) -> tuple[list, list]:
@@ -50,6 +50,7 @@ def h_product(lam: Diagram, shifts) -> FactoredRatFun:
 
 def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
     """Sigma_(k)(lam) = -(1/k) * contour integral of H(z) H(z-1) .. H(z-k+1)."""
+    lam = as_partition(lam)
     if k < 1:
         raise ValueError("k must be >= 1")
     prod = h_product(lam, [-j for j in range(k)])

@@ -35,12 +35,12 @@ from .young import (
     Diagram,
     LoopPath,
     Signature,
+    as_partition,
     box_content,
     diagrams_up_to,
     dim,
     enumerate_loops,
     format_loop,
-    is_diagram,
     weight,
 )
 
@@ -385,9 +385,7 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     with weight f(dk)/f(lam) = (n)_k dim(dk) / dim(lam), so it is the
     descending-path sum of :mod:`sym_oracle` rescaled; zero when |pi| > |lam|.
     """
-    pi = tuple(pi)
-    if not is_diagram(pi):
-        raise ValueError(f"not a partition: {pi}")
+    lam, pi = as_partition(lam), as_partition(pi)
     n, k = weight(lam), sum(pi)
     if k > n:
         return Fraction(0)

@@ -2,29 +2,48 @@
 
 Basis vectors of the irreducible module labelled by lam are the saturated
 paths empty = d0 < d1 < ... < dn = lam (equivalently standard tableaux),
-ordered lexicographically by their diagram sequences.  The adjacent
-transposition t_i acts by 1x1 blocks +-1 when the i-th and (i+1)-th boxes
-sit in the same row or column, and otherwise by the 2x2 block
+ordered lexicographically by their diagram sequences.  Let r be the content
+gap of the i-th and (i+1)-th boxes.  The adjacent transposition t_i acts by
+1x1 blocks 1/r = +-1 when the boxes sit in the same row or column, and
+otherwise by a 2x2 block pairing a path with the one whose middle diagram
+is exchanged.  In Young's seminormal form that block is
 
-    [[1/r, sqrt(1 - 1/r^2)], [sqrt(1 - 1/r^2), -1/r]]
+    [[1/r, 1], [1 - 1/r^2, -1/r]]
 
-pairing a path with the one whose middle diagram is exchanged, where r is
-the content gap.  Characters are traces of products of these matrices; this
-gives an oracle for the normalized characters that never touches the tangle
+(the 1 above the diagonal), and :func:`seminormal_matrix` scales it to
+integers.  The orthogonal form, with sqrt(1 - 1/r^2) on both sides, is
+derived from it: the two differ by the diagonal change of basis that
+normalizes each path vector, so every trace agrees.
+
+A character is the trace of a product of these matrices.  The transposition
+word is split in two halves, each multiplied out in integers, and
+trace(AB) = sum A_rc B_cr pairs them without forming AB.  This gives an
+oracle for the normalized characters that never touches the tangle
 evaluator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache
-from math import perm
+from functools import cache, reduce
+from math import lcm, perm, prod
+from types import MappingProxyType
 
 from .surd import Surd, sqrt_fraction
-from .young import Diagram, box_content, dim, down_covers, up_covers, weight
+from .young import (
+    Diagram,
+    as_partition,
+    box_content,
+    dim,
+    down_covers,
+    up_covers,
+    weight,
+)
 
 TableauPath = tuple[Diagram, ...]
-SparseMatrix = dict[tuple[int, int], Surd]
+# Entries are int (the seminormal form) or Surd (the orthogonal form).
+SparseMatrix = Mapping[tuple[int, int], "int | Surd"]
 
 
 @cache
@@ -55,29 +74,49 @@ def _alternative_middle(prev: Diagram, mid: Diagram, nxt: Diagram) -> Diagram | 
 
 
 @cache
-def adjacent_transposition_matrix(lam: Diagram, i: int) -> tuple[tuple[tuple[int, int], Surd], ...]:
-    """Sparse matrix of t_i = (i, i+1) on V^lam in the GZ basis.
+def seminormal_matrix(lam: Diagram, i: int) -> tuple[SparseMatrix, int]:
+    """Young's seminormal form of t_i = (i, i+1) on V^lam, times scale.
 
-    Returned as a tuple of ((row, col), value) entries; rows and columns are
-    indices into :func:`standard_tableaux`.
+    Returns (entries, scale) with scale the lcm of r^2 over the paths.  The
+    entries are integers: scale/r on the diagonal and, in each 2x2 block,
+    scale at (k, j) for k < j and scale (1 - 1/r^2) at (k, j) for k > j.
+    Rows and columns are indices into :func:`standard_tableaux`.
     """
     n = weight(lam)
     if not 1 <= i <= n - 1:
         raise IndexError(f"transposition index {i} out of range 1..{n - 1}")
     paths = standard_tableaux(lam)
     index = {p: k for k, p in enumerate(paths)}
-    entries: dict[tuple[int, int], Surd] = {}
-    for k, path in enumerate(paths):
-        prev, mid, nxt = path[i - 1], path[i], path[i + 1]
-        r = box_content(nxt, mid) - box_content(mid, prev)
-        entries[(k, k)] = Surd.from_rational(Fraction(1, r))
+    gaps = [box_content(p[i + 1], p[i]) - box_content(p[i], p[i - 1]) for p in paths]
+    scale = lcm(*(r * r for r in gaps))
+    entries: dict[tuple[int, int], int] = {}
+    for k, (path, r) in enumerate(zip(paths, gaps)):
+        entries[(k, k)] = scale // r
         if abs(r) != 1:
-            other = _alternative_middle(prev, mid, nxt)
-            other_path = path[:i] + (other,) + path[i + 1 :]
-            entries[(k, index[other_path])] = sqrt_fraction(
-                Fraction(r * r - 1, r * r)
-            )
-    return tuple(sorted(entries.items()))
+            other = _alternative_middle(*path[i - 1 : i + 2])
+            j = index[path[:i] + (other,) + path[i + 1 :]]
+            entries[(k, j)] = scale if k < j else scale // (r * r) * (r * r - 1)
+    return MappingProxyType(entries), scale
+
+
+@cache
+def adjacent_transposition_matrix(lam: Diagram, i: int) -> tuple[tuple[tuple[int, int], Surd], ...]:
+    """Sparse orthogonal matrix of t_i on V^lam in the GZ basis.
+
+    Derived from :func:`seminormal_matrix` S with scale s: S_kk/s on the
+    diagonal and sqrt(S_kj S_jk)/s off it.  Returned as a tuple of
+    ((row, col), value) entries in sorted order.
+    """
+    semi, scale = seminormal_matrix(lam, i)
+    return tuple(
+        (
+            (k, j),
+            Surd.from_rational(Fraction(v, scale))
+            if k == j
+            else sqrt_fraction(Fraction(v * semi[(j, k)], scale * scale)),
+        )
+        for (k, j), v in sorted(semi.items())
+    )
 
 
 def matrix_dict(lam: Diagram, i: int) -> SparseMatrix:
@@ -85,17 +124,17 @@ def matrix_dict(lam: Diagram, i: int) -> SparseMatrix:
 
 
 def sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    rows: dict[int, list[tuple[int, Surd]]] = {}
+    """The product ab, without zero entries; int or Surd entries alike."""
+    rows: dict[int, list] = {}
     for (r, c), v in b.items():
         rows.setdefault(r, []).append((c, v))
-    out: SparseMatrix = {}
+    out: dict[tuple[int, int], int | Surd] = {}
     for (r, c), v in a.items():
         for c2, v2 in rows.get(c, ()):
             key = (r, c2)
             acc = out.get(key)
-            prod = v * v2
-            out[key] = prod if acc is None else acc + prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            out[key] = v * v2 if acc is None else acc + v * v2
+    return {k: v for k, v in out.items() if v}
 
 
 def sparse_transpose(a: SparseMatrix) -> SparseMatrix:
@@ -103,16 +142,25 @@ def sparse_transpose(a: SparseMatrix) -> SparseMatrix:
 
 
 def sparse_identity(n: int) -> SparseMatrix:
-    one = Surd.from_rational(1)
-    return {(k, k): one for k in range(n)}
+    return {(k, k): 1 for k in range(n)}
 
 
-def sparse_trace(a: SparseMatrix) -> Surd:
-    total = Surd()
+def sparse_trace(a: SparseMatrix, b: SparseMatrix) -> int | Surd:
+    """trace(ab) = sum of a_rc b_cr, without forming ab."""
+    total = 0
     for (r, c), v in a.items():
-        if r == c:
-            total = total + v
+        w = b.get((c, r))
+        if w is not None:
+            total += v * w
     return total
+
+
+def _word_product(lam: Diagram, word: list[int]) -> tuple[SparseMatrix, int]:
+    """The integer seminormal product of t_w over the word, and its scale."""
+    if not word:
+        return sparse_identity(dim(lam)), 1
+    mats = [seminormal_matrix(lam, i) for i in word]
+    return reduce(sparse_mul, (m for m, _ in mats)), prod(s for _, s in mats)
 
 
 def cycle_type_representative(pi: tuple[int, ...], n: int) -> list[list[int]]:
@@ -139,21 +187,26 @@ def cycle_transpositions(cycle: list[int], reverse_word: bool = False) -> list[i
 
 
 def character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> Fraction:
-    """chi^lam on the class pi + (1^(n-|pi|)), as a trace of GZ matrices."""
-    pi = tuple(pi)
+    """chi^lam on the class pi + (1^(n-|pi|)), as a trace of GZ matrices.
+
+    The word of adjacent transpositions is split in two halves; each is
+    multiplied out in the integer seminormal form, and the trace pairs them,
+    divided once by the product of the scales.
+    """
+    lam, pi = as_partition(lam), as_partition(pi)
     n = weight(lam)
     k = sum(pi)
     if k > n:
         raise ValueError(f"|pi| = {k} exceeds |lam| = {n}")
-    d = dim(lam)
-    product: SparseMatrix | None = None
-    for cyc in cycle_type_representative(pi, n):
-        for i in cycle_transpositions(cyc, reverse_word):
-            m = matrix_dict(lam, i)
-            product = m if product is None else sparse_mul(product, m)
-    if product is None:  # identity class
-        return Fraction(d)
-    return sparse_trace(product).as_fraction()
+    word = [
+        i
+        for cyc in cycle_type_representative(pi, n)
+        for i in cycle_transpositions(cyc, reverse_word)
+    ]
+    half = len(word) // 2
+    a, scale_a = _word_product(lam, word[:half])
+    b, scale_b = _word_product(lam, word[half:])
+    return Fraction(sparse_trace(a, b), scale_a * scale_b)
 
 
 def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
@@ -163,7 +216,7 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     1/(content gap) over the non-final index of each cycle block.  This is
     the only copy; :func:`ypa.heisenberg.character_diagram` rescales it.
     """
-    pi = tuple(pi)
+    lam, pi = as_partition(lam), as_partition(pi)
     k = sum(pi)
     if k > weight(lam):
         raise ValueError("pi too large")
@@ -193,7 +246,7 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
 
 def normalized_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     """Sigma_pi(lam) = (n falling |pi|) * chi^lam_(pi cup 1s) / dim lam."""
-    pi = tuple(pi)
+    lam, pi = as_partition(lam), as_partition(pi)
     n = weight(lam)
     k = sum(pi)
     if n < k:

@@ -31,6 +31,14 @@ def is_diagram(parts) -> bool:
     ) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
+def as_partition(parts) -> Diagram:
+    """parts as a tuple, or ValueError if they are not a partition."""
+    parts = tuple(parts)
+    if not is_diagram(parts):
+        raise ValueError(f"not a partition: {parts}")
+    return parts
+
+
 class LiteralError(ValueError):
     """A malformed diagram or loop literal."""
 

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import ypa.frobenius as fr
+import ypa.heisenberg as hs
 import ypa.sym_oracle as so
 from ypa.surd import Surd, sqrt_fraction
 from ypa.young import diagrams_up_to, dim, weight
@@ -44,6 +46,57 @@ def test_matrix_index_range():
         so.adjacent_transposition_matrix((2, 1), 0)
 
 
+def test_seminormal_examples_for_2_1():
+    # Paths 0 and 1 have content gaps 2 and -2 at i = 2, so scale = 4.
+    assert so.seminormal_matrix((2, 1), 2) == (
+        {(0, 0): 2, (0, 1): 4, (1, 0): 3, (1, 1): -2},
+        4,
+    )
+    assert so.seminormal_matrix((2, 1), 1) == ({(0, 0): -1, (1, 1): 1}, 1)
+
+
+def test_seminormal_index_range():
+    for i in (0, 3):
+        with pytest.raises(IndexError):
+            so.seminormal_matrix((2, 1), i)
+
+
+def test_seminormal_involution_commutation_and_braid_in_integers():
+    for lam in diagrams_up_to(6):
+        n = weight(lam)
+        mats = {i: so.seminormal_matrix(lam, i) for i in range(1, n)}
+        for i, (m, scale) in mats.items():
+            assert all(type(v) is int for v in m.values())
+            assert so.sparse_mul(m, m) == {
+                (k, k): scale * scale for k in range(dim(lam))
+            }
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                a, b = mats[i][0], mats[j][0]
+                assert so.sparse_mul(a, b) == so.sparse_mul(b, a)
+        for i in range(1, n - 1):
+            (a, sa), (b, sb) = mats[i], mats[i + 1]
+            # aba carries scale sa^2 sb and bab carries sb^2 sa.
+            lhs = so.sparse_mul(so.sparse_mul(a, b), a)
+            rhs = so.sparse_mul(so.sparse_mul(b, a), b)
+            assert {k: v * sb for k, v in lhs.items()} == {
+                k: v * sa for k, v in rhs.items()
+            }
+
+
+def test_orthogonal_form_derived_from_seminormal():
+    for lam in diagrams_up_to(7):
+        for i in range(1, weight(lam)):
+            semi, scale = so.seminormal_matrix(lam, i)
+            orth = so.matrix_dict(lam, i)
+            assert orth.keys() == semi.keys()
+            for (k, j), v in semi.items():
+                if k == j:
+                    assert v == scale * orth[(k, k)]
+                else:
+                    assert v * semi[(j, k)] == scale * scale * orth[(k, j)] * orth[(k, j)]
+
+
 def _is_identity(m, n):
     ident = so.sparse_identity(n)
     return m == ident
@@ -83,16 +136,16 @@ def test_character_spot_values():
 
 
 def test_character_independent_of_reduced_word():
-    for lam in diagrams_up_to(6):
-        for pi in diagrams_up_to(4)[1:]:
+    for lam in diagrams_up_to(7):
+        for pi in diagrams_up_to(5)[1:]:
             if sum(pi) > weight(lam):
                 continue
             assert so.character(lam, pi) == so.character(lam, pi, reverse_word=True)
 
 
 def test_trace_equals_path_sum():
-    for lam in diagrams_up_to(7):
-        for pi in diagrams_up_to(5)[1:]:
+    for lam in diagrams_up_to(8):
+        for pi in diagrams_up_to(6)[1:]:
             if sum(pi) > weight(lam):
                 continue
             assert so.character(lam, pi) == so.path_sum_character(lam, pi)
@@ -111,3 +164,25 @@ def test_normalized_character_zero_branch():
         for pi in diagrams_up_to(5)[1:]:
             if sum(pi) > weight(lam):
                 assert so.normalized_character(lam, pi) == 0
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (so.normalized_character, ((3,), (0,))),
+        (so.normalized_character, ((3,), (1, 2))),
+        (so.normalized_character, ((1, 2), (1,))),
+        (so.normalized_character, ((1,), (1, 2))),
+        (so.character, ((3,), (0,))),
+        (so.character, ((2, 0), (1,))),
+        (so.path_sum_character, ((3,), (0,))),
+        (so.path_sum_character, ((3,), (-1,))),
+        (so.path_sum_character, ((1, 2), (1,))),
+        (fr.frobenius_sigma, ((1, 2), 2)),
+        (hs.character_diagram, ((3,), (1, 2))),
+        (hs.character_diagram, ((1, 2), (4,))),
+    ],
+)
+def test_character_entry_points_reject_non_partitions(fn, args):
+    with pytest.raises(ValueError, match="not a partition"):
+        fn(*args)
