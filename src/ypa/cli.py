@@ -106,9 +106,9 @@ def cmd_moments(args):
         if args.source in ("series", "both"):
             entry["series"] = moment(lam, k) if moments else boolean_cumulant(lam, k)
         if args.source in ("diagram", "both"):
-            if moments:
+            if moments or k == 1:  # B_1 = M_1
                 entry["diagram"] = hs.moment_diagram(lam, k)
-            elif k >= 2:
+            else:
                 entry["diagram"] = hs.cumulant_diagram(lam, k - 2)
         if len(entry) == 2 and entry["series"] != entry["diagram"]:
             ok = False

@@ -28,9 +28,9 @@ from functools import lru_cache
 from math import perm
 
 from .plancherel import PLANCHEREL, HarmonicFunction
-from .surd import ONE, Surd, sqrt_fraction
+from .surd import Surd, sqrt_fraction
 from .sym_oracle import path_sum_character
-from .tangle import Element, TangleProgram, as_element, evaluate, parse
+from .tangle import Element, TangleProgram, evaluate, parse
 from .young import (
     Diagram,
     LoopPath,
@@ -55,10 +55,10 @@ def _crossing(loop: LoopPath, f: HarmonicFunction, identical: bool | None) -> Su
     if identical is not None and identical != (l1 == l3):
         return Surd()
     r = box_content(l0, l1) - box_content(l1, l2)
-    w = sqrt_fraction(f.value(l2) / f.value(l0))
+    ratio = f.value(l2) / f.value(l0)
     if l1 == l3:
-        return w * Fraction(1, r)
-    return w * sqrt_fraction(Fraction(r * r - 1, r * r))
+        return sqrt_fraction(ratio) * Fraction(1, r)
+    return sqrt_fraction(ratio * Fraction(r * r - 1, r * r))
 
 
 def cross_id(loop: LoopPath, f: HarmonicFunction) -> Surd:
@@ -117,7 +117,6 @@ RIGHT_TURN = _prog(
 )
 
 LEFT_CIRCLE = _prog("tangle left_circle : () { row cup_du; row cap; }")
-CW_CIRCLE = _prog("tangle cw_circle : () { row cup_ud; row cap; }")
 # The zero-row tangle: the constant function 1.
 EMPTY_TANGLE = _prog("tangle empty : () { }")
 
@@ -133,11 +132,21 @@ def _x_gadget(p: int, n: int) -> str:
     )
 
 
-def _nested_caps(n_pairs: int) -> str:
-    rows = []
-    for t in range(n_pairs, 0, -1):
-        rows.append("row " + "| " * (t - 1) + "cap " + "| " * (t - 1) + ";")
-    return "\n".join(rows)
+def _nested_caps(n_pairs: int, pad: int = 0) -> str:
+    """Rows closing n_pairs nested strand pairs inside pad outer pairs."""
+    sides = ("| " * (t + pad) for t in range(n_pairs - 1, -1, -1))
+    return "\n".join(f"row {side}cap {side};" for side in sides)
+
+
+def _cycle_rows(k: int, pad: int) -> str:
+    """Rows of the k-cycle, k >= 2, on the 2k strands inside pad outer pairs:
+    k - 2 crossing gadgets, the middle crossing, then caps on what is left."""
+    n = 2 * (k + pad)
+    body = [_x_gadget(pad + j, n) for j in range(1, k - 1)]
+    side = "| " * (k - 2 + pad)
+    body.append(f"row {side}box cross {side};")
+    body.append(_nested_caps(k - 2, pad))
+    return "\n".join(body)
 
 
 LEFT_TURN_LHS = _prog(
@@ -346,36 +355,14 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     return RelationReport(name, max_weight, checked, failures, elapsed)
 
 
-# -- cycle elements and diagram formulas ---------------------------------------
-
-def cycle_element(k: int) -> Element:
-    """The chained-crossing lift of the k-cycle, in P((-^k, +^k)).
-
-    k = 1 is the identity (delta) element: value 1 on every valid loop.
-    """
-    if k < 1:
-        raise ValueError("cycle length must be >= 1")
-    if k == 1:
-        return Element("cycle_1", (-1, 1), lambda loop, f: ONE)
-    return as_element(cycle_program(k))
-
+# -- cycle programs and closed diagrams -----------------------------------------
 
 def cycle_program(k: int) -> TangleProgram:
     """Layered program for the k-cycle element, k >= 2: k-1 crossing boxes."""
     if k < 2:
         raise ValueError("cycle_program needs k >= 2")
-    n = 2 * k
-    body = []
-    for j in range(1, k - 1):
-        body.append(_x_gadget(j, n))
-    body.append(
-        "row " + "| " * (k - 2) + "box cross " + "| " * (k - 2) + ";\n"
-    )
-    if k > 2:
-        body.append(_nested_caps(k - 2))
     sig = "(" + ",".join(["-"] * k + ["+"] * k) + ")"
-    text = f"tangle cycle_{k} : {sig} {{\n" + "\n".join(body) + "\n}"
-    return _prog(text)
+    return _prog(f"tangle cycle_{k} : {sig} {{\n{_cycle_rows(k, 0)}\n}}")
 
 
 def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
@@ -392,22 +379,28 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     return perm(n, k) * path_sum_character(lam, pi) / dim(lam)
 
 
-def character_from_cycle_tangle(lam: Diagram, k: int) -> Surd:
-    """Single-cycle character via cycle elements wrapped in nested cups.
+def _closed_value(program: TangleProgram, lam: Diagram) -> Fraction:
+    return evaluate(program, LoopPath((lam,), ()), PLANCHEREL).as_fraction()
 
-    For k >= 2 the k-cycle box is fed by k nested cup_ud maxima; the k = 1
-    picture is the plain clockwise circle (the identity strand needs no box).
+
+@lru_cache(maxsize=None)
+def _character_program(pi: tuple[int, ...]) -> TangleProgram:
+    n = sum(pi)
+    rows = [f"row cup_ud@{j};" for j in range(n)]
+    pad = n
+    for k in reversed(pi):  # innermost, smallest part first
+        pad -= k
+        rows.append(_cycle_rows(k, pad) if k > 1 else _nested_caps(1, pad))
+    return _prog("tangle character : () {\n" + "\n".join(rows) + "\n}")
+
+
+def character_tangle(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
+    """Normalized character as a closed tangle under Plancherel.
+
+    |pi| nested cup_ud maxima, then per part, innermost first, the rows of
+    its cycle (a plain cap for a part 1); zero when |pi| > |lam|.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return evaluate(CW_CIRCLE, LoopPath((lam,), ()), PLANCHEREL)
-    rows = "\n".join(f"row cup_ud@{j};" for j in range(k))
-    text = (
-        f"tangle wrapped_cycle_{k} : () {{\n{rows}\nrow box cycle_{k};\n}}"
-    )
-    prog = parse(text, {**BUILTIN_ELEMENTS, f"cycle_{k}": cycle_element(k)})
-    return evaluate(prog, LoopPath((lam,), ()), PLANCHEREL)
+    return _closed_value(_character_program(as_partition(pi)), lam)
 
 
 @lru_cache(maxsize=None)
@@ -422,16 +415,14 @@ def moment_diagram(lam: Diagram, k: int) -> Fraction:
     """k-th moment as the counterclockwise circle with k dots."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    v = evaluate(_circle_with_dots("ccw", k), LoopPath((lam,), ()), PLANCHEREL)
-    return v.as_fraction()
+    return _closed_value(_circle_with_dots("ccw", k), lam)
 
 
 def cumulant_diagram(lam: Diagram, k: int) -> Fraction:
     """Boolean cumulant B_(k+2) as the clockwise circle with k dots."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    v = evaluate(_circle_with_dots("cw", k), LoopPath((lam,), ()), PLANCHEREL)
-    return v.as_fraction()
+    return _closed_value(_circle_with_dots("cw", k), lam)
 
 
 # -- Boolean-cumulant expansion of normalized characters ------------------------

@@ -5,7 +5,9 @@ zeros); the empty tuple is the empty diagram.  An edge ``mu -> lam`` of the
 Young graph adds one box; loops carry a sign per step (+ adds, - removes).
 
 The cover maps are the one edge table: :func:`profile` and
-:func:`box_content` read the contents of the boxes off them.
+:func:`box_content` read the contents of the boxes off them.  They reject a
+tuple that is not a partition, so everything that reads the Young graph
+checks each diagram once, on its first visit.
 
 Caching: :func:`dim`, :func:`profile` and the cover maps use per-process
 ``functools.cache`` tables.  Under the process-pool verifier every worker
@@ -63,6 +65,7 @@ def transpose(lam: Diagram) -> Diagram:
 @cache
 def up_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
     """All (mu, content) with lam -> mu by adding one box."""
+    lam = as_partition(lam)
     out = []
     l = len(lam)
     for i in range(1, l + 2):
@@ -78,6 +81,7 @@ def up_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
 @cache
 def down_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
     """All (mu, content) with mu -> lam, i.e. removing one box from lam."""
+    lam = as_partition(lam)
     out = []
     l = len(lam)
     for i in range(1, l + 1):
@@ -146,7 +150,9 @@ class LoopPath:
         n = len(self.signature)
         if len(self.diagrams) != n + 1:
             raise ValueError("loop needs one more diagram than signs")
-        if n and self.diagrams[0] != self.diagrams[-1]:
+        if not n:
+            as_partition(self.diagrams[0])
+        elif self.diagrams[0] != self.diagrams[-1]:
             raise ValueError("loop must end where it starts")
         for i, s in enumerate(self.signature):
             a, b = self.diagrams[i], self.diagrams[i + 1]

@@ -111,6 +111,9 @@ def test_criterion_5_characters_three_ways():
             sigma = so.normalized_character(lam, (k,))
             ok &= hs.character_diagram(lam, (k,)) == sigma
             ok &= fr.frobenius_sigma(lam, k) == sigma
+    for lam in diagrams_up_to(6):
+        for pi in diagrams_up_to(5)[1:]:
+            ok &= hs.character_tangle(lam, pi) == hs.character_diagram(lam, pi)
     ok &= hs.character_diagram((2,), (2,)) == 2
     ok &= hs.character_diagram((1, 1), (2,)) == -2
     ok &= hs.character_diagram((3,), (3,)) == 6
@@ -118,7 +121,8 @@ def test_criterion_5_characters_three_ways():
     _report(
         5,
         "diagram = GZ oracle for |pi| <= 5, |lam| <= 7; both = Frobenius for "
-        "single rows k <= 4, |lam| <= 6; spot values 2, -2, 6, -3",
+        "single rows k <= 4, |lam| <= 6; closed tangle = diagram for |pi| <= 5, "
+        "|lam| <= 6; spot values 2, -2, 6, -3",
         ok,
         t0,
     )

@@ -1,27 +1,31 @@
-"""Every name the benchmark tracer patches must exist in ``ypa``.
+"""The benchmark's tracer targets and workloads must work against ``ypa``.
 
-``perfbench/tracer.py`` is loaded by file path and left as it is; a
-refactor that drops or renames a traced function fails here instead of
-midway through a traced benchmark pass.
+``perfbench/tracer.py`` and ``perfbench/workloads.py`` are loaded by file
+path and left as they are.  A refactor that drops or renames a traced
+function, or an engine change that fails a workload's gate, fails here
+instead of midway through a benchmark pass.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("_bench_tracer", PERFBENCH / "tracer.py")
+workloads = _load("_bench_workloads", PERFBENCH / "workloads.py")
 
 
 def _resolve(mod: str, attr: str):
@@ -44,3 +48,11 @@ def test_traced_name_resolves(mod, attr, name):
 @pytest.mark.parametrize("mod, attr, name", tracer.CACHED)
 def test_cached_name_has_cache_info(mod, attr, name):
     assert callable(_resolve(mod, attr).cache_info)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_passes_at_tiny_size(name):
+    # relations-jobs2 starts a two-worker process pool.
+    attempted, failed, notes = workloads.run_pass(name, 3, workloads.TINY)
+    assert attempted > 0
+    assert (failed, notes) == (0, [])

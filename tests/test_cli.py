@@ -129,6 +129,22 @@ def test_cumulants_b2_is_weight(capsys):
     assert data["results"]["2"] == {"series": "4", "diagram": "4"}
 
 
+@pytest.mark.parametrize(
+    "source, row",
+    [("diagram", {"diagram": "0"}), ("both", {"series": "0", "diagram": "0"})],
+)
+def test_cumulants_b1_has_a_diagram(capsys, source, row):
+    # B_1 = M_1, so k = 1 reads the one-dot counterclockwise circle.
+    code, out, _ = run(
+        capsys, "--format", "json", "cumulants", "--lambda", "[2,1]",
+        "--upto", "1", "--source", source,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "ok"
+    assert data["results"] == {"1": row}
+
+
 def test_eval_left_circle(tmp_path, capsys):
     f = tmp_path / "circle.tng"
     f.write_text("tangle leftcircle : () { row cup_du; row cap; }\n")

@@ -5,7 +5,7 @@ import pytest
 import ypa.heisenberg as hs
 from ypa.plancherel import PLANCHEREL, boolean_cumulant, f_pl, moment
 from ypa.surd import Surd, sqrt_fraction
-from ypa.tangle import evaluate
+from ypa.tangle import as_element, evaluate
 from ypa.young import diagrams_up_to, enumerate_loops, parse_loop
 
 
@@ -144,15 +144,13 @@ def test_pool_has_at_most_one_worker_per_base(monkeypatch):
     assert pooled == serial
 
 
-def test_cycle_elements():
-    c1 = hs.cycle_element(1)
-    one = Surd.from_rational(1)
-    assert c1.evaluate(parse_loop("[2] v [1] ^ [2]"), PLANCHEREL) == one
-    c2 = hs.cycle_element(2)
-    lp = parse_loop("[2] v [1] v [] ^ [1] ^ [2]")
-    assert c2.evaluate(lp, PLANCHEREL) == hs.cross(lp, PLANCHEREL)
+def test_cycle_program_two_is_the_crossing():
+    c2 = as_element(hs.cycle_program(2))
+    for base in diagrams_up_to(4):
+        for lp in enumerate_loops(base, hs.CROSS_SIGNATURE):
+            assert c2.evaluate(lp, PLANCHEREL) == hs.cross(lp, PLANCHEREL)
     with pytest.raises(ValueError):
-        hs.cycle_element(0)
+        hs.cycle_program(1)
 
 
 def test_character_diagram_spot_values():
@@ -169,12 +167,13 @@ def test_character_diagram_rejects_non_partition():
         hs.character_diagram((2,), (1, 2))
 
 
-def test_character_from_cycle_tangles():
+def test_character_tangle_equals_closed_form():
     for lam in diagrams_up_to(6):
-        for k in (1, 2, 3):
-            v = hs.character_from_cycle_tangle(lam, k)
-            assert v.is_rational()
-            assert v.as_fraction() == hs.character_diagram(lam, (k,))
+        assert hs.character_tangle(lam, ()) == 1
+        for pi in diagrams_up_to(4)[1:]:
+            assert hs.character_tangle(lam, pi) == hs.character_diagram(lam, pi)
+    with pytest.raises(ValueError, match="not a partition"):
+        hs.character_tangle((2,), (1, 2))
 
 
 def test_moment_and_cumulant_diagrams():

@@ -4,6 +4,9 @@ from math import factorial
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import ypa.frobenius as fr
+import ypa.heisenberg as hs
+import ypa.plancherel as pl
 from ypa.young import (
     LiteralError,
     LoopPath,
@@ -130,6 +133,29 @@ def test_loop_validation():
         LoopPath(((), (1,)), (1,))  # open path, not a loop
     with pytest.raises(ValueError):
         LoopPath(((1,), (1, 1), (1,)), (-1, 1))  # wrong step direction
+
+
+# Every reader of the Young graph goes through the cover maps, which reject
+# a tuple that is not a partition; before, each of these gave a number.
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: hs.cumulant_diagram((1, 2), 0),
+        lambda: hs.character_tangle((1, 2), (1,)),
+        lambda: pl.moment((1, 2), 2),
+        lambda: fr.satellite_I((1, 2), 2),
+        lambda: fr.radial_I((1, 2), 2),
+        lambda: dim((1, 2)),
+        lambda: pl.f_pl((1, 2)),
+        lambda: up_covers((1, 2)),
+        lambda: LoopPath(((1, 2), (1, 1), (1, 2)), (-1, 1)),
+        lambda: LoopPath(((1, 2),), ()),
+        lambda: enumerate_loops((1, 2), (-1, 1)),
+    ],
+)
+def test_non_partitions_raise(probe):
+    with pytest.raises(ValueError, match=r"not a partition: \(1, 2\)"):
+        probe()
 
 
 def test_literals_round_trip():
