@@ -36,12 +36,14 @@ Steps
 against the current strand orientations the moment it reads it, so a source
 with several errors reports the first one in reading order, and it turns
 each row into primitive steps at the row's ``;``.  :func:`evaluate` is one
-loop over the steps; after every step, states (region
-tuples with their amplitudes) with equal regions merge.  A row's cups lie
-above its other atoms, so they come first.  The cups, and then the dots,
-caps and boxes, each run right to left: inserting or deleting regions moves
-only the regions east of it, so every step still to come keeps its compiled
-position.
+loop over the steps.  A state is a region tuple and a squarefree radicand
+``d``, with the amplitude ``n/m sqrt(d)`` kept as a reduced integer pair;
+each step multiplies it by the integer terms ``(radicand, n, m)`` of its
+moves' weights, and after every step states with equal regions and
+radicands merge.  A row's cups lie above its other atoms, so they come
+first.  The cups, and then the dots, caps and boxes, each run right to
+left: inserting or deleting regions moves only the regions east of it, so
+every step still to come keeps its compiled position.
 
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
@@ -51,10 +53,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from math import gcd
 from typing import Callable
 
 from .plancherel import HarmonicFunction
-from .surd import ONE, Surd, sqrt_fraction
+from .surd import Surd, sqrt_fraction, squarefree_split
 from .young import Diagram, LoopPath, Signature, box_content, down_covers, up_covers
 
 UP, DOWN = 1, -1
@@ -346,60 +351,103 @@ def parse(text: str, bindings: dict[str, Element] | None = None) -> TangleProgra
 
 # -- evaluation ----------------------------------------------------------------
 
+Term = tuple[int, int, int]  # (radicand, numerator, denominator): n/m sqrt(d)
+
+
+@cache
+def _sqrt_ratio(
+    fval: Callable[[Diagram], Fraction], inner: Diagram, outer: Diagram
+) -> Term:
+    """``sqrt(f(inner)/f(outer))`` as one term, the weight of a cup or cap.
+
+    Keyed on ``f.value``, not ``f``: the weight reads nothing else, and a
+    function hashes faster than the dataclass around it.
+    """
+    ((d, c),) = sqrt_fraction(fval(inner) / fval(outer)).terms.items()
+    return d, c.numerator, c.denominator
+
+
 def _moves(step: Step, regs: tuple[Diagram, ...], f: HarmonicFunction):
-    """The states one step takes ``regs`` to, each with its non-zero weight."""
+    """The states one step takes ``regs`` to, one ``(regions, radicand,
+    numerator, denominator)`` per non-zero term of the step's weight."""
     kind, p, x = step
     fval = f.value
     if kind == "cup":
         region = regs[p]
         for s, _c in up_covers(region) if x == "du" else down_covers(region):
-            w = sqrt_fraction(fval(s) / fval(region))
-            yield regs[: p + 1] + (s, region) + regs[p + 1 :], w
+            out = regs[: p + 1] + (s, region) + regs[p + 1 :]
+            yield (out, *_sqrt_ratio(fval, s, region))
     elif kind == "dot":
         w, e = regs[p - 1], regs[p]
         big, small = (e, w) if sum(w) < sum(e) else (w, e)
         c = box_content(big, small)
         if c:  # content 0 annihilates the state
-            yield regs, c
+            yield regs, 1, c, 1
     elif kind == "cap":
         if regs[p - 1] == regs[p + 1]:
-            yield regs[:p] + regs[p + 2 :], sqrt_fraction(fval(regs[p]) / fval(regs[p - 1]))
+            yield (regs[:p] + regs[p + 2 :], *_sqrt_ratio(fval, regs[p], regs[p - 1]))
     else:  # box
         q2 = len(x.signature)
         if regs[p - 1] == regs[p + q2 - 1]:
             value = x.fn(LoopPath(tuple(reversed(regs[p - 1 : p + q2])), x.signature), f)
-            if not value.is_zero():
-                yield regs[:p] + regs[p + q2 :], value
+            out = regs[:p] + regs[p + q2 :]
+            for d, c in value.terms.items():
+                yield out, d, c.numerator, c.denominator
 
 
 def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:
     """Exact state-sum value of the program on the loop.
 
-    A state is a tuple of regions with its amplitude; each step takes every
-    state to its moves, and moves that reach equal regions merge.
+    A state is a tuple of regions and a squarefree radicand ``d``; its
+    amplitude is ``n/m sqrt(d)``, kept as the reduced integer pair ``(n, m)``.
+    Each step multiplies every state by each term of each of its moves: a
+    radicand 1 leaves the other one, and two others multiply, with the square
+    part of their product folded into the numerator.  Moves that reach equal
+    regions and radicands merge; zero amplitudes drop.  The paths into one
+    region tuple share a radicand on every relation and character tangle;
+    a box whose value has several terms fans out into several states.  The
+    ``Surd`` is built once, at the end, from one ``Fraction`` per radicand.
     """
     if loop.signature != program.signature:
         raise TangleError(
             f"loop signature {loop.signature} does not match program "
             f"signature {program.signature}"
         )
-    states: dict[tuple[Diagram, ...], Surd] = {tuple(reversed(loop.diagrams)): ONE}
+    states: dict[tuple[tuple[Diagram, ...], int], tuple[int, int]] = {
+        (tuple(reversed(loop.diagrams)), 1): (1, 1)
+    }
     for step in program.steps:
-        new_states: dict[tuple[Diagram, ...], Surd] = {}
-        for regs, amp in states.items():
-            for out, w in _moves(step, regs, f):
-                acc = new_states.get(out)
-                new_states[out] = amp * w if acc is None else acc + amp * w
-        states = {k: v for k, v in new_states.items() if not v.is_zero()}
-    total = Surd()
-    for regions, amp in states.items():
+        new_states: dict[tuple[tuple[Diagram, ...], int], tuple[int, int]] = {}
+        for (regs, d1), (n1, m1) in states.items():
+            for out, d2, n2, m2 in _moves(step, regs, f):
+                n, m = n1 * n2, m1 * m2
+                if d1 == 1 or d2 == 1:
+                    d = d1 * d2
+                else:
+                    s, d = squarefree_split(d1 * d2)
+                    n *= s
+                key = (out, d)
+                acc = new_states.get(key)
+                if acc is None:
+                    new_states[key] = n, m
+                elif acc[1] == m:
+                    new_states[key] = acc[0] + n, m
+                else:
+                    new_states[key] = acc[0] * m + n * acc[1], acc[1] * m
+        states = {}
+        for key, (n, m) in new_states.items():
+            if n:
+                g = gcd(n, m)
+                states[key] = n // g, m // g
+    terms: dict[int, Fraction] = {}
+    for (regions, d), (n, m) in states.items():
         if len(regions) != 1 or regions[0] != loop.base:
             raise TangleError(
                 f"program {program.name!r} ends in state {regions}, "
                 f"not the loop base {loop.base}"
             )
-        total = total + amp
-    return total
+        terms[d] = Fraction(n, m)  # one state per radicand: the base is fixed
+    return Surd(terms)
 
 
 def as_element(program: TangleProgram) -> Element:

@@ -155,6 +155,8 @@ class LoopPath:
         elif self.diagrams[0] != self.diagrams[-1]:
             raise ValueError("loop must end where it starts")
         for i, s in enumerate(self.signature):
+            if type(s) is not int or s not in (1, -1):
+                raise ValueError(f"loop sign {s!r} is not 1 or -1")
             a, b = self.diagrams[i], self.diagrams[i + 1]
             big, small = (b, a) if s > 0 else (a, b)
             box_content(big, small)  # raises if not a cover
@@ -167,8 +169,18 @@ class LoopPath:
         return len(self.signature)
 
 
+_SIGNS = {1: 1, -1: -1, "+": 1, "-": -1}
+
+
+def _sign(s) -> int:
+    if type(s) not in (int, str) or s not in _SIGNS:  # True and 1.0 are not signs
+        raise ValueError(f"sign {s!r} is not 1, -1, '+' or '-'")
+    return _SIGNS[s]
+
+
 def signature_of(signs) -> Signature:
-    sig = tuple(1 if s in (1, "+") else -1 for s in signs)
+    """The signature of ``signs``, each 1, -1, '+' or '-'; it must balance."""
+    sig = tuple(_sign(s) for s in signs)
     if sum(sig) != 0:
         raise ValueError(f"signature must balance to zero: {signs}")
     return sig

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ import ypa.heisenberg as hs
 from ypa.plancherel import PLANCHEREL, boolean_cumulant, f_pl, moment
 from ypa.surd import Surd, sqrt_fraction
 from ypa.tangle import as_element, evaluate
-from ypa.young import diagrams_up_to, enumerate_loops, parse_loop
+from ypa.young import diagrams_up_to, enumerate_loops, format_loop, parse_loop
 
 
 def test_cross_values_spec_examples():
@@ -211,3 +212,23 @@ def test_relation_sides_zero_rhs():
     sides = hs.relation_sides("left_turn")
     loop = parse_loop("[2] v [1] ^ [2]")
     assert sides.rhs_value(loop).is_zero()
+
+
+def test_every_relation_side_value_is_pinned():
+    # One line per program on every loop of base weight <= 6.  The sweep
+    # compares the two sides only, so it misses a change that scales both
+    # alike; this digest does not.
+    digest, lines = hashlib.sha256(), 0
+    for name in hs.RELATION_IDS:
+        sides = hs.RELATIONS[name]
+        for base in diagrams_up_to(6):
+            for loop in enumerate_loops(base, sides.signature):
+                for _coef, prog in sides.lhs + sides.rhs:
+                    value = evaluate(prog, loop, PLANCHEREL)
+                    line = f"{prog.name} {format_loop(loop)} {value.render()}\n"
+                    digest.update(line.encode())
+                    lines += 1
+    assert lines == 1896
+    assert digest.hexdigest() == (
+        "e2f2446001819aa3618dd4f33f425ab879b1661ddaafb08ba9efe3cdc46d91a9"
+    )

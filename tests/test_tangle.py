@@ -232,6 +232,51 @@ def test_cups_at_one_gap_compile_in_the_order_they_evaluate():
     }
 
 
+def test_a_box_with_several_radicands_fans_out():
+    # Each term of a box's value is its own state; through two cup-box
+    # rounds the radicands multiply, so the state sum must give the Surd
+    # product of the cups' weights and the box value, squared.
+    value = ONE + sqrt_fraction(Fraction(2))
+    box = Element("X", (-1, 1), lambda loop, f: value)
+    prog = parse(
+        "tangle t : () { row cup_ud; row box X; row cup_ud; row box X; }", {"X": box}
+    )
+    f = PLANCHEREL.value
+    for lam in diagrams_up_to(5):
+        downs = sum((sqrt_fraction(f(s) / f(lam)) for s, _ in down_covers(lam)), Surd())
+        got = evaluate(prog, _base_loop(lam), PLANCHEREL)
+        assert got == downs * value * downs * value
+        assert len(got.terms) > 1 or not lam
+
+
+def _signed_box(lam, terms):
+    """The box lam v mu ^ lam that undoes the cup's weight and gives
+    terms(+1) on the first cover mu of lam, terms(-1) on the other."""
+    first = down_covers(lam)[0][0]
+
+    def fn(loop, f):
+        mu = loop.diagrams[1]
+        undo = sqrt_fraction(f.value(lam) / f.value(mu))
+        return undo * terms(1 if mu == first else -1)
+
+    return Element("X", (-1, 1), fn)
+
+
+@pytest.mark.parametrize("lam", [(2, 1), (3, 1), (2, 2, 1)])
+def test_a_radicand_whose_paths_cancel_drops(lam):
+    assert len(down_covers(lam)) == 2
+    root2 = sqrt_fraction(Fraction(2))
+    src = "tangle t : () { row cup_ud; row box X; }"
+
+    half = _signed_box(lam, lambda sign: ONE + root2 * sign)
+    got = evaluate(parse(src, {"X": half}), _base_loop(lam), PLANCHEREL)
+    assert got == Surd.from_rational(2) and got.terms == {1: 2}
+
+    whole = _signed_box(lam, lambda sign: (ONE + root2) * sign)
+    got = evaluate(parse(src, {"X": whole}), _base_loop(lam), PLANCHEREL)
+    assert got == Surd() and got.is_zero()
+
+
 def test_empty_program_is_constant_one():
     prog = parse("tangle e : () { }")
     assert prog.steps == ()

@@ -21,6 +21,7 @@ from ypa.young import (
     parse_diagram,
     parse_loop,
     profile,
+    signature_of,
     transpose,
     up_covers,
     weight,
@@ -133,6 +134,32 @@ def test_loop_validation():
         LoopPath(((), (1,)), (1,))  # open path, not a loop
     with pytest.raises(ValueError):
         LoopPath(((1,), (1, 1), (1,)), (-1, 1))  # wrong step direction
+
+
+# A sign is 1, -1, '+' or '-'; anything else raises and names it.  Before,
+# every other value read as -1, so (1, 0) balanced and gave loops.
+@pytest.mark.parametrize(
+    "probe, bad",
+    [
+        (lambda: signature_of((1, 0)), "0"),
+        (lambda: signature_of((1, 2)), "2"),
+        (lambda: signature_of(("+", "x")), "'x'"),
+        (lambda: signature_of((True, -1)), "True"),
+        (lambda: signature_of((1.0, -1)), "1.0"),
+        (lambda: enumerate_loops((1,), (1, 0)), "0"),
+        (lambda: LoopPath(((1,), (2,), (1,)), (5, -5)), "5"),
+        (lambda: LoopPath(((1,), (2,), (1,)), ("+", "-")), "'+'"),
+        (lambda: LoopPath(((1,), (2,), (1,)), (True, -1)), "True"),
+    ],
+)
+def test_only_plus_and_minus_one_are_signs(probe, bad):
+    with pytest.raises(ValueError, match=rf"sign {re.escape(bad)}"):
+        probe()
+
+
+def test_signs_may_be_written_as_text():
+    assert signature_of(("+", "-", 1, -1)) == (1, -1, 1, -1)
+    assert signature_of(("-", "+")) == (-1, 1)
 
 
 # Every reader of the Young graph goes through the cover maps, which reject
