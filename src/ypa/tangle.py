@@ -43,7 +43,10 @@ moves' weights, and after every step states with equal regions and
 radicands merge.  A row's cups lie above its other atoms, so they come
 first.  The cups, and then the dots, caps and boxes, each run right to
 left: inserting or deleting regions moves only the regions east of it, so
-every step still to come keeps its compiled position.
+every step still to come keeps its compiled position.  A box's value
+depends only on its window, the regions around it, so its terms are
+computed once per (element, f, window) per process and reused: an
+element's ``fn`` must be a pure function of (loop, f).
 
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
@@ -81,11 +84,27 @@ class TangleError(ValueError):
 
 @dataclass(frozen=True)
 class Element:
-    """A function of loops of a fixed signature; the value of a filled box."""
+    """A function of loops of a fixed signature; the value of a filled box.
+
+    ``fn`` must be a pure function of (loop, f): the state sum computes a
+    box's value once per (element, f, window) per process and reuses it.
+    The signature is a tuple of signs, each the int 1 or -1, summing to 0.
+    """
 
     name: str
     signature: Signature
     fn: Callable[[LoopPath, HarmonicFunction], Surd]
+
+    def __post_init__(self):
+        if type(self.signature) is not tuple:
+            raise ValueError(f"element {self.name} signature must be a tuple")
+        for s in self.signature:
+            if type(s) is not int or s not in (1, -1):
+                raise ValueError(f"element {self.name} sign {s!r} is not 1 or -1")
+        if sum(self.signature):
+            raise ValueError(
+                f"element {self.name} signature {self.signature} does not sum to 0"
+            )
 
     def evaluate(self, loop: LoopPath, f: HarmonicFunction) -> Surd:
         if loop.signature != self.signature:
@@ -367,6 +386,22 @@ def _sqrt_ratio(
     return d, c.numerator, c.denominator
 
 
+@cache
+def _box_terms(
+    x: Element, f: HarmonicFunction, window: tuple[Diagram, ...]
+) -> tuple[Term, ...]:
+    """The terms of ``x`` on the loop read right to left across ``window``,
+    the regions around a box from its west flank to its east flank.
+
+    A box's value is a function of the labels around it, so it is computed
+    once per (element, f, window).  Keyed on ``f`` itself, not ``f.value``
+    as :func:`_sqrt_ratio` is: the element's ``fn`` receives the whole
+    ``f``.  A call that raises caches nothing.
+    """
+    value = x.fn(LoopPath(tuple(reversed(window)), x.signature), f)
+    return tuple((d, c.numerator, c.denominator) for d, c in value.terms.items())
+
+
 def _moves(step: Step, regs: tuple[Diagram, ...], f: HarmonicFunction):
     """The states one step takes ``regs`` to, one ``(regions, radicand,
     numerator, denominator)`` per non-zero term of the step's weight."""
@@ -389,10 +424,9 @@ def _moves(step: Step, regs: tuple[Diagram, ...], f: HarmonicFunction):
     else:  # box
         q2 = len(x.signature)
         if regs[p - 1] == regs[p + q2 - 1]:
-            value = x.fn(LoopPath(tuple(reversed(regs[p - 1 : p + q2])), x.signature), f)
             out = regs[:p] + regs[p + q2 :]
-            for d, c in value.terms.items():
-                yield out, d, c.numerator, c.denominator
+            for term in _box_terms(x, f, regs[p - 1 : p + q2]):
+                yield (out, *term)
 
 
 def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ypa.heisenberg import BUILTIN_ELEMENTS, RELATIONS
+from ypa.heisenberg import BUILTIN_ELEMENTS, CROSS, IND_IND_LHS, RELATIONS, cross
 from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
 from ypa.surd import Surd, sqrt_fraction
 from ypa.tangle import (
@@ -296,6 +296,76 @@ def test_as_element_signature_check():
     elem = as_element(sub)
     with pytest.raises(TangleError, match="signature"):
         elem.evaluate(parse_loop("[1] ^ [2] v [1]"), PLANCHEREL)
+
+
+@pytest.mark.parametrize(
+    "signature, message",
+    [
+        ((1, 0), "sign 0 is not 1 or -1"),
+        ((1, 1), r"signature \(1, 1\) does not sum to 0"),
+        ((True, -1), "sign True is not 1 or -1"),
+        ((2, -2), "sign 2 is not 1 or -1"),
+        ([-1, 1], "signature must be a tuple"),
+    ],
+)
+def test_an_element_rejects_a_bad_signature(signature, message):
+    with pytest.raises(ValueError, match=message):
+        Element("X", signature, lambda loop, f: ONE)
+
+
+def test_the_crossing_runs_once_per_distinct_window():
+    windows = []
+
+    def counted(loop, f):
+        windows.append(loop.diagrams)
+        return cross(loop, f)
+
+    src = """
+    tangle ind_ind_lhs : (-,-,+,+) {
+      row cup_du@2;
+      row cup_du@3;
+      row box C | | | |;
+      row box C;
+    }
+    """
+    prog = parse(src, {"C": Element("C", CROSS.signature, counted)})
+    loops = [
+        loop
+        for base in diagrams_up_to(5)
+        for loop in enumerate_loops(base, prog.signature)
+    ]
+    for _ in range(2):
+        for loop in loops:
+            want = evaluate(IND_IND_LHS, loop, PLANCHEREL)
+            assert evaluate(prog, loop, PLANCHEREL) == want
+    assert len(windows) == len(set(windows)) > 0
+
+
+def test_a_box_value_is_kept_apart_per_harmonic_function():
+    box = Element("X", (-1, 1), lambda loop, f: ONE * (1 if f == PLANCHEREL else 2))
+    prog = parse("tangle t : (-,+) { row box X; }", {"X": box})
+    loops = [
+        loop for base in diagrams_up_to(4) for loop in enumerate_loops(base, (-1, 1))
+    ]
+    for _ in range(2):
+        for loop in loops:
+            for f, want in ((PLANCHEREL, 1), (ONE_ROW_MIX, 2), (PLANCHEREL, 1)):
+                assert evaluate(prog, loop, f) == ONE * want
+
+
+def test_a_box_that_raises_raises_on_every_evaluation():
+    calls = []
+
+    def fails(loop, f):
+        calls.append(loop)
+        raise ArithmeticError("no value here")
+
+    prog = parse("tangle t : (-,+) { row box X; }", {"X": Element("X", (-1, 1), fails)})
+    loop = parse_loop("[1] v [] ^ [1]")
+    for count in range(1, 4):
+        with pytest.raises(ArithmeticError, match="no value here"):
+            evaluate(prog, loop, PLANCHEREL)
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize(
