@@ -255,7 +255,13 @@ class RelationSides:
 def _side_value(side: tuple[tuple[int, TangleProgram], ...], loop: LoopPath) -> Surd:
     total = Surd()  # an empty side is the zero function
     for coef, prog in side:
-        total = total + evaluate(prog, loop, PLANCHEREL) * Fraction(coef)
+        value = evaluate(prog, loop, PLANCHEREL)
+        if coef == 1:
+            total = total + value
+        elif coef == -1:
+            total = total - value
+        else:
+            total = total + value * Fraction(coef)
     return total
 
 
@@ -311,7 +317,6 @@ class RelationReport:
             "max_weight": self.max_weight,
             "loops_checked": self.loops_checked,
             "failures": [list(f) for f in self.failures],
-            "elapsed_ms": self.elapsed_ms,
         }
 
 

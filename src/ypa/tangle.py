@@ -43,7 +43,12 @@ moves' weights, and after every step states with equal regions and
 radicands merge.  A row's cups lie above its other atoms, so they come
 first.  The cups, and then the dots, caps and boxes, each run right to
 left: inserting or deleting regions moves only the regions east of it, so
-every step still to come keeps its compiled position.  A box's value
+every step still to come keeps its compiled position.  At the tangle's
+``}`` each cup is pinned where it can be: a region keeps its diagram from
+the step that creates it to the step that closes it, so when a later cap or
+box equates a cup's summed region with an earlier region, the cup takes
+that region's diagram alone instead of every cover, and builds no state
+the flank check would kill.  A box's value
 depends only on its window, the regions around it, so its terms are
 computed once per (element, f, window) per process and reused: an
 element's ``fn`` must be a pure function of (loop, f).
@@ -121,18 +126,28 @@ class Element:
 
 # -- DSL parser ----------------------------------------------------------------
 
-Step = tuple[str, int, object]  # (kind, position, cup kind or element)
+Step = tuple[str, int, object]  # (kind, position, (cup kind, pin) or element)
 
 
 @dataclass(frozen=True)
 class TangleProgram:
     """A validated tangle as the steps of its state sum, in order.
 
-    Per row: its cups ``("cup", gap, kind)`` at pre-row gaps, right to left,
-    and on equal gaps the later-listed cup first, so the listed order reads
-    west to east; then its dots, caps and boxes ``(kind, position,
-    element)`` at 1-based positions after the cups are inserted, right to
-    left.  A cap or box deletes the regions it closes.
+    Per row: its cups ``("cup", gap, (kind, src))`` at pre-row gaps, right
+    to left, and on equal gaps the later-listed cup first, so the listed
+    order reads west to east; then its dots, caps and boxes ``(kind,
+    position, element)`` at 1-based positions after the cups are inserted,
+    right to left.  A cap or box deletes the regions it closes.
+
+    ``src`` is the cup's pin: the index, in the state before the cup, of the
+    region whose diagram a later cap or box flank check forces on the cup's
+    summed region, or ``None``.  A pinned cup yields at most one state, that
+    diagram if it covers the gap's region as ``kind`` requires; an unpinned
+    one yields every cover.  The flank checks stay, so a pin the parser
+    misses costs time and never a value, and a pin removes only states the
+    check would kill: values are unchanged, except that a box's ``fn`` is no
+    longer called on such a doomed state, which matters only to an ``fn``
+    that raises there (no builtin element raises on a valid window).
     """
 
     name: str
@@ -338,7 +353,41 @@ class _Parser:
             raise TangleError(
                 f"{len(self.orient)} strands remain after the last row", *last[2:]
             )
-        return TangleProgram(nm[1], sig, tuple(self.steps))
+        return TangleProgram(nm[1], sig, _pin_cups(self.steps, len(sig)))
+
+
+def _pin_cups(steps: list[Step], n: int) -> tuple[Step, ...]:
+    """The steps of a tangle with ``n`` boundary strands, each cup's kind
+    paired with its pin: the pre-cup index of an earlier region that a later
+    cap or box equates the cup's summed region with, or ``None``.
+
+    Each region is a variable, named here by birth order: the boundary
+    regions first, then each cup's summed region; the copy of the region a
+    cup splits keeps that region's variable.  A cap or box equates its two
+    flank variables; when they differ, the later-born one is a cup variable,
+    and if that cup has no pin yet it is pinned to the earlier one, which is
+    alive at the cup, so its index there is fixed.  Any copy of it will do:
+    copies hold one diagram.
+    """
+    regs = list(range(n + 1))  # the variable in each region of the slice
+    born: dict[int, tuple[int, tuple[int, ...]]] = {}  # cup variable -> step, regions
+    pins: dict[int, int] = {}  # cup step -> pre-cup index of its pin
+    for i, (kind, p, x) in enumerate(steps):
+        if kind == "cup":
+            var = n + 1 + len(born)
+            born[var] = i, tuple(regs)
+            regs[p + 1 : p + 1] = [var, regs[p]]
+        elif kind != "dot":
+            q2 = 2 if kind == "cap" else len(x.signature)
+            early, late = sorted((regs[p - 1], regs[p + q2 - 1]))
+            if early != late and late in born and born[late][0] not in pins:
+                cup, before = born[late]
+                pins[cup] = before.index(early)
+            del regs[p : p + q2]
+    return tuple(
+        (kind, p, (x, pins.get(i))) if kind == "cup" else (kind, p, x)
+        for i, (kind, p, x) in enumerate(steps)
+    )
 
 
 def parse_programs(
@@ -408,10 +457,12 @@ def _moves(step: Step, regs: tuple[Diagram, ...], f: HarmonicFunction):
     kind, p, x = step
     fval = f.value
     if kind == "cup":
+        cup, src = x
         region = regs[p]
-        for s, _c in up_covers(region) if x == "du" else down_covers(region):
-            out = regs[: p + 1] + (s, region) + regs[p + 1 :]
-            yield (out, *_sqrt_ratio(fval, s, region))
+        for s, _c in up_covers(region) if cup == "du" else down_covers(region):
+            if src is None or s == regs[src]:
+                out = regs[: p + 1] + (s, region) + regs[p + 1 :]
+                yield (out, *_sqrt_ratio(fval, s, region))
     elif kind == "dot":
         w, e = regs[p - 1], regs[p]
         big, small = (e, w) if sum(w) < sum(e) else (w, e)

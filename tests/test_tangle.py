@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ypa import heisenberg as hs, tangle
 from ypa.heisenberg import BUILTIN_ELEMENTS, CROSS, IND_IND_LHS, RELATIONS, cross
 from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
 from ypa.surd import Surd, sqrt_fraction
@@ -542,3 +543,82 @@ def test_a_row_equals_its_atoms_one_per_row_east_to_west(layers):
     for base in diagrams_up_to(3):
         for loop in enumerate_loops(base, prog.signature):
             assert evaluate(split, loop, PLANCHEREL) == evaluate(prog, loop, PLANCHEREL)
+
+
+def _unpinned(prog: TangleProgram) -> TangleProgram:
+    """The program with the same steps and every cup's pin dropped."""
+    steps = tuple(
+        (kind, p, (x[0], None)) if kind == "cup" else (kind, p, x)
+        for kind, p, x in prog.steps
+    )
+    return TangleProgram(prog.name, prog.signature, steps)
+
+
+def _value_or_error(prog, loop):
+    try:
+        return evaluate(prog, loop, PLANCHEREL)
+    except TangleError:
+        return TangleError
+
+
+def _assert_pins_keep_every_value(prog):
+    plain = _unpinned(prog)
+    for base in diagrams_up_to(3):
+        for loop in enumerate_loops(base, prog.signature):
+            assert _value_or_error(prog, loop) == _value_or_error(plain, loop)
+
+
+@pytest.mark.parametrize(
+    "source, cup",
+    [
+        # The dot box equates the cup's region with region 1, west of gap 2.
+        (
+            "tangle w : (+,-) { row cup_du@2; row | box dot |; row cap; }",
+            ("cup", 2, ("du", 1)),
+        ),
+        # ... and here with region 1, east of gap 0.
+        (
+            "tangle e : (+,-) { row cup_du@0; row | box dot |; row cap; }",
+            ("cup", 0, ("du", 1)),
+        ),
+    ],
+)
+def test_a_cup_is_pinned_to_the_region_a_later_box_equates_it_with(source, cup):
+    prog = parse(source, BUILTIN_ELEMENTS)
+    assert prog.steps[0] == cup
+    _assert_pins_keep_every_value(prog)
+    assert any(
+        evaluate(prog, loop, PLANCHEREL)
+        for base in diagrams_up_to(3)
+        for loop in enumerate_loops(base, prog.signature)
+    )
+
+
+@settings(deadline=None, max_examples=400)
+@given(_row_program)
+def test_pins_never_change_a_value(source):
+    try:
+        prog = parse(source, BUILTIN_ELEMENTS)
+    except TangleError:
+        return
+    _assert_pins_keep_every_value(prog)
+
+
+def test_no_state_dies_at_a_box(monkeypatch):
+    # Each cup a later box equates with an earlier region sums over that
+    # region's diagram only, so every state reaching a box passes its flank
+    # check on every relation program.
+    moves, boxes = tangle._moves, []
+
+    def checked(step, regs, f):
+        kind, p, x = step
+        if kind == "box":
+            boxes.append(regs[p - 1] == regs[p + len(x.signature) - 1])
+        return moves(step, regs, f)
+
+    monkeypatch.setattr(tangle, "_moves", checked)
+    for name in hs.RELATION_IDS:
+        assert hs.verify_relation(name, 6).verified
+    assert boxes and all(boxes)
+    cups = [x for kind, _, x in hs.YBE_LHS.steps if kind == "cup"]
+    assert (sum(src is not None for _, src in cups), len(cups)) == (5, 6)
