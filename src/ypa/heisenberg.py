@@ -238,7 +238,10 @@ YBE_RHS = _prog(
 
 @dataclass(frozen=True)
 class RelationSides:
-    """lhs and rhs of a relation as signed combinations of programs."""
+    """lhs and rhs of a relation as signed combinations of programs.
+
+    Each coefficient is a sign, 1 or -1.
+    """
 
     name: str
     signature: Signature
@@ -256,12 +259,7 @@ def _side_value(side: tuple[tuple[int, TangleProgram], ...], loop: LoopPath) -> 
     total = Surd()  # an empty side is the zero function
     for coef, prog in side:
         value = evaluate(prog, loop, PLANCHEREL)
-        if coef == 1:
-            total = total + value
-        elif coef == -1:
-            total = total - value
-        else:
-            total = total + value * Fraction(coef)
+        total = total + value if coef > 0 else total - value
     return total
 
 
