@@ -240,14 +240,6 @@ class FactoredRatFun:
     def __sub__(self, other: "FactoredRatFun") -> "FactoredRatFun":
         return self + (-other)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FactoredRatFun):
-            return NotImplemented
-        return self.numer == other.numer and self.denom == other.denom
-
-    def __hash__(self) -> int:
-        return hash((self.numer, self.denom))
-
     def shift(self, a: Fraction) -> "FactoredRatFun":
         """Return R(z + a); denominator roots translate by -a."""
         a = Fraction(a)

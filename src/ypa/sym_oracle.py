@@ -48,19 +48,11 @@ SparseMatrix = Mapping[tuple[int, int], "int | Surd"]
 
 @cache
 def standard_tableaux(lam: Diagram) -> tuple[TableauPath, ...]:
-    """All saturated paths from empty to lam, in lexicographic order."""
-    if not lam:
-        return (((),),)
-    paths: list[TableauPath] = []
-
-    def build(d: Diagram, suffix: tuple[Diagram, ...]):
-        if not d:
-            paths.append(((),) + suffix)
-            return
-        for mu, _ in down_covers(d):
-            build(mu, (d,) + suffix)
-
-    build(lam, ())
+    """All saturated paths from empty to lam, in lexicographic order, built
+    level by level down the cover maps, with no recursion."""
+    paths: list[TableauPath] = [(lam,)]  # each path from k boxes below lam up
+    while paths[0][0]:
+        paths = [(mu, *path) for path in paths for mu, _ in down_covers(path[0])]
     paths.sort()
     return tuple(paths)
 

@@ -43,15 +43,15 @@ moves' weights, and after every step states with equal regions and
 radicands merge.  A row's cups lie above its other atoms, so they come
 first.  The cups, and then the dots, caps and boxes, each run right to
 left: inserting or deleting regions moves only the regions east of it, so
-every step still to come keeps its compiled position.  At the tangle's
-``}`` each cup is pinned where it can be: a region keeps its diagram from
+every step still to come keeps its compiled position.  As the parser reads
+each cap or box it pins a cup where it can: a region keeps its diagram from
 the step that creates it to the step that closes it, so when a later cap or
 box equates a cup's summed region with an earlier region, the cup takes
 that region's diagram alone instead of every cover, and builds no state
-the flank check would kill.  A box's value
-depends only on its window, the regions around it, so its terms are
-computed once per (element, f, window) per process and reused: an
-element's ``fn`` must be a pure function of (loop, f).
+the flank check would kill.  A box's value depends only on its window, the
+regions around it, so its terms are computed once per (element, f, window)
+per process and reused: an element's ``fn`` must be a pure function of
+(loop, f).
 
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
@@ -111,14 +111,6 @@ class Element:
                 f"element {self.name} signature {self.signature} does not sum to 0"
             )
 
-    def evaluate(self, loop: LoopPath, f: HarmonicFunction) -> Surd:
-        if loop.signature != self.signature:
-            raise TangleError(
-                f"element {self.name} expects signature {self.signature}, "
-                f"got {loop.signature}"
-            )
-        return self.fn(loop, f)
-
     def legs(self) -> tuple[int, ...]:
         """Strand orientations left-to-right that the box window must show."""
         return signature_orientations(self.signature)
@@ -141,7 +133,14 @@ class TangleProgram:
 
     ``src`` is the cup's pin: the index, in the state before the cup, of the
     region whose diagram a later cap or box flank check forces on the cup's
-    summed region, or ``None``.  A pinned cup yields at most one state, that
+    summed region, or ``None``.  The parser finds it by treating each region
+    as a variable, named by birth order: the boundary regions first, then
+    each cup's summed region; the copy of the region a cup splits keeps that
+    region's variable.  A cap or box equates its two flank variables; when
+    they differ, the later-born one is a cup variable, and if that cup has
+    no pin yet it is pinned to the earlier one, which is alive at the cup,
+    so its index there is fixed.  Any copy of it will do: copies hold one
+    diagram.  A pinned cup yields at most one state, that
     diagram if it covers the gap's region as ``kind`` requires; an unpinned
     one yields every cover.  The flank checks stay, so a pin the parser
     misses costs time and never a value, and a pin removes only states the
@@ -182,16 +181,20 @@ def _tokenize(text: str):
 class _Parser:
     """Reads tangles token by token and compiles them as it goes.
 
-    ``orient`` holds the strand orientations of the current slice and
-    ``steps`` the steps of the tangle being read; each atom is checked
-    against ``orient`` the moment it is read, so the first error in reading
-    order is the one reported.
+    ``orient`` holds the strand orientations of the current slice, ``regs``
+    the variable in each of its regions and ``steps`` the steps of the
+    tangle being read; each atom is checked against ``orient`` the moment
+    it is read, so the first error in reading order is the one reported.
+    ``born[v]`` is the step and the pre-cup ``regs`` of the cup that made
+    variable ``v``, or ``None`` for a boundary region.
     """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.ahead = self.last = None  # the token peeked at, the last one read
         self.orient: list[int] = []
+        self.regs: list[int] = []
+        self.born: list[tuple[int, tuple[int, ...]] | None] = []
         self.steps: list[Step] = []
 
     def peek(self):
@@ -266,8 +269,9 @@ class _Parser:
         raise TangleError(f"unknown atom {tok[1]!r}", *tok[2:])
 
     def parse_row(self, env: dict[str, Element]):
-        """Read one row, check each atom as it is read, append the row's steps
-        and return its last atom's token."""
+        """Read one row, check each atom as it is read, append the row's steps,
+        pin each cup that one of its caps or boxes fixes, and return its last
+        atom's token."""
         row = self.expect("row")
         orient, n = self.orient, len(self.orient)
         cups: list[tuple[int | None, str, tuple]] = []  # pre-row gap, kind, token
@@ -319,14 +323,27 @@ class _Parser:
             for gap, _, tok in cups:
                 if start <= gap <= end - 1:
                     raise TangleError("cup inserted inside a cap/box span", *tok[2:])
+        regs, born, steps = self.regs, self.born, self.steps
         for gap, kind, _ in reversed(sorted(cups, key=lambda c: c[0])):
-            self.steps.append(("cup", gap, kind))
+            born.append((len(steps), tuple(regs)))
+            regs[gap + 1 : gap + 1] = [len(born) - 1, regs[gap]]
+            steps.append(("cup", gap, (kind, None)))
             orient[gap:gap] = [DOWN, UP] if kind == "du" else [UP, DOWN]
         for kind, start, end, elem in reversed(spans):
             p = start + 2 * sum(1 for g, _, _ in cups if g < start)
-            self.steps.append((kind, p, elem))
-            if kind != "dot":  # strands p..p+end-start close, with their regions
-                del orient[p - 1 : p + end - start]
+            steps.append((kind, p, elem))
+            if kind == "dot":
+                continue
+            # Strands p..q close, with their regions; the flanks p - 1 and q
+            # are equated, which may pin the later-born one's cup.
+            q = p + end - start
+            early, late = sorted((regs[p - 1], regs[q]))
+            if early != late and born[late]:
+                i, before = born[late]
+                _, gap, (cup, src) = steps[i]
+                if src is None:
+                    steps[i] = ("cup", gap, (cup, before.index(early)))
+            del orient[p - 1 : q], regs[p : q + 1]
         return last
 
     def parse_tangle(self, env: dict[str, Element]) -> TangleProgram:
@@ -340,6 +357,7 @@ class _Parser:
         sig = self.parse_signature()
         self.expect("{")
         self.orient, self.steps = list(signature_orientations(sig)), []
+        self.regs, self.born = list(range(len(sig) + 1)), [None] * (len(sig) + 1)
         last = nm  # open strands point at the last atom, or at the name
         while True:
             tok = self.peek()
@@ -353,41 +371,7 @@ class _Parser:
             raise TangleError(
                 f"{len(self.orient)} strands remain after the last row", *last[2:]
             )
-        return TangleProgram(nm[1], sig, _pin_cups(self.steps, len(sig)))
-
-
-def _pin_cups(steps: list[Step], n: int) -> tuple[Step, ...]:
-    """The steps of a tangle with ``n`` boundary strands, each cup's kind
-    paired with its pin: the pre-cup index of an earlier region that a later
-    cap or box equates the cup's summed region with, or ``None``.
-
-    Each region is a variable, named here by birth order: the boundary
-    regions first, then each cup's summed region; the copy of the region a
-    cup splits keeps that region's variable.  A cap or box equates its two
-    flank variables; when they differ, the later-born one is a cup variable,
-    and if that cup has no pin yet it is pinned to the earlier one, which is
-    alive at the cup, so its index there is fixed.  Any copy of it will do:
-    copies hold one diagram.
-    """
-    regs = list(range(n + 1))  # the variable in each region of the slice
-    born: dict[int, tuple[int, tuple[int, ...]]] = {}  # cup variable -> step, regions
-    pins: dict[int, int] = {}  # cup step -> pre-cup index of its pin
-    for i, (kind, p, x) in enumerate(steps):
-        if kind == "cup":
-            var = n + 1 + len(born)
-            born[var] = i, tuple(regs)
-            regs[p + 1 : p + 1] = [var, regs[p]]
-        elif kind != "dot":
-            q2 = 2 if kind == "cap" else len(x.signature)
-            early, late = sorted((regs[p - 1], regs[p + q2 - 1]))
-            if early != late and late in born and born[late][0] not in pins:
-                cup, before = born[late]
-                pins[cup] = before.index(early)
-            del regs[p : p + q2]
-    return tuple(
-        (kind, p, (x, pins.get(i))) if kind == "cup" else (kind, p, x)
-        for i, (kind, p, x) in enumerate(steps)
-    )
+        return TangleProgram(nm[1], sig, tuple(self.steps))
 
 
 def parse_programs(

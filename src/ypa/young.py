@@ -122,12 +122,18 @@ def dim(lam: Diagram) -> int:
     """Number of saturated paths from the empty diagram to lam.
 
     This is the path-count definition (equivalently the number of standard
-    tableaux), computed by the memoized cover recursion.  Tests cross-check
-    it against |lam|! / prod(hook lengths).
+    tableaux), counted level by level down the cover maps, so a long
+    diagram costs no recursion depth.  Tests cross-check it against
+    |lam|! / prod(hook lengths).
     """
-    if not lam:
-        return 1
-    return sum(dim(mu) for mu, _ in down_covers(lam))
+    level = {lam: 1}  # each diagram k boxes below lam, with its paths up to lam
+    while EMPTY not in level:
+        below: dict[Diagram, int] = {}
+        for nu, paths in level.items():
+            for mu, _ in down_covers(nu):
+                below[mu] = below.get(mu, 0) + paths
+        level = below
+    return level[EMPTY]
 
 
 def hook_lengths(lam: Diagram) -> list[int]:

@@ -27,6 +27,14 @@ def test_character_all_methods_agree(capsys):
     assert out.count(": 2") == 3  # diagram, frobenius, oracle
 
 
+def test_character_of_a_long_row_by_all_three_methods(capsys):
+    code, out, _ = run(
+        capsys, "character", "--lambda", "[400]", "--pi", "[1]", "--method", "all"
+    )
+    assert code == 0
+    assert out.count(": 400") == 3  # diagram, frobenius, oracle
+
+
 def test_character_csv(capsys):
     code, out, _ = run(
         capsys,

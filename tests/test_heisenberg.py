@@ -145,7 +145,7 @@ def test_cycle_program_two_is_the_crossing():
     c2 = as_element(hs.cycle_program(2))
     for base in diagrams_up_to(4):
         for lp in enumerate_loops(base, hs.CROSS_SIGNATURE):
-            assert c2.evaluate(lp, PLANCHEREL) == hs.cross(lp, PLANCHEREL)
+            assert c2.fn(lp, PLANCHEREL) == hs.cross(lp, PLANCHEREL)
     with pytest.raises(ValueError):
         hs.cycle_program(1)
 

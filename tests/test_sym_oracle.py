@@ -17,6 +17,11 @@ def test_standard_tableaux_counts():
         assert len(so.standard_tableaux(lam)) == dim(lam)
 
 
+def test_standard_tableaux_of_a_long_row_need_no_recursion():
+    (path,) = so.standard_tableaux((1000,))
+    assert path == ((),) + tuple((k,) for k in range(1, 1001))
+
+
 def test_tableaux_lexicographic_order():
     paths = so.standard_tableaux((2, 1))
     assert paths == tuple(sorted(paths))

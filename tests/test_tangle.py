@@ -296,7 +296,7 @@ def test_as_element_signature_check():
     sub = parse("tangle sub : (-,+) { row cap; }")
     elem = as_element(sub)
     with pytest.raises(TangleError, match="signature"):
-        elem.evaluate(parse_loop("[1] ^ [2] v [1]"), PLANCHEREL)
+        elem.fn(parse_loop("[1] ^ [2] v [1]"), PLANCHEREL)
 
 
 @pytest.mark.parametrize(
@@ -620,5 +620,30 @@ def test_no_state_dies_at_a_box(monkeypatch):
     for name in hs.RELATION_IDS:
         assert hs.verify_relation(name, 6).verified
     assert boxes and all(boxes)
-    cups = [x for kind, _, x in hs.YBE_LHS.steps if kind == "cup"]
-    assert (sum(src is not None for _, src in cups), len(cups)) == (5, 6)
+
+
+_CUP_PINS = {
+    "left_turn_lhs": [None, 1],
+    "ind_ind_lhs": [None, 0],
+    "ind_ind_rhs": [],
+    "ind_res_lhs": [None, 3, 3],
+    "ind_res_rhs": [],
+    "res_ind_lhs": [3, None, 0, 3],
+    "res_ind_straight": [],
+    "res_ind_cups": [],
+    "ybe_lhs": [None, 1, 5, 0, 4, 1],
+    "ybe_rhs": [None, 0, 4, 1, 5, 0],
+    "left_circle": [None],
+    "empty": [],
+}
+
+
+def test_every_relation_cup_pin():
+    # The pin of each cup, in step order, on every relation program: 17 of
+    # the 24 cups sum over one diagram only.
+    pins = {
+        prog.name: [x[1] for kind, _, x in prog.steps if kind == "cup"]
+        for sides in RELATIONS.values()
+        for _, prog in sides.lhs + sides.rhs
+    }
+    assert pins == _CUP_PINS

@@ -52,6 +52,12 @@ def test_dim_examples():
     assert dim((3, 1)) == 3
 
 
+def test_dim_of_a_long_diagram_needs_no_recursion():
+    dim.cache_clear()
+    assert dim((1000,)) == 1
+    assert dim((1000, 1)) == 1000
+
+
 def test_dim_against_hook_length_formula():
     for lam in diagrams_up_to(10):
         hooks = 1
