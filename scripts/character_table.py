@@ -22,10 +22,14 @@ def main() -> int:
     ap.add_argument("--max-lambda", type=int, default=6)
     ap.add_argument("--max-pi", type=int, default=4)
     args = ap.parse_args()
+    lams = diagrams_up_to(args.max_lambda)
+    pis = diagrams_up_to(args.max_pi)[1:]
+    if not (lams and pis):
+        ap.error("no (lambda, pi) pair to compare: need --max-lambda >= 0 and --max-pi >= 1")
     print("lambda,pi,method,value")
     disagreements = 0
-    for lam in diagrams_up_to(args.max_lambda):
-        for pi in diagrams_up_to(args.max_pi)[1:]:
+    for lam in lams:
+        for pi in pis:
             values = character_values(lam, pi)
             if len(set(values.values())) != 1:
                 disagreements += 1

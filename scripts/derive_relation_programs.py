@@ -78,19 +78,14 @@ def loops_up_to(signature, max_weight):
     return out
 
 
-def search(relation: str, check_weight: int, confirm_weight: int):
-    sides = relation_sides(relation)
-    signature = sides.signature
-    target = {}
-    quick = loops_up_to(signature, check_weight)
-    for loop in quick:
-        target[loop.diagrams] = sides.rhs_value(loop)
-    confirm = loops_up_to(signature, confirm_weight)
+def search(sides, quick, confirm):
+    """Programs matching the right side on the quick loops, then on confirm."""
+    target = {loop.diagrams: sides.rhs_value(loop) for loop in quick}
     found = []
     for n_cups, n_boxes, n_caps in [(2, 2, 0), (3, 2, 1), (4, 2, 2)]:
         print(f"-- structure: {n_cups} cups, {n_boxes} boxes, {n_caps} caps")
         count = 0
-        for rows, prog in candidates(signature, n_cups, n_boxes, n_caps):
+        for rows, prog in candidates(sides.signature, n_cups, n_boxes, n_caps):
             count += 1
             if all(
                 evaluate(prog, lp, PLANCHEREL) == target[lp.diagrams] for lp in quick
@@ -115,7 +110,15 @@ def main():
     ap.add_argument("--check-weight", type=int, default=2)
     ap.add_argument("--confirm-weight", type=int, default=4)
     args = ap.parse_args()
-    found = search(args.relation, args.check_weight, args.confirm_weight)
+    sides = relation_sides(args.relation)
+    quick = loops_up_to(sides.signature, args.check_weight)
+    confirm = loops_up_to(sides.signature, args.confirm_weight)
+    if not (quick and confirm):
+        ap.error(
+            f"--check-weight {args.check_weight} and --confirm-weight"
+            f" {args.confirm_weight} must each admit a loop of {args.relation} to compare"
+        )
+    found = search(sides, quick, confirm)
     if not found:
         print("no presentation found in the searched space")
         return 1

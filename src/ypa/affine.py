@@ -4,22 +4,21 @@ A term is ``coef * prod_k F_k^(e_k)`` where each factor ``F_k`` is either
 ``z_i - c`` or ``z_i - z_j - c`` with rational ``c`` and integer exponent
 ``e_k`` (possibly negative).  This class carries the multivariate integrands
 of the nested contour integrals: it is closed under substituting a rational
-for a variable, under differentiation in one variable, and hence under
-taking residues at poles located at rational constants.
+for a variable, and hence under taking residues at simple poles located at
+rational constants.
 
 Residues are computed per term (residue extraction is linear); within one
 term, factors at the same pole location share a dict key, so the pole order
 is always the net exponent.  Only poles at constant locations are taken:
 poles whose location still involves another, not-yet-integrated variable
-are left out (including one would leave the class).  Substituting a value
-at a pole raises :class:`AffinePoleError`.
+are left out (including one would leave the class).  A higher-order
+constant pole, or a value substituted at a pole, raises AffinePoleError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 # Factor keys:  ("c", i, c)        for  z_i - c
 #               ("d", i, j, c)     for  z_i - z_j - c   (normalized: i < j)
@@ -136,25 +135,6 @@ def substitute(term: Term, v: int, value: Fraction) -> Term | None:
     return Term(coef, factors)
 
 
-def derivative(term: Term, v: int) -> TermSum:
-    """d/dz_v of the term, by the product rule (each affine factor has slope +-1)."""
-    out: TermSum = []
-    for key, e in term.factors.items():
-        if key[0] == "c":
-            slope = 1 if key[1] == v else 0
-        else:
-            slope = 1 if key[1] == v else (-1 if key[2] == v else 0)
-        if not slope or not e:
-            continue
-        factors = dict(term.factors)
-        if e == 1:
-            del factors[key]
-        else:
-            factors[key] = e - 1
-        out.append(Term(term.coef * e * slope, factors))
-    return out
-
-
 def _constant_poles(term: Term, v: int) -> list[tuple[FactorKey, int, Fraction]]:
     """Factors z_v - c of the term with a pole: (key, order, c)."""
     return [
@@ -169,28 +149,18 @@ def residue_in(terms: TermSum, v: int) -> TermSum:
 
     This is the radial-contour rule: poles at locations involving another
     variable lie outside and are left out.  The result no longer mentions
-    z_v.  Higher-order poles are handled by differentiation inside the class.
+    z_v.  Each pole z_v = c must be simple: its residue is the rest of the
+    term at z_v = c.  A higher order raises AffinePoleError.
     """
     out: TermSum = []
     for term in terms:
         for key, order, p in _constant_poles(term, v):
+            if order > 1:
+                raise AffinePoleError(f"pole of order {order} in z_{v} at {p}")
             rest = Term(term.coef, {k: e for k, e in term.factors.items() if k != key})
-            if order == 1:
-                sub = substitute(rest, v, p)
-                if sub is not None:
-                    out.append(sub)
-            else:
-                layer: TermSum = [rest]
-                for _ in range(order - 1):
-                    nxt: TermSum = []
-                    for t in layer:
-                        nxt.extend(derivative(t, v))
-                    layer = nxt
-                scale = Fraction(1, factorial(order - 1))
-                for t in layer:
-                    sub = substitute(t, v, p)
-                    if sub is not None:
-                        out.append(Term(sub.coef * scale, sub.factors))
+            sub = substitute(rest, v, p)
+            if sub is not None:
+                out.append(sub)
     return out
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import affine
-from .affine import Term, const_factor, diff_factor
+from .affine import Term
 from .ratfun import FactoredRatFun
 from .young import Diagram, as_partition, profile
 
@@ -61,10 +61,8 @@ def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
 
 @cache
 def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
-    """The fully collapsed integrand: (prod H(z+j) + prod H(z-j)) / 2."""
-    plus = h_product(lam, range(n))
-    minus = h_product(lam, [-j for j in range(n)])
-    return (plus + minus) * Fraction(1, 2)
+    """The level form at k = n - 1: (prod H(z+j) + prod H(z-j)) / 2 over j < n."""
+    return satellite_level_form(lam, n, n - 1, ())
 
 
 def satellite_I(lam: Diagram, n: int) -> Fraction:
@@ -77,10 +75,11 @@ def satellite_I(lam: Diagram, n: int) -> Fraction:
 def _level_roots(lam: Diagram, k: int, tail, sgn: int) -> tuple[list, list]:
     """Unreduced zeros and poles of one sign's term of the level-k form:
     prod_(j<=k) H(z + sgn j) / (z - w) times prod over the tail of
-    (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1)))."""
+    (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1))), where
+    w = tail[0]; an empty tail leaves the H product alone."""
     zeros, poles = _h_roots(lam, [sgn * j for j in range(k + 1)])
     zeros += [r for zj in tail for r in (zj, zj - sgn * k)]
-    poles += [tail[0]] + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))]
+    poles += list(tail[:1]) + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))]
     return zeros, poles
 
 
@@ -106,10 +105,11 @@ def satellite_level_form(
 
     Univariate in the next variable to integrate; ``tail`` holds rational
     values for the n - k - 1 remaining outer variables (the first entry is
-    the one whose contour comes next).  Valid for 0 <= k <= n - 2.
+    the one whose contour comes next).  Valid for 0 <= k <= n - 1; at
+    k = n - 1 the tail is empty and this is the final form.
     """
-    if not 0 <= k <= n - 2:
-        raise ValueError("level k must satisfy 0 <= k <= n-2")
+    if not 0 <= k <= n - 1:
+        raise ValueError("level k must satisfy 0 <= k <= n-1")
     if len(tail) != n - k - 1:
         raise ValueError(f"need {n - k - 1} outer values, got {len(tail)}")
     plus, minus = (FactoredRatFun.from_roots(*_level_roots(lam, k, tail, s)) for s in (1, -1))
@@ -144,12 +144,13 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
 
     Integrating the level-k closed form in its first variable along the
     contour around w +- 1 and w +- (k+1) (all other poles excluded) must
-    reproduce the level-(k+1) closed form at w.  Each sign's term stays a
-    list of roots: at a contour point of net pole order 1 the residue is the
-    product of the other factors there; the right side is the level-(k+1)
-    products at w.  On ``sample_points`` tails the coordinates have distinct
-    prime denominators, so every contour pole is simple.  A higher order, or
-    a root of the right side at w, uses the reduced form.  Raises ValueError
+    reproduce the level-(k+1) closed form at w, which at k + 1 = n - 1 is
+    the final form.  Each sign's term stays a list of roots: at a contour
+    point of net pole order 1 the residue is the product of the other
+    factors there; the right side is the level-(k+1) products at w.  On
+    ``sample_points`` tails the coordinates have distinct prime
+    denominators, so every contour pole is simple.  A higher order, or a
+    root of the right side at w, uses the reduced form.  Raises ValueError
     when ``samples`` is empty.
     """
     if not 0 <= k <= n - 2:
@@ -160,12 +161,7 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
         tail = tuple(Fraction(z) for z in tail)
         if len(tail) != n - k - 1:
             raise ValueError(f"sample needs {n - k - 1} values")
-        lhs = _contour_sum(lam, n, k, tail)
-        if k + 1 <= n - 2:
-            rhs = _level_value(lam, n, k + 1, tail[1:], tail[0])
-        else:
-            rhs = satellite_final_form(lam, n)(tail[0])
-        if lhs != rhs:
+        if _contour_sum(lam, n, k, tail) != _level_value(lam, n, k + 1, tail[1:], tail[0]):
             return False
     if not checked:
         raise ValueError("no samples to check")
@@ -178,24 +174,13 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
 def f_term(lam: Diagram, n: int) -> Term:
     """F as a single product of affine factors in variables 1..n."""
     xs, ys = profile(lam)
-    t = Term(Fraction(1), {})
-    for i in range(1, n):
-        key, sign = diff_factor(i, i + 1, 0)
-        t = t.mul_factor(key, -1, sign)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            key, sign = diff_factor(i, j, 0)
-            t = t.mul_factor(key, 2, sign)
-            key, sign = diff_factor(i, j, 1)
-            t = t.mul_factor(key, -1, sign)
-            key, sign = diff_factor(i, j, -1)
-            t = t.mul_factor(key, -1, sign)
-    for i in range(1, n + 1):
-        for x in xs:
-            t = t.mul_factor(const_factor(i, x), 1)
-        for y in ys:
-            t = t.mul_factor(const_factor(i, y), -1)
-    return t
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return affine.term_product(1, [
+        *((i, i + 1, 0, -1) for i in range(1, n)),
+        *((i, j, c, e) for i, j in pairs for c, e in ((0, 2), (1, -1), (-1, -1))),
+        *((i, None, c, e)
+          for i in range(1, n + 1) for cs, e in ((xs, 1), (ys, -1)) for c in cs),
+    ])
 
 
 def f_eval(lam: Diagram, n: int, points) -> Fraction:
@@ -215,7 +200,8 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
     are taken at all poles with constant rational locations; poles at
     locations involving a not-yet-integrated variable lie outside by the
     radius ordering.  sigma = id is supported for n <= 5, general sigma for
-    n <= 3 (larger cases may hit variable-located higher-order poles).
+    n <= 3: every pole those meet is simple, while some sigma != id at n = 4
+    meet a double constant pole, which affine.residue_in rejects.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

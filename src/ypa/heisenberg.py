@@ -20,6 +20,7 @@ res_ind need the Plancherel function, which the sweep uses.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -323,11 +324,20 @@ def _verify_base(args: tuple[str, Diagram]) -> tuple[int, list[tuple[str, str, s
     return checked, failures
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport:
     """Check one relation over every loop of base weight <= max_weight.
 
     Deterministic regardless of jobs: bases are processed in a fixed order
-    and their per-base results merged in that order.
+    and their per-base results merged in that order.  The pool has at most
+    one worker per base and per usable CPU, since a forking pool starts
+    every worker at once.
     """
     sides = relation_sides(name)
     if max_weight < 1:
@@ -338,7 +348,8 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     tasks = [(name, base) for base in bases]
     results = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        workers = min(jobs, len(tasks), _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_base, tasks, chunksize=4))
     else:
         results = [_verify_base(t) for t in tasks]

@@ -449,6 +449,25 @@ def test_character_table_script_smoke():
     assert "disagreements" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["--max-pi", "0"], ["--max-lambda", "-3"]])
+def test_character_table_script_refuses_an_empty_range(argv):
+    proc = _run_script("character_table.py", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "no (lambda, pi) pair to compare" in proc.stderr
+
+
+def test_derive_relation_programs_script_refuses_weights_without_loops():
+    # No (-,-,+,+) loop has base weight <= 1, so no candidate could be checked.
+    proc = _run_script(
+        "derive_relation_programs.py",
+        "--relation", "ind_ind", "--check-weight", "0", "--confirm-weight", "1",
+    )
+    assert proc.returncode == 2
+    assert "MATCH" not in proc.stdout
+    assert "must each admit a loop of ind_ind" in proc.stderr
+
+
 def test_derive_relation_programs_script_smoke():
     proc = _run_script(
         "derive_relation_programs.py",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.sym_oracle as so
-from ypa.affine import PoleHit
+from ypa import affine
+from ypa.affine import AffinePoleError, PoleHit
 from ypa.plancherel import inv_h
 from ypa.ratfun import FactoredRatFun
 from ypa.young import diagrams_up_to
@@ -66,6 +68,34 @@ def test_all_schemes_agree():
             assert fr.frobenius_sigma(lam, n) == sigma
             assert -fr.satellite_I(lam, n) == n * sigma
             assert fr.radial_I(lam, n) == (-1) ** n * hs.character_diagram(lam, (n,))
+
+
+def test_radial_over_every_supported_input():
+    # Every pole these radial integrals meet is simple: affine.residue_in
+    # raises on any other, so each call returning is that evidence.
+    for lam in diagrams_up_to(8):
+        for n in range(1, fr.MAX_RADIAL_N + 1):
+            assert fr.radial_I(lam, n) == (-1) ** n * hs.character_diagram(lam, (n,))
+        for n in range(1, 4):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                fr.radial_I(lam, n, sigma)
+
+
+def test_a_non_identity_nesting_at_n4_meets_a_double_pole():
+    # Why radial_I stops general sigma at n = 3 (test_radial_preconditions).
+    terms = [fr.f_term((2, 2), 4)]
+    with pytest.raises(AffinePoleError, match="order 2 in z_4 at -1"):
+        for v in (2, 1, 3, 4):
+            terms = affine.residue_in(terms, v)
+
+
+def test_final_form_is_the_last_level_form():
+    for lam in diagrams_up_to(5):
+        for n in range(1, 6):
+            half_sum = (
+                fr.h_product(lam, range(n)) + fr.h_product(lam, [-j for j in range(n)])
+            ) * F(1, 2)
+            assert fr.satellite_final_form(lam, n) == half_sum
 
 
 def test_satellite_step_checks():
@@ -163,16 +193,14 @@ def test_h_product_shifts():
 
 
 def test_step_check_fails_against_a_wrong_final_form(monkeypatch):
-    # The last step compares with the final form; doubling it must be seen,
-    # so the check cannot pass vacuously.
+    # The last step compares with the final form, the level-(n - 1) form;
+    # doubling its value must be seen, so the check cannot pass vacuously.
     lam, n = (2, 1), 3
     rng = random.Random(2)
     samples = [fr.sample_points(lam, 1, rng) for _ in range(5)]
     assert fr.satellite_step_check(lam, n, n - 2, samples)
-    true_form = fr.satellite_final_form
-    monkeypatch.setattr(
-        fr, "satellite_final_form", lambda lam, n: true_form(lam, n) * 2
-    )
+    true_value = fr._level_value
+    monkeypatch.setattr(fr, "_level_value", lambda *args: true_value(*args) * 2)
     assert not fr.satellite_step_check(lam, n, n - 2, samples)
 
 

@@ -116,9 +116,9 @@ def test_jobs_do_not_change_the_report():
     assert a == b
 
 
-def test_pool_has_at_most_one_worker_per_base(monkeypatch):
+def _serial_pool(monkeypatch, cpus):
     # A serial stand-in for the pool records the worker count it is asked
-    # for; no process is started.
+    # for; no process is started.  The usable CPU count is patched to cpus.
     asked = []
 
     class SerialPool:
@@ -135,10 +135,28 @@ def test_pool_has_at_most_one_worker_per_base(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(hs, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: cpus)
+    return asked
+
+
+def test_pool_has_at_most_one_worker_per_base(monkeypatch):
+    asked = _serial_pool(monkeypatch, cpus=64)
     pooled = hs.verify_relation("left_circle", 1, jobs=64).to_json_dict()
     assert asked == [len(diagrams_up_to(1))] == [2]
     serial = hs.verify_relation("left_circle", 1).to_json_dict()
     assert pooled == serial
+
+
+def test_pool_has_at_most_one_worker_per_usable_cpu(monkeypatch):
+    asked = _serial_pool(monkeypatch, cpus=3)
+    pooled = hs.verify_relation("left_circle", 4, jobs=5000).to_json_dict()
+    assert asked == [3] and len(diagrams_up_to(4)) > 3
+    serial = hs.verify_relation("left_circle", 4).to_json_dict()
+    assert pooled == serial
+
+
+def test_usable_cpus_is_positive():
+    assert hs._usable_cpus() >= 1
 
 
 def test_cycle_program_two_is_the_crossing():
