@@ -20,6 +20,14 @@ word is split in two halves, each multiplied out in integers, and
 trace(AB) = sum A_rc B_cr pairs them without forming AB.  This gives an
 oracle for the normalized characters that never touches the tangle
 evaluator.
+
+:func:`path_sum_character` computes the same character as a sum over
+descending paths in the Young graph, reading no matrix.  Each cycle of pi
+removes its own block of boxes and weights only its own steps, so the sum
+factors block by block: one table per (diagram, block length) of the
+diagrams that block reaches and their summed weights, and one value per
+(diagram, tail of pi).  Both are cached, so a table or a tail built for
+one character serves every later one.
 """
 
 from __future__ import annotations
@@ -205,34 +213,56 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     """The descending-path sum for the same character, independent of the trace.
 
     chi = sum over lam = d0 > d1 > ... > dk of dim(dk) times the product of
-    1/(content gap) over the non-final index of each cycle block.  This is
-    the only copy; :func:`ypa.heisenberg.character_diagram` rescales it.
+    1/(content gap) over consecutive boxes of each cycle block.  The factor
+    of a block depends only on its own steps, so the sum is a product of
+    block tables, Sum_mu B(lam, pi_1)[mu] * chi(mu, pi_2, ...), each table
+    built once and shared across calls.  This is the only copy;
+    :func:`ypa.heisenberg.character_diagram` rescales it.
     """
     lam, pi = as_partition(lam), as_partition(pi)
-    k = sum(pi)
-    if k > weight(lam):
-        raise ValueError("pi too large")
-    if k == 0:
+    n, k = weight(lam), sum(pi)
+    if k > n:
+        raise ValueError(f"|pi| = {k} exceeds |lam| = {n}")
+    # Fill the tail sums shortest first, over the diagrams each block boundary
+    # reaches, so that no call nests more than one block deep: pi may have as
+    # many parts as lam has boxes.
+    reached = [(lam,)]
+    for m in pi[:-1]:
+        reached.append(tuple({mu: None for d in reached[-1] for mu, _ in _block_sums(d, m)}))
+    for j in range(len(pi) - 1, 0, -1):
+        for d in reached[j]:
+            _path_sum(d, pi[j:])
+    return _path_sum(lam, pi)
+
+
+@cache
+def _block_sums(lam: Diagram, m: int) -> tuple[tuple[Diagram, Fraction], ...]:
+    """Each mu reached by removing m boxes from lam, with the sum over those
+    descents of the product of 1/(c_i - c_(i+1)) over consecutive contents
+    (mu whose sum cancels to zero are left out), built level by level over
+    states keyed by (diagram, last content)."""
+    states: dict[tuple[Diagram, int | None], Fraction] = {(lam, None): Fraction(1)}
+    for _ in range(m):
+        nxt: dict[tuple[Diagram, int | None], Fraction] = {}
+        for (d, last), coeff in states.items():
+            for mu, c in down_covers(d):
+                step = coeff if last is None else coeff / (last - c)
+                nxt[(mu, c)] = nxt.get((mu, c), 0) + step
+        states = nxt
+    sums: dict[Diagram, Fraction] = {}
+    for (mu, _), coeff in states.items():
+        sums[mu] = sums.get(mu, 0) + coeff
+    return tuple((mu, coeff) for mu, coeff in sums.items() if coeff)
+
+
+@cache
+def _path_sum(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
+    """The path sum of :func:`path_sum_character`, on checked input."""
+    if not pi:
         return Fraction(dim(lam))
-    skip = set()
-    acc = 0
-    for part in pi:
-        acc += part
-        skip.add(acc)
     total = Fraction(0)
-
-    def descend(d: Diagram, j: int, last_c: int | None, coeff: Fraction):
-        nonlocal total
-        if j == k:
-            total += coeff * dim(d)
-            return
-        for mu, c in down_covers(d):
-            if j and (j not in skip):
-                descend(mu, j + 1, c, coeff / (last_c - c))
-            else:
-                descend(mu, j + 1, c, coeff)
-
-    descend(lam, 0, None, Fraction(1))
+    for mu, coeff in _block_sums(lam, pi[0]):
+        total += coeff * _path_sum(mu, pi[1:])
     return total
 
 

@@ -29,7 +29,7 @@ EMPTY: Diagram = ()
 
 def is_diagram(parts) -> bool:
     return all(
-        isinstance(p, int) and p > 0 for p in parts
+        type(p) is int and p > 0 for p in parts  # True is not a part
     ) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 

@@ -426,16 +426,31 @@ def test_csv_outside_character_is_rejected_before_dispatch(capsys, monkeypatch):
     assert "--format csv is not defined for this command" in err
 
 
-def _run_script(name, *argv):
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*argv):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / name), *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         timeout=120,
     )
+
+
+def _run_script(name, *argv):
+    return _run_python(str(ROOT / "scripts" / name), *argv)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["character", "--lambda", "[2,1]", "--pi", "[2]", "--format", "json"]
+    proc = _run_python("-m", "ypa", *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(proc.stdout)["results"] == json.loads(out)["results"]
 
 
 def test_character_table_script_smoke():

@@ -6,7 +6,7 @@ import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.sym_oracle as so
 from ypa.surd import Surd, sqrt_fraction
-from ypa.young import diagrams_up_to, dim, weight
+from ypa.young import diagrams_up_to, dim, down_covers, weight
 
 
 def test_standard_tableaux_counts():
@@ -156,6 +156,81 @@ def test_trace_equals_path_sum():
             assert so.character(lam, pi) == so.path_sum_character(lam, pi)
 
 
+def _descending_path_sum(lam, pi):
+    """The recursive path sum that the block tables replaced, kept verbatim
+    as a reference."""
+    k = sum(pi)
+    if k == 0:
+        return F(dim(lam))
+    skip = set()
+    acc = 0
+    for part in pi:
+        acc += part
+        skip.add(acc)
+    total = F(0)
+
+    def descend(d, j, last_c, coeff):
+        nonlocal total
+        if j == k:
+            total += coeff * dim(d)
+            return
+        for mu, c in down_covers(d):
+            if j and (j not in skip):
+                descend(mu, j + 1, c, coeff / (last_c - c))
+            else:
+                descend(mu, j + 1, c, coeff)
+
+    descend(lam, 0, None, F(1))
+    return total
+
+
+def test_path_sum_equals_the_recursive_descent():
+    for lam in diagrams_up_to(9):
+        for pi in diagrams_up_to(7)[1:]:
+            if sum(pi) <= weight(lam):
+                assert so.path_sum_character(lam, pi) == _descending_path_sum(lam, pi)
+    for lam, pi in [
+        ((4, 4, 4), (3, 2, 2)),
+        ((6, 4, 2, 1), (4, 3)),
+        ((5, 4, 3, 2, 1), (3, 3, 2)),
+        ((7, 5, 3), (6,)),
+        ((3, 3, 3, 3, 2, 1), (2, 2, 2, 1)),
+    ]:
+        assert so.path_sum_character(lam, pi) == _descending_path_sum(lam, pi)
+
+
+def test_path_sum_is_independent_of_cache_order():
+    items = [
+        (lam, pi)
+        for lam in diagrams_up_to(7)
+        for pi in diagrams_up_to(5)[1:]
+        if sum(pi) <= weight(lam)
+    ]
+    so._block_sums.cache_clear()
+    so._path_sum.cache_clear()
+    first = {item: so.path_sum_character(*item) for item in items}
+    so._block_sums.cache_clear()
+    so._path_sum.cache_clear()
+    for lam, pi in items:
+        if pi[1:]:
+            so.path_sum_character(lam, pi[1:])
+    assert {item: so.path_sum_character(*item) for item in reversed(items)} == first
+
+
+def test_path_sum_of_many_one_cycles_needs_no_recursion():
+    # pi = (1^k) on a row: dim(lam - k boxes) = 1 at every k.
+    assert so.path_sum_character((1000,), (1,) * 990) == 1
+
+
+def test_path_sum_rejects_pi_above_lam_before_caching():
+    so._path_sum.cache_clear()
+    blocks = so._block_sums.cache_info().currsize
+    with pytest.raises(ValueError, match=r"\|pi\| = 2 exceeds \|lam\| = 1"):
+        so.path_sum_character((1,), (2,))
+    assert so._path_sum.cache_info().currsize == 0
+    assert so._block_sums.cache_info().currsize == blocks
+
+
 def test_normalized_character_values():
     assert so.normalized_character((2, 1), (1,)) == 3
     assert so.normalized_character((2, 1), (2,)) == 0
@@ -183,9 +258,11 @@ def test_normalized_character_zero_branch():
         (so.path_sum_character, ((3,), (0,))),
         (so.path_sum_character, ((3,), (-1,))),
         (so.path_sum_character, ((1, 2), (1,))),
+        (so.path_sum_character, ((2,), (True,))),
         (fr.frobenius_sigma, ((1, 2), 2)),
         (hs.character_diagram, ((3,), (1, 2))),
         (hs.character_diagram, ((1, 2), (4,))),
+        (hs.character_diagram, ((2, True), (True,))),
     ],
 )
 def test_character_entry_points_reject_non_partitions(fn, args):

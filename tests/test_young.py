@@ -10,6 +10,7 @@ import ypa.plancherel as pl
 from ypa.young import (
     LiteralError,
     LoopPath,
+    as_partition,
     box_content,
     diagrams_up_to,
     dim,
@@ -189,6 +190,14 @@ def test_signs_may_be_written_as_text():
 def test_non_partitions_raise(probe):
     with pytest.raises(ValueError, match=r"not a partition: \(1, 2\)"):
         probe()
+
+
+def test_as_partition_takes_int_parts_only():
+    assert as_partition([3, 1, 1]) == (3, 1, 1)
+    assert as_partition(()) == ()
+    for bad in ((True, True), (2, True), (True,), (2.0, 1), (2, 0), (1, 2)):
+        with pytest.raises(ValueError, match="not a partition"):
+            as_partition(bad)
 
 
 def test_literals_round_trip():
