@@ -258,10 +258,10 @@ def test_normalized_character_zero_branch():
         (so.path_sum_character, ((3,), (0,))),
         (so.path_sum_character, ((3,), (-1,))),
         (so.path_sum_character, ((1, 2), (1,))),
-        (so.path_sum_character, ((2,), (True,))),
         (fr.frobenius_sigma, ((1, 2), 2)),
         (hs.character_diagram, ((3,), (1, 2))),
         (hs.character_diagram, ((1, 2), (4,))),
+        (so.path_sum_character, ((2,), (True,))),
         (hs.character_diagram, ((2, True), (True,))),
     ],
 )
