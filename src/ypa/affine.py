@@ -52,30 +52,22 @@ class Term:
     coef: Fraction
     factors: dict[FactorKey, int]
 
-    def mul_factor(self, key: FactorKey, exp: int, sign: int = 1) -> "Term":
-        factors = dict(self.factors)
-        e = factors.get(key, 0) + exp
-        if e:
-            factors[key] = e
-        else:
-            factors.pop(key, None)
-        coef = self.coef * (sign ** (exp % 2) if sign < 0 else 1)
-        return Term(coef, factors)
-
 
 TermSum = list  # list of Term
 
 
 def term_product(coef: Fraction, factors: list[tuple[int, int | None, Fraction, int]]) -> Term:
     """Build a term from (i, j, c, exp) tuples; j=None means z_i - c."""
-    t = Term(Fraction(coef), {})
+    coef, exps = Fraction(coef), {}
     for i, j, c, e in factors:
         if j is None:
-            t = t.mul_factor(const_factor(i, c), e)
+            key = const_factor(i, c)
         else:
             key, sign = diff_factor(i, j, c)
-            t = t.mul_factor(key, e, sign)
-    return t
+            if sign < 0 and e % 2:
+                coef = -coef
+        exps[key] = exps.get(key, 0) + e
+    return Term(coef, {key: e for key, e in exps.items() if e})
 
 
 def evaluate(terms: TermSum, values: dict[int, Fraction]) -> Fraction:

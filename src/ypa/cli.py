@@ -6,9 +6,9 @@ elapsed_ms) and prints it.  Each command checks all of its parameters before
 it computes anything.
 
 Exit codes: 0 status ok/verified, 1 any other status (a disagreement, a
-failed check, a vacuous sweep with no loops checked, an underdetermined
-fit), 2 usage error or invalid parameter, 3 parse error (bad literals or
-.tng sources).
+failed check, a vacuous sweep with no loops checked, an underdetermined or
+inconsistent fit), 2 usage error or invalid parameter, 3 parse error (bad
+literals or .tng sources).
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def cmd_kerov(args):
         expansion = hs.kerov_boolean_expansion(pi, args.sample_weight)
     except hs.KerovUnderdeterminedError as exc:
         return {"error": str(exc)}, "underdetermined"
+    except hs.KerovInconsistentError as exc:
+        return {"error": str(exc)}, "inconsistent"
     p_poly = hs.kerov_p_polynomial(pi, expansion)
     nonneg = all(c >= 0 and c.denominator == 1 for c in p_poly.values())
     results = {

@@ -15,7 +15,8 @@ and poles at locations still involving an outer variable are not.  Both
 reproduce the normalized character on one-cycle partitions.  The satellite
 steps are checked pointwise at samples with distinct prime denominators,
 where every contour pole is simple: a residue is the product of the other
-linear factors at the pole, in integers; other poles use the reduced form.
+linear factors at the pole, ``ratfun.product_at``, in integers; other poles
+use the reduced form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cache
 
 from . import affine
 from .affine import Term
-from .ratfun import FactoredRatFun
+from .ratfun import FactoredRatFun, product_at
 from .young import Diagram, as_partition, profile
 
 
@@ -48,9 +49,16 @@ def h_product(lam: Diagram, shifts) -> FactoredRatFun:
     return FactoredRatFun.from_roots(*_h_roots(lam, shifts))
 
 
+def _check_int(name: str, value) -> None:
+    """ValueError unless value is an int; True is not one (as in young.is_diagram)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
     """Sigma_(k)(lam) = -(1/k) * contour integral of H(z) H(z-1) .. H(z-k+1)."""
     lam = as_partition(lam)
+    _check_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     prod = h_product(lam, [-j for j in range(k)])
@@ -67,6 +75,7 @@ def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
 
 def satellite_I(lam: Diagram, n: int) -> Fraction:
     """The satellite integral; satisfies Sigma_(n) = -satellite_I / n."""
+    _check_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return satellite_final_form(lam, n).sum_of_residues()
@@ -81,21 +90,6 @@ def _level_roots(lam: Diagram, k: int, tail, sgn: int) -> tuple[list, list]:
     zeros += [r for zj in tail for r in (zj, zj - sgn * k)]
     poles += list(tail[:1]) + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))]
     return zeros, poles
-
-
-def _product_at(x: Fraction, zeros, poles) -> Fraction:
-    """prod (x - a) / prod (x - b) over the roots other than x, in integers."""
-    xn, xd = x.numerator, x.denominator
-    num = den = 1
-    for a in zeros:
-        if a != x:
-            num *= xn * a.denominator - a.numerator * xd
-            den *= xd * a.denominator
-    for b in poles:
-        if b != x:
-            num *= xd * b.denominator
-            den *= xn * b.denominator - b.numerator * xd
-    return Fraction(num, den)
 
 
 def satellite_level_form(
@@ -127,7 +121,7 @@ def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
         if max(orders) > 1:
             total += satellite_level_form(lam, n, k, tail).residue_at(p)
         else:
-            total += scale * sum(_product_at(p, *r) for r, o in zip(roots, orders) if o == 1)
+            total += scale * sum(product_at(p, *r) for r, o in zip(roots, orders) if o == 1)
     return total
 
 
@@ -136,7 +130,7 @@ def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
     roots = [_level_roots(lam, k, tail, sgn) for sgn in (1, -1)]
     if any(x in zeros + poles for zeros, poles in roots):
         return satellite_level_form(lam, n, k, tail)(x)
-    return f_eval(lam, n - k - 1, tail) / 2 * sum(_product_at(x, *r) for r in roots)
+    return f_eval(lam, n - k - 1, tail) / 2 * sum(product_at(x, *r) for r in roots)
 
 
 def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
@@ -203,12 +197,13 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
     n <= 3: every pole those meet is simple, while some sigma != id at n = 4
     meet a double constant pole, which affine.residue_in rejects.
     """
+    _check_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma is None:
         sigma = tuple(range(1, n + 1))
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if any(type(v) is not int for v in sigma) or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"sigma must permute 1..{n}")
     is_id = sigma == tuple(range(1, n + 1))
     if (is_id and n > MAX_RADIAL_N) or (not is_id and n > 3):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import perm
 
-from .plancherel import PLANCHEREL, HarmonicFunction
+from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, sqrt_fraction
 from .sym_oracle import path_sum_character
 from .tangle import Element, TangleProgram, evaluate, parse
@@ -471,8 +471,6 @@ def kerov_boolean_expansion(
     rule sum(k * e_k) == |pi| - len(pi) mod 2.  Solved exactly by sampling
     all diagrams of weight <= sample_weight.
     """
-    from .plancherel import boolean_cumulant
-
     if sample_weight < 0:
         raise ValueError("sample_weight must be >= 0")
     pi = tuple(pi)

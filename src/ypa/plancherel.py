@@ -2,12 +2,12 @@
 
 ``f_pl(lam) = dim(lam) / |lam|!`` is harmonic on the Young graph:
 ``f(mu) = sum_{mu -> lam} f(lam)``.  The transition measure ``p_up`` and the
-cotransition measure ``p_down`` are computed from the profile of the diagram
-(products of content differences); the dim-ratio forms appear in the tests
-as independent oracles only.  The Cauchy transform ``G`` and its reciprocal
-``H`` are the rational functions with zeros at removable and poles at
-addable contents (and vice versa); their expansions at infinity generate
-moments and Boolean cumulants.
+cotransition measure ``p_down`` are each one ``ratfun.product_at`` of content
+differences at the added or removed box; the dim-ratio forms appear in the
+tests as independent oracles only.  The Cauchy transform ``G`` and its
+reciprocal ``H`` are the rational functions with zeros at removable and
+poles at addable contents (and vice versa); their expansions at infinity
+generate moments and Boolean cumulants.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cache
 from math import factorial
 from typing import Callable
 
-from .ratfun import FactoredRatFun
+from .ratfun import FactoredRatFun, product_at
 from .young import Diagram, box_content, dim, down_covers, profile, up_covers, weight
 
 
@@ -46,28 +46,14 @@ def p_up(lam: Diagram, mu: Diagram) -> Fraction:
     """Transition probability from lam to a cover mu."""
     x = box_content(mu, lam)
     xs, ys = profile(lam)
-    num = Fraction(1)
-    for y in ys:
-        num *= x - y
-    den = Fraction(1)
-    for x2 in xs:
-        if x2 != x:
-            den *= x - x2
-    return num / den
+    return product_at(x, ys, xs)
 
 
 def p_down(lam: Diagram, mu: Diagram) -> Fraction:
     """Cotransition probability from lam to a diagram mu it covers."""
     y = box_content(lam, mu)
     xs, ys = profile(lam)
-    num = Fraction(1)
-    for x in xs:
-        num *= y - x
-    den = Fraction(1)
-    for y2 in ys:
-        if y2 != y:
-            den *= y - y2
-    return -num / den / weight(lam)
+    return -product_at(y, xs, ys) / weight(lam)
 
 
 def cauchy_g(lam: Diagram) -> FactoredRatFun:

@@ -6,6 +6,10 @@ denominator is stored as a multiset of roots and no root-finding ever
 happens.  Numerators are dense polynomials over Q.  The two workhorses are
 Laurent expansion at infinity (moment/cumulant extraction) and exact residue
 extraction at a point, for poles of any order.
+
+``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
+``divide_linear``, ``taylor_at`` and ``shift``; ``product_at`` is the one root
+product prod (x - a) / prod (x - b) at a point, in integers.
 """
 
 from __future__ import annotations
@@ -18,6 +22,16 @@ from math import comb
 
 class PoleEvaluationError(ZeroDivisionError):
     """Evaluation at a pole of the function."""
+
+
+def _divide(cs, r) -> tuple[list[Fraction], Fraction]:
+    """(quotient by ascending degree, remainder) of sum cs[i] z^i by (z - r)."""
+    carry, top_down = Fraction(0), []
+    for c in reversed(cs):
+        carry = c + r * carry
+        top_down.append(carry)
+    # top_down is the quotient from its leading coefficient, then the remainder.
+    return top_down[-2::-1], carry
 
 
 class Poly:
@@ -86,54 +100,27 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _divide(self.coeffs, x)[1]
 
     def shift(self, a: Fraction) -> "Poly":
-        """Return p(z + a) via Taylor recentering."""
-        if not a:
-            return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            # c * (z + a)^i
-            p = Fraction(1)
-            for k in range(i, -1, -1):
-                out[k] += c * comb(i, k) * p
-                p *= a
-        return Poly(out)
+        """Return p(z + a): its coefficients are the Taylor coefficients at a."""
+        return Poly(self.taylor_at(a, self.degree)) if a else self
 
     def divide_linear(self, root: Fraction) -> "Poly":
-        """Exact synthetic division by (z - root); requires p(root) == 0."""
-        cs = self.coeffs
-        n = len(cs) - 1
-        out = [Fraction(0)] * n
-        carry = cs[n]
-        for i in range(n - 1, -1, -1):
-            out[i] = carry
-            carry = cs[i] + root * carry
-        if carry != 0:
+        """Exact division by (z - root); requires p(root) == 0."""
+        quotient, remainder = _divide(self.coeffs, root)
+        if remainder != 0:
             raise ValueError("divide_linear: not a root of the polynomial")
-        return Poly(out)
+        return Poly(quotient)
 
     def taylor_at(self, p: Fraction, order: int) -> list[Fraction]:
-        """Coefficients of (z - p)^0 .. (z - p)^order in the expansion at p.
-
-        Each coefficient is the remainder of one synthetic division by
-        (z - p), whose quotient feeds the next; only order + 1 divisions run.
-        """
-        cs = list(self.coeffs)
-        out: list[Fraction] = []
+        """Coefficients of (z - p)^0 .. (z - p)^order in the expansion at p:
+        the remainders of order + 1 divisions by (z - p), each of the last
+        quotient."""
+        cs, out = self.coeffs, []
         for _ in range(order + 1):
-            carry = Fraction(0)
-            for i in range(len(cs) - 1, -1, -1):
-                carry = cs[i] + p * carry
-                cs[i] = carry
-            # cs[0] is the remainder, cs[1:] the quotient.
-            out.append(cs.pop(0) if cs else Fraction(0))
+            cs, remainder = _divide(cs, p)
+            out.append(remainder)
         return out
 
     def __repr__(self) -> str:
@@ -308,3 +295,18 @@ def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction
         for j, y in enumerate(b[: order + 1 - i]):
             out[i + j] += x * y
     return out
+
+
+def product_at(x: Fraction, zeros, poles) -> Fraction:
+    """prod (x - a) / prod (x - b) over the roots other than x, in integers."""
+    xn, xd = x.numerator, x.denominator
+    num = den = 1
+    for a in zeros:
+        if a != x:
+            num *= xn * a.denominator - a.numerator * xd
+            den *= xd * a.denominator
+    for b in poles:
+        if b != x:
+            num *= xd * b.denominator
+            den *= xn * b.denominator - b.numerator * xd
+    return Fraction(num, den)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ypa.cli import main, report_json
-from ypa.heisenberg import BUILTIN_ELEMENTS, relation_sides
+from ypa.heisenberg import BUILTIN_ELEMENTS, character_diagram, relation_sides
 from ypa.plancherel import PLANCHEREL
 from ypa.tangle import evaluate, parse
 from ypa.young import diagrams_up_to, enumerate_loops
@@ -405,6 +405,20 @@ def test_frobenius_contours_and_lemmas_compute_no_character(capsys, monkeypatch)
             capsys, "frobenius", "--lambda", "[2,1]", "--n", "2", "--check", check
         )
         assert code == 0, err
+
+
+def test_kerov_inconsistent_fit_is_a_failure_not_a_usage_error(capsys, monkeypatch):
+    # A character value off by one at a single sample leaves no polynomial
+    # that fits every sample.
+    def off_by_one(lam, pi):
+        return character_diagram(lam, pi) + (lam == (3,) and pi == (2,))
+
+    monkeypatch.setattr("ypa.heisenberg.character_diagram", off_by_one)
+    code, out, err = run(capsys, "--format", "json", "kerov", "--pi", "[2]")
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["status"] == "inconsistent"
+    assert data["results"] == {"error": "no polynomial fits the sampled values"}
 
 
 def test_eval_rejects_a_rebound_name(tmp_path, capsys):

@@ -61,6 +61,31 @@ def test_radial_preconditions():
         fr.radial_I((1,), 2, (1, 1))
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fr.radial_I, ((2, 1), 2, (1.0, 2.0))),
+        (fr.radial_I, ((2, 1), 2, (2, True))),
+        (fr.radial_I, ((2, 1), True)),
+        (fr.satellite_I, ((2, 1), True)),
+        (fr.frobenius_sigma, ((2, 1), True)),
+        (fr.radial_I, ((2, 1), 2.0)),
+        (fr.satellite_I, ((2, 1), 2.0)),
+        (fr.frobenius_sigma, ((2, 1), F(2))),
+    ],
+)
+def test_frobenius_routes_take_ints_only(fn, args):
+    # Nothing is coerced: True is not 1, and 2.0 is not 2.
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_frobenius_routes_keep_their_range_messages():
+    for fn, name in ((fr.radial_I, "n"), (fr.satellite_I, "n"), (fr.frobenius_sigma, "k")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            fn((2, 1), 0)
+
+
 def test_all_schemes_agree():
     for lam in diagrams_up_to(5):
         for n in range(1, 5):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ypa.plancherel import cauchy_g, inv_h
-from ypa.ratfun import ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly
+from ypa.ratfun import ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, product_at
 from ypa.young import diagrams_up_to
 
 
@@ -180,14 +180,62 @@ def test_sum_is_the_reduced_sum(a, b, r, m, extra, k):
     assert all(total.numer(p) != 0 for p in total.poles())
 
 
+def _value(coeffs, x):
+    """sum c_i x^i, term by term, apart from Poly."""
+    return sum((c * x**i for i, c in enumerate(coeffs)), F(0))
+
+
+COEFFS = st.lists(st.fractions(-5, 5, max_denominator=3), max_size=7)
+POINTS = st.fractions(-4, 4, max_denominator=3)
+
+
 @settings(deadline=None, max_examples=300)
-@given(
-    st.lists(st.fractions(-5, 5, max_denominator=3), max_size=7),
-    st.fractions(-4, 4, max_denominator=3),
-    st.integers(0, 9),
-)
-def test_taylor_at_is_the_head_of_the_shift(coeffs, p, order):
+@given(COEFFS, POINTS, st.integers(0, 9), st.lists(POINTS, min_size=1, max_size=4))
+def test_taylor_at_is_the_head_of_the_shift(coeffs, p, order, ts):
+    # Every expected value is a plain sum: Poly.__call__, taylor_at and shift
+    # share one division, so none of them can be the oracle of another.
     poly = Poly(coeffs)
-    shifted = list(poly.shift(p).coeffs)
-    expected = (shifted + [F(0)] * (order + 1))[: order + 1]
-    assert poly.taylor_at(p, order) == expected
+    full = poly.taylor_at(p, max(order, poly.degree))
+    assert all(c == 0 for c in full[poly.degree + 1:])
+    assert poly.taylor_at(p, order) == full[: order + 1]
+    for t in ts:
+        assert poly(p + t) == _value(coeffs, p + t)
+        assert _value(full, t) == _value(coeffs, p + t)
+        assert _value(poly.shift(p).coeffs, t) == _value(coeffs, p + t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(COEFFS, POINTS)
+def test_divide_linear_undoes_the_linear_factor(coeffs, r):
+    poly = Poly(coeffs)
+    factor = Poly([-r, 1])
+    assert (poly * factor).divide_linear(r) * factor == poly * factor
+    if poly(r):
+        with pytest.raises(ValueError, match="not a root"):
+            poly.divide_linear(r)
+
+
+NUMBERS = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=4))
+
+
+@st.composite
+def point_and_roots(draw):
+    """A point, and zeros and poles that may include the point itself."""
+    x = draw(NUMBERS)
+    roots = st.lists(st.one_of(NUMBERS, st.just(x)), max_size=6)
+    return x, draw(roots), draw(roots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_and_roots())
+def test_product_at_is_the_fraction_product(case):
+    x, zeros, poles = case
+    expected = F(1)
+    for a in zeros:
+        if a != x:
+            expected *= F(x) - a
+    for b in poles:
+        if b != x:
+            expected /= F(x) - b
+    got = product_at(x, zeros, poles)
+    assert type(got) is F and got == expected
