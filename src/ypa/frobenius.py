@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import affine
 from .affine import Term
@@ -67,7 +67,7 @@ def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
 
 # -- satellite scheme -----------------------------------------------------------
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True misses the n = 1 entry
 def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
     """The level form at k = n - 1: (prod H(z+j) + prod H(z-j)) / 2 over j < n."""
     return satellite_level_form(lam, n, n - 1, ())
@@ -102,6 +102,8 @@ def satellite_level_form(
     the one whose contour comes next).  Valid for 0 <= k <= n - 1; at
     k = n - 1 the tail is empty and this is the final form.
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if not 0 <= k <= n - 1:
         raise ValueError("level k must satisfy 0 <= k <= n-1")
     if len(tail) != n - k - 1:
@@ -147,6 +149,8 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     root of the right side at w, uses the reduced form.  Raises ValueError
     when ``samples`` is empty.
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if not 0 <= k <= n - 2:
         raise ValueError("step k must satisfy 0 <= k <= n-2")
     checked = 0
@@ -179,6 +183,7 @@ def f_term(lam: Diagram, n: int) -> Term:
 
 def f_eval(lam: Diagram, n: int, points) -> Fraction:
     """Evaluate F at rational points; raises PoleHit on a pole."""
+    _check_int("n", n)
     points = [Fraction(p) for p in points]
     if len(points) != n:
         raise ValueError(f"need {n} points")
@@ -236,6 +241,7 @@ def sample_points(lam: Diagram, n: int, rng: random.Random) -> tuple[Fraction, .
     factors) and every pairwise difference is a non-integer (missing the
     z_i - z_j = 0, +-1, +-k poles).
     """
+    _check_int("n", n)
     if n > len(_SAMPLE_DENOMS):
         raise ValueError("too many variables for the sampling scheme")
     xs, ys = profile(lam)
@@ -255,6 +261,8 @@ def lemma_checks(
 ) -> dict[str, bool]:
     """Exact checks of the cyclic-sum and inversion laws at random rational
     sample points."""
+    _check_int("n", n)
+    _check_int("sample_count", sample_count)
     if n < 2:
         raise ValueError("n must be >= 2")
     if sample_count < 1:

@@ -8,8 +8,9 @@ Laurent expansion at infinity (moment/cumulant extraction) and exact residue
 extraction at a point, for poles of any order.
 
 ``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
-``divide_linear``, ``taylor_at`` and ``shift``; ``product_at`` is the one root
-product prod (x - a) / prod (x - b) at a point, in integers.
+``divide_linear``, ``taylor_at``, ``shift`` and the root cancellation of
+``FactoredRatFun.make`` (one division per cancelled root); ``product_at`` is
+the one root product prod (x - a) / prod (x - b) at a point, in integers.
 """
 
 from __future__ import annotations
@@ -146,8 +147,11 @@ class FactoredRatFun:
         if numer.is_zero():
             return FactoredRatFun(numer, ())
         for r in list(dd):
-            while dd[r] and numer(r) == 0:
-                numer = numer.divide_linear(r)
+            while dd[r]:
+                quotient, remainder = _divide(numer.coeffs, r)
+                if remainder:
+                    break
+                numer = Poly(quotient)
                 dd[r] -= 1
             if not dd[r]:
                 del dd[r]

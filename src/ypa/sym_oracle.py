@@ -15,11 +15,17 @@ integers.  The orthogonal form, with sqrt(1 - 1/r^2) on both sides, is
 derived from it: the two differ by the diagonal change of basis that
 normalizes each path vector, so every trace agrees.
 
-A character is the trace of a product of these matrices.  The transposition
-word is split in two halves, each multiplied out in integers, and
-trace(AB) = sum A_rc B_cr pairs them without forming AB.  This gives an
-oracle for the normalized characters that never touches the tangle
-evaluator.
+A character is a trace of a product of these matrices.  The basis is
+adapted to the chain S_1 < S_2 < ... < S_n (Okounkov-Vershik), so once the
+cycles of pi sit on the letters 1..k, k = |pi|, the word acts only on the
+first k levels of each path: V^lam splits into f^(lam/mu) copies of V^mu for
+each mu of weight k, and chi^lam(pi) = sum over mu of f^(lam/mu) chi^mu(pi).
+The path counts f^(lam/mu) come from :func:`ypa.young.skew_dims`; each
+chi^mu(pi) is one trace on V^mu, cached, so no matrix is built above k boxes.
+The transposition word is split in two halves, each multiplied out in
+integers, and trace(AB) = sum A_rc B_cr pairs them without forming AB.  This
+gives an oracle for the normalized characters that never touches the tangle
+evaluator, and takes neither the path sum's content-gap weights nor a residue.
 
 :func:`path_sum_character` computes the same character as a sum over
 descending paths in the Young graph, reading no matrix.  Each cycle of pi
@@ -45,6 +51,7 @@ from .young import (
     box_content,
     dim,
     down_covers,
+    skew_dims,
     up_covers,
     weight,
 )
@@ -164,8 +171,9 @@ def _word_product(lam: Diagram, word: list[int]) -> tuple[SparseMatrix, int]:
 
 
 def cycle_type_representative(pi: tuple[int, ...], n: int) -> list[list[int]]:
-    """Disjoint cycles of full type pi + (1^(n-|pi|)), acting on the last
-    |pi| letters: ((n, n-1, ..), (..), ...)."""
+    """Disjoint descending cycles of type pi + (1^(n-|pi|)) on the last |pi|
+    of the letters 1..n: ((n, n-1, ..), (..), ...).  :func:`character` takes
+    n = |pi|, so the cycles fill the letters 1..|pi| of S_|pi|."""
     cycles = []
     top = n
     for part in pi:
@@ -187,25 +195,40 @@ def cycle_transpositions(cycle: list[int], reverse_word: bool = False) -> list[i
 
 
 def character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> Fraction:
-    """chi^lam on the class pi + (1^(n-|pi|)), as a trace of GZ matrices.
+    """chi^lam on the class pi + (1^(n-|pi|)), as a sum of GZ traces on S_|pi|.
 
-    The word of adjacent transpositions is split in two halves; each is
-    multiplied out in the integer seminormal form, and the trace pairs them,
-    divided once by the product of the scales.
+    The cycles of pi fill the letters 1..k, k = |pi|, where V^lam splits into
+    f^(lam/mu) copies of V^mu for each mu of weight k, so
+    chi^lam(pi) = sum over mu of f^(lam/mu) chi^mu(pi), with the path counts
+    of :func:`ypa.young.skew_dims` and each chi^mu(pi) a trace on V^mu.
     """
     lam, pi = as_partition(lam), as_partition(pi)
     n = weight(lam)
     k = sum(pi)
     if k > n:
         raise ValueError(f"|pi| = {k} exceeds |lam| = {n}")
+    return sum(
+        (f * _trace(mu, pi, reverse_word) for mu, f in skew_dims(lam, k).items()),
+        Fraction(0),
+    )
+
+
+@cache
+def _trace(mu: Diagram, pi: tuple[int, ...], reverse_word: bool) -> Fraction:
+    """chi^mu(pi) for |mu| = |pi|, as the trace of the cycle word on V^mu.
+
+    The word of adjacent transpositions is split in two halves; each is
+    multiplied out in the integer seminormal form, and the trace pairs them,
+    divided once by the product of the scales.
+    """
     word = [
         i
-        for cyc in cycle_type_representative(pi, n)
+        for cyc in cycle_type_representative(pi, weight(mu))
         for i in cycle_transpositions(cyc, reverse_word)
     ]
     half = len(word) // 2
-    a, scale_a = _word_product(lam, word[:half])
-    b, scale_b = _word_product(lam, word[half:])
+    a, scale_a = _word_product(mu, word[:half])
+    b, scale_b = _word_product(mu, word[half:])
     return Fraction(sparse_trace(a, b), scale_a * scale_b)
 
 

@@ -9,17 +9,19 @@ The cover maps are the one edge table: :func:`profile` and
 tuple that is not a partition, so everything that reads the Young graph
 checks each diagram once, on its first visit.
 
-Caching: :func:`dim`, :func:`profile` and the cover maps use per-process
-``functools.cache`` tables.  Under the process-pool verifier every worker
-owns its table, and within one process CPython's GIL makes the idempotent
-inserts safe, so no further locking is needed.
+Caching: :func:`skew_dims`, :func:`dim`, :func:`profile` and the cover maps
+use per-process ``functools.cache`` tables.  Under the process-pool verifier
+every worker owns its table, and within one process CPython's GIL makes the
+idempotent inserts safe, so no further locking is needed.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 Diagram = tuple[int, ...]
 Signature = tuple[int, ...]  # entries +1 / -1
@@ -117,23 +119,37 @@ def box_content(big: Diagram, small: Diagram) -> int:
     raise ValueError(f"{big} does not cover {small}")
 
 
-@cache
-def dim(lam: Diagram) -> int:
-    """Number of saturated paths from the empty diagram to lam.
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 miss the k = 1 entry
+def skew_dims(lam: Diagram, k: int) -> Mapping[Diagram, int]:
+    """Each mu of weight k below lam, with f^(lam/mu), its number of
+    saturated paths up to lam.
 
-    This is the path-count definition (equivalently the number of standard
-    tableaux), counted level by level down the cover maps, so a long
-    diagram costs no recursion depth.  Tests cross-check it against
-    |lam|! / prod(hook lengths).
+    This is the one path counter: it counts level by level down the cover
+    maps, from lam to level k, so a long diagram costs no recursion depth.
     """
-    level = {lam: 1}  # each diagram k boxes below lam, with its paths up to lam
-    while EMPTY not in level:
+    lam = as_partition(lam)
+    n = weight(lam)
+    if type(k) is not int or not 0 <= k <= n:
+        raise ValueError(f"level {k!r} is not an int in 0..{n}")
+    level = {lam: 1}  # each diagram below lam, with its paths up to lam
+    for _ in range(n - k):
         below: dict[Diagram, int] = {}
         for nu, paths in level.items():
             for mu, _ in down_covers(nu):
                 below[mu] = below.get(mu, 0) + paths
         level = below
-    return level[EMPTY]
+    return MappingProxyType(level)
+
+
+@cache
+def dim(lam: Diagram) -> int:
+    """Number of saturated paths from the empty diagram to lam.
+
+    This is the path-count definition (equivalently the number of standard
+    tableaux), :func:`skew_dims` at level 0.  Tests cross-check it against
+    |lam|! / prod(hook lengths).
+    """
+    return skew_dims(lam, 0)[EMPTY]
 
 
 def hook_lengths(lam: Diagram) -> list[int]:

@@ -35,6 +35,17 @@ def test_character_of_a_long_row_by_all_three_methods(capsys):
     assert out.count(": 400") == 3  # diagram, frobenius, oracle
 
 
+def test_character_oracle_on_a_staircase_at_a_two_part_class(capsys):
+    # Frobenius needs a one-part pi, so "all" is the diagram and the oracle;
+    # the oracle traces on S_7, not on the 3,573,570-dimensional V^lam.
+    code, out, _ = run(
+        capsys, "--format", "json", "character", "--lambda", "[6,5,3,2,1]",
+        "--pi", "[4,3]", "--method", "all",
+    )
+    assert code == 0
+    assert json.loads(out)["results"] == {"diagram": "14976", "oracle": "14976"}
+
+
 def test_character_csv(capsys):
     code, out, _ = run(
         capsys,

@@ -72,10 +72,18 @@ def test_radial_preconditions():
         (fr.radial_I, ((2, 1), 2.0)),
         (fr.satellite_I, ((2, 1), 2.0)),
         (fr.frobenius_sigma, ((2, 1), F(2))),
+        (fr.sample_points, ((2, 1), True, random.Random(0))),
+        (fr.f_eval, ((2, 1), True, [F(7, 3)])),
+        (fr.satellite_level_form, ((2, 1), True, 0, ())),
+        (fr.satellite_step_check, ((2, 1), 3, True, [(F(36, 7),)])),
+        (fr.lemma_checks, ((2, 1), 2.0, 2)),
+        (fr.lemma_checks, ((2, 1), 2, 2.0)),
+        (fr.satellite_final_form, ((2, 1), True)),
     ],
 )
 def test_frobenius_routes_take_ints_only(fn, args):
     # Nothing is coerced: True is not 1, and 2.0 is not 2.
+    fr.satellite_final_form((2, 1), 1)  # a cached n = 1 must not answer for True
     with pytest.raises(ValueError):
         fn(*args)
 

@@ -152,6 +152,18 @@ def test_from_roots_is_the_reduced_form(numer_roots, denom_roots):
     assert FactoredRatFun.from_roots(numer_roots, denom_roots) == expected
 
 
+@settings(deadline=None, max_examples=200)
+@given(ROOT_LISTS, ROOT_LISTS, ROOT_LISTS, st.integers(1, 3))
+def test_make_cancels_repeated_common_roots(numer_roots, denom_roots, common, times):
+    # Each common root appears `times` more times on both sides.
+    num = Counter(numer_roots + common * times)
+    den = Counter(denom_roots + common * times)
+    shared = num & den
+    reduced = FactoredRatFun.from_roots((num - shared).elements(), (den - shared).elements())
+    assert FactoredRatFun.make(_linear_product(num.elements()), den) == reduced
+    assert reduced.denom == tuple(sorted((den - shared).items()))
+
+
 @settings(deadline=None, max_examples=300)
 @given(reduced_ratfuns(), reduced_ratfuns(), st.fractions(-3, 3, max_denominator=4))
 def test_product_is_the_reduced_form(a, b, c):

@@ -6,7 +6,7 @@ import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.sym_oracle as so
 from ypa.surd import Surd, sqrt_fraction
-from ypa.young import diagrams_up_to, dim, down_covers, weight
+from ypa.young import as_partition, diagrams_of_weight, diagrams_up_to, dim, down_covers, weight
 
 
 def test_standard_tableaux_counts():
@@ -154,6 +154,62 @@ def test_trace_equals_path_sum():
             if sum(pi) > weight(lam):
                 continue
             assert so.character(lam, pi) == so.path_sum_character(lam, pi)
+
+
+def _full_trace_character(lam, pi, reverse_word=False):
+    """The trace on all of V^lam that the block sum replaced, kept verbatim
+    as a reference: its cycles sit on the last |pi| of the letters 1..|lam|."""
+    lam, pi = as_partition(lam), as_partition(pi)
+    n = weight(lam)
+    k = sum(pi)
+    if k > n:
+        raise ValueError(f"|pi| = {k} exceeds |lam| = {n}")
+    word = [
+        i
+        for cyc in so.cycle_type_representative(pi, n)
+        for i in so.cycle_transpositions(cyc, reverse_word)
+    ]
+    half = len(word) // 2
+    a, scale_a = so._word_product(lam, word[:half])
+    b, scale_b = so._word_product(lam, word[half:])
+    return F(so.sparse_trace(a, b), scale_a * scale_b)
+
+
+def test_block_sum_equals_the_full_trace():
+    for lam in diagrams_up_to(8):
+        for pi in diagrams_up_to(weight(lam))[1:]:
+            for reverse_word in (False, True):
+                assert so.character(lam, pi, reverse_word) == _full_trace_character(
+                    lam, pi, reverse_word
+                ), (lam, pi, reverse_word)
+
+
+def test_oracle_builds_no_matrix_above_pi(monkeypatch):
+    # lam = (5,4,2,1) has dimension 5,632; pi = (3,1) needs traces on S_4 only.
+    so._trace.cache_clear()
+    so.seminormal_matrix.cache_clear()
+    original = so.seminormal_matrix
+    built = []
+
+    def recording(lam, i):
+        built.append((lam, i))
+        return original(lam, i)
+
+    monkeypatch.setattr(so, "seminormal_matrix", recording)
+    value = so.normalized_character((5, 4, 2, 1), (3, 1))
+    assert value == hs.character_diagram((5, 4, 2, 1), (3, 1))
+    # Every cache entry was recorded, and none has more than |pi| boxes.
+    assert original.cache_info().currsize == len(set(built)) > 0
+    assert max(weight(lam) for lam, _ in built) == 4
+
+
+def test_oracle_agrees_with_the_diagram_at_weight_12():
+    for lam in diagrams_of_weight(12):
+        for pi in diagrams_up_to(5)[1:]:
+            assert so.normalized_character(lam, pi) == hs.character_diagram(lam, pi), (
+                lam,
+                pi,
+            )
 
 
 def _descending_path_sum(lam, pi):

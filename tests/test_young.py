@@ -23,6 +23,7 @@ from ypa.young import (
     parse_loop,
     profile,
     signature_of,
+    skew_dims,
     transpose,
     up_covers,
     weight,
@@ -65,6 +66,33 @@ def test_dim_against_hook_length_formula():
         for h in hook_lengths(lam):
             hooks *= h
         assert dim(lam) * hooks == factorial(weight(lam))
+
+
+def test_skew_dims_split_dim_at_every_level():
+    # V^lam restricted to S_k is the sum of f^(lam/mu) copies of V^mu.
+    for lam in diagrams_up_to(10):
+        n = weight(lam)
+        assert skew_dims(lam, 0) == {(): dim(lam)}
+        assert skew_dims(lam, n) == {lam: 1}
+        for k in range(n + 1):
+            level = skew_dims(lam, k)
+            assert all(weight(mu) == k for mu in level)
+            assert sum(f * dim(mu) for mu, f in level.items()) == dim(lam)
+
+
+def test_skew_dims_of_a_long_row_need_no_recursion():
+    skew_dims.cache_clear()
+    assert skew_dims((400,), 0) == {(): 1}
+    assert skew_dims((400,), 150) == {(150,): 1}
+
+
+@pytest.mark.parametrize(
+    "lam, k", [((2, 1), 4), ((2, 1), -1), ((2, 1), 1.0), ((2, 1), True), ((1, 2), 0)]
+)
+def test_skew_dims_rejects_bad_levels_and_non_partitions(lam, k):
+    skew_dims((2, 1), 1)  # a cached k = 1 must not answer for True or 1.0
+    with pytest.raises(ValueError):
+        skew_dims(lam, k)
 
 
 def test_profile_invariants_up_to_weight_12():
