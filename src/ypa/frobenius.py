@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from . import affine
 from .affine import Term
@@ -168,9 +168,10 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
 
 # -- the multivariate integrand and the radial scheme ---------------------------
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True misses the n = 1 entry
 def f_term(lam: Diagram, n: int) -> Term:
     """F as a single product of affine factors in variables 1..n."""
+    _check_int("n", n)
     xs, ys = profile(lam)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return affine.term_product(1, [

@@ -79,11 +79,14 @@ def test_radial_preconditions():
         (fr.lemma_checks, ((2, 1), 2.0, 2)),
         (fr.lemma_checks, ((2, 1), 2, 2.0)),
         (fr.satellite_final_form, ((2, 1), True)),
+        (fr.f_term, ((2, 1), True)),
     ],
 )
 def test_frobenius_routes_take_ints_only(fn, args):
     # Nothing is coerced: True is not 1, and 2.0 is not 2.
-    fr.satellite_final_form((2, 1), 1)  # a cached n = 1 must not answer for True
+    # A cached n = 1 must not answer for True.
+    fr.satellite_final_form((2, 1), 1)
+    fr.f_term((2, 1), 1)
     with pytest.raises(ValueError):
         fn(*args)
 
