@@ -16,7 +16,8 @@ reproduce the normalized character on one-cycle partitions.  The satellite
 steps are checked pointwise at samples with distinct prime denominators,
 where every contour pole is simple: a residue is the product of the other
 linear factors at the pole, ``ratfun.product_at``, in integers; other poles
-use the reduced form.
+use the reduced form.  Every n, k, entry of sigma and ``sample_count`` goes
+through ``young.check_int``, so ``True`` and ``2.0`` raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from . import affine
 from .affine import Term
 from .ratfun import FactoredRatFun, product_at
-from .young import Diagram, as_partition, profile
+from .young import Diagram, as_partition, check_int, profile
 
 
 def _h_roots(lam: Diagram, shifts) -> tuple[list, list]:
@@ -49,18 +50,10 @@ def h_product(lam: Diagram, shifts) -> FactoredRatFun:
     return FactoredRatFun.from_roots(*_h_roots(lam, shifts))
 
 
-def _check_int(name: str, value) -> None:
-    """ValueError unless value is an int; True is not one (as in young.is_diagram)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
     """Sigma_(k)(lam) = -(1/k) * contour integral of H(z) H(z-1) .. H(z-k+1)."""
     lam = as_partition(lam)
-    _check_int("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k, 1)
     prod = h_product(lam, [-j for j in range(k)])
     return -prod.sum_of_residues() / k
 
@@ -75,9 +68,7 @@ def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
 
 def satellite_I(lam: Diagram, n: int) -> Fraction:
     """The satellite integral; satisfies Sigma_(n) = -satellite_I / n."""
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int("n", n, 1)
     return satellite_final_form(lam, n).sum_of_residues()
 
 
@@ -102,8 +93,8 @@ def satellite_level_form(
     the one whose contour comes next).  Valid for 0 <= k <= n - 1; at
     k = n - 1 the tail is empty and this is the final form.
     """
-    _check_int("n", n)
-    _check_int("k", k)
+    check_int("n", n)
+    check_int("k", k)
     if not 0 <= k <= n - 1:
         raise ValueError("level k must satisfy 0 <= k <= n-1")
     if len(tail) != n - k - 1:
@@ -149,8 +140,8 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     root of the right side at w, uses the reduced form.  Raises ValueError
     when ``samples`` is empty.
     """
-    _check_int("n", n)
-    _check_int("k", k)
+    check_int("n", n)
+    check_int("k", k)
     if not 0 <= k <= n - 2:
         raise ValueError("step k must satisfy 0 <= k <= n-2")
     checked = 0
@@ -171,7 +162,7 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
 @lru_cache(maxsize=None, typed=True)  # typed: True misses the n = 1 entry
 def f_term(lam: Diagram, n: int) -> Term:
     """F as a single product of affine factors in variables 1..n."""
-    _check_int("n", n)
+    check_int("n", n)
     xs, ys = profile(lam)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return affine.term_product(1, [
@@ -184,7 +175,7 @@ def f_term(lam: Diagram, n: int) -> Term:
 
 def f_eval(lam: Diagram, n: int, points) -> Fraction:
     """Evaluate F at rational points; raises PoleHit on a pole."""
-    _check_int("n", n)
+    check_int("n", n)
     points = [Fraction(p) for p in points]
     if len(points) != n:
         raise ValueError(f"need {n} points")
@@ -203,13 +194,11 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
     n <= 3: every pole those meet is simple, while some sigma != id at n = 4
     meet a double constant pole, which affine.residue_in rejects.
     """
-    _check_int("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int("n", n, 1)
     if sigma is None:
         sigma = tuple(range(1, n + 1))
-    sigma = tuple(sigma)
-    if any(type(v) is not int for v in sigma) or sorted(sigma) != list(range(1, n + 1)):
+    sigma = tuple(check_int("sigma entry", v) for v in sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"sigma must permute 1..{n}")
     is_id = sigma == tuple(range(1, n + 1))
     if (is_id and n > MAX_RADIAL_N) or (not is_id and n > 3):
@@ -242,7 +231,7 @@ def sample_points(lam: Diagram, n: int, rng: random.Random) -> tuple[Fraction, .
     factors) and every pairwise difference is a non-integer (missing the
     z_i - z_j = 0, +-1, +-k poles).
     """
-    _check_int("n", n)
+    check_int("n", n)
     if n > len(_SAMPLE_DENOMS):
         raise ValueError("too many variables for the sampling scheme")
     xs, ys = profile(lam)
@@ -262,12 +251,8 @@ def lemma_checks(
 ) -> dict[str, bool]:
     """Exact checks of the cyclic-sum and inversion laws at random rational
     sample points."""
-    _check_int("n", n)
-    _check_int("sample_count", sample_count)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    check_int("n", n, 2)
+    check_int("sample_count", sample_count, 1)
     rng = random.Random(seed)
     cyclic_ok = inversion_ok = True
     for _ in range(sample_count):

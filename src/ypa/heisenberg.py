@@ -37,6 +37,7 @@ from .young import (
     Signature,
     as_partition,
     box_content,
+    check_int,
     diagrams_up_to,
     dim,
     enumerate_loops,
@@ -339,14 +340,10 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     one worker per base and per usable CPU, since a forking pool starts
     every worker at once.
     """
-    sides = relation_sides(name)
-    if max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    bases = diagrams_up_to(max_weight)
-    tasks = [(name, base) for base in bases]
-    results = []
+    relation_sides(name)
+    check_int("max_weight", max_weight, 1)
+    check_int("jobs", jobs, 1)
+    tasks = [(name, base) for base in diagrams_up_to(max_weight)]
     if jobs > 1:
         workers = min(jobs, len(tasks), _usable_cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -362,7 +359,7 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
 
 def cycle_program(k: int) -> TangleProgram:
     """Layered program for the k-cycle element, k >= 2: k-1 crossing boxes."""
-    if k < 2:
+    if check_int("k", k) < 2:
         raise ValueError("cycle_program needs k >= 2")
     sig = "(" + ",".join(["-"] * k + ["+"] * k) + ")"
     return _prog(f"tangle cycle_{k} : {sig} {{\n{_cycle_rows(k, 0)}\n}}")
@@ -416,15 +413,13 @@ def _circle_with_dots(kind: str, k: int) -> TangleProgram:
 
 def moment_diagram(lam: Diagram, k: int) -> Fraction:
     """k-th moment as the counterclockwise circle with k dots."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k, 1)
     return _closed_value(_circle_with_dots("ccw", k), lam)
 
 
 def cumulant_diagram(lam: Diagram, k: int) -> Fraction:
     """Boolean cumulant B_(k+2) as the clockwise circle with k dots."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_int("k", k, 0)
     return _closed_value(_circle_with_dots("cw", k), lam)
 
 
@@ -471,8 +466,7 @@ def kerov_boolean_expansion(
     rule sum(k * e_k) == |pi| - len(pi) mod 2.  Solved exactly by sampling
     all diagrams of weight <= sample_weight.
     """
-    if sample_weight < 0:
-        raise ValueError("sample_weight must be >= 0")
+    check_int("sample_weight", sample_weight, 0)
     pi = tuple(pi)
     n, ell = sum(pi), len(pi)
     ks = list(range(2, n - ell + 3))

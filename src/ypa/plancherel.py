@@ -19,7 +19,9 @@ from math import factorial
 from typing import Callable
 
 from .ratfun import FactoredRatFun, product_at
-from .young import Diagram, box_content, dim, down_covers, profile, up_covers, weight
+from .young import (
+    Diagram, box_content, check_int, dim, down_covers, profile, up_covers, weight,
+)
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,19 @@ def inv_h(lam: Diagram) -> FactoredRatFun:
 
 def moment(lam: Diagram, n: int) -> Fraction:
     """n-th moment of the transition measure, read off the expansion of G."""
-    if n < 1:
-        raise ValueError("moment index must be >= 1")
+    check_int("moment index", n, 1)
     return cauchy_g(lam).series_at_infinity(n)[n]
 
 
 def boolean_cumulant(lam: Diagram, n: int) -> Fraction:
     """n-th Boolean cumulant, read off the expansion of H."""
-    if n < 1:
-        raise ValueError("cumulant index must be >= 1")
+    check_int("cumulant index", n, 1)
     return -inv_h(lam).series_at_infinity(n)[n]
 
 
 def moment_by_measure(lam: Diagram, n: int) -> Fraction:
     """Oracle: sum of c(mu/lam)^n over the transition measure."""
+    check_int("n", n)
     return sum(
         (Fraction(c) ** n * p_up(lam, mu) for mu, c in up_covers(lam)), Fraction(0)
     )
@@ -92,7 +93,7 @@ def moment_by_measure(lam: Diagram, n: int) -> Fraction:
 
 def boolean_cumulant_by_measure(lam: Diagram, n: int) -> Fraction:
     """Oracle: |lam| * sum of c(lam/mu)^(n-2) over the cotransition measure."""
-    if n < 2:
+    if check_int("n", n) < 2:
         raise ValueError("measure form defined for n >= 2")
     return weight(lam) * sum(
         (Fraction(c) ** (n - 2) * p_down(lam, mu) for mu, c in down_covers(lam)),

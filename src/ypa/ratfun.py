@@ -8,9 +8,9 @@ Laurent expansion at infinity (moment/cumulant extraction) and exact residue
 extraction at a point, for poles of any order.
 
 ``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
-``divide_linear``, ``taylor_at``, ``shift`` and the root cancellation of
-``FactoredRatFun.make`` (one division per cancelled root); ``product_at`` is
-the one root product prod (x - a) / prod (x - b) at a point, in integers.
+``taylor_at``, ``shift`` and the root cancellation of ``FactoredRatFun.make``
+(one division per cancelled root); ``product_at`` is the one root product
+prod (x - a) / prod (x - b) at a point, in integers.
 """
 
 from __future__ import annotations
@@ -106,13 +106,6 @@ class Poly:
     def shift(self, a: Fraction) -> "Poly":
         """Return p(z + a): its coefficients are the Taylor coefficients at a."""
         return Poly(self.taylor_at(a, self.degree)) if a else self
-
-    def divide_linear(self, root: Fraction) -> "Poly":
-        """Exact division by (z - root); requires p(root) == 0."""
-        quotient, remainder = _divide(self.coeffs, root)
-        if remainder != 0:
-            raise ValueError("divide_linear: not a root of the polynomial")
-        return Poly(quotient)
 
     def taylor_at(self, p: Fraction, order: int) -> list[Fraction]:
         """Coefficients of (z - p)^0 .. (z - p)^order in the expansion at p:

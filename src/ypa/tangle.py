@@ -68,7 +68,9 @@ from typing import Callable
 
 from .plancherel import HarmonicFunction
 from .surd import Surd, sqrt_fraction, squarefree_split
-from .young import Diagram, LoopPath, Signature, box_content, down_covers, up_covers
+from .young import (
+    Diagram, LoopPath, Signature, box_content, check_signature, down_covers, up_covers,
+)
 
 UP, DOWN = 1, -1
 
@@ -101,15 +103,7 @@ class Element:
     fn: Callable[[LoopPath, HarmonicFunction], Surd]
 
     def __post_init__(self):
-        if type(self.signature) is not tuple:
-            raise ValueError(f"element {self.name} signature must be a tuple")
-        for s in self.signature:
-            if type(s) is not int or s not in (1, -1):
-                raise ValueError(f"element {self.name} sign {s!r} is not 1 or -1")
-        if sum(self.signature):
-            raise ValueError(
-                f"element {self.name} signature {self.signature} does not sum to 0"
-            )
+        check_signature(self.signature, f"element {self.name}")
 
     def legs(self) -> tuple[int, ...]:
         """Strand orientations left-to-right that the box window must show."""

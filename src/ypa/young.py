@@ -9,6 +9,13 @@ The cover maps are the one edge table: :func:`profile` and
 tuple that is not a partition, so everything that reads the Young graph
 checks each diagram once, on its first visit.
 
+The input rules live here, one each: :func:`as_partition` for a diagram,
+:func:`check_int` for an int parameter (``True`` and ``2.0`` are not ints)
+and :func:`check_signature` for a tuple of signs.  Every public function of
+``young``, ``plancherel``, ``heisenberg`` and ``frobenius`` that takes an
+int checks it with :func:`check_int`, once per call, before any cache
+lookup, process pool or sampling; nothing is coerced.
+
 Caching: :func:`skew_dims`, :func:`dim`, :func:`profile` and the cover maps
 use per-process ``functools.cache`` tables.  Under the process-pool verifier
 every worker owns its table, and within one process CPython's GIL makes the
@@ -43,15 +50,29 @@ def as_partition(parts) -> Diagram:
     return parts
 
 
+def check_int(name: str, value, lo: int | None = None) -> int:
+    """value, or ValueError unless it is an int (True and 2.0 are not) >= lo."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    return value
+
+
+def check_signature(sig, owner: str) -> Signature:
+    """sig, or ValueError unless it is a tuple of the ints 1 and -1 summing to 0."""
+    if type(sig) is not tuple:
+        raise ValueError(f"{owner} signature must be a tuple")
+    for s in sig:
+        if type(s) is not int or s not in (1, -1):
+            raise ValueError(f"{owner} sign {s!r} is not 1 or -1")
+    if sum(sig):
+        raise ValueError(f"{owner} signature {sig} does not sum to 0")
+    return sig
+
+
 class LiteralError(ValueError):
     """A malformed diagram or loop literal."""
-
-
-def check_diagram(parts) -> Diagram:
-    lam = tuple(int(p) for p in parts)
-    if not is_diagram(lam):
-        raise LiteralError(f"not weakly decreasing positive parts: {list(lam)}")
-    return lam
 
 
 def weight(lam: Diagram) -> int:
@@ -129,8 +150,8 @@ def skew_dims(lam: Diagram, k: int) -> Mapping[Diagram, int]:
     """
     lam = as_partition(lam)
     n = weight(lam)
-    if type(k) is not int or not 0 <= k <= n:
-        raise ValueError(f"level {k!r} is not an int in 0..{n}")
+    if not 0 <= check_int("level", k) <= n:
+        raise ValueError(f"level {k} is not in 0..{n}")
     level = {lam: 1}  # each diagram below lam, with its paths up to lam
     for _ in range(n - k):
         below: dict[Diagram, int] = {}
@@ -169,7 +190,7 @@ class LoopPath:
     signature: Signature
 
     def __post_init__(self):
-        n = len(self.signature)
+        n = len(check_signature(self.signature, "loop"))
         if len(self.diagrams) != n + 1:
             raise ValueError("loop needs one more diagram than signs")
         if not n:
@@ -177,8 +198,6 @@ class LoopPath:
         elif self.diagrams[0] != self.diagrams[-1]:
             raise ValueError("loop must end where it starts")
         for i, s in enumerate(self.signature):
-            if type(s) is not int or s not in (1, -1):
-                raise ValueError(f"loop sign {s!r} is not 1 or -1")
             a, b = self.diagrams[i], self.diagrams[i + 1]
             big, small = (b, a) if s > 0 else (a, b)
             box_content(big, small)  # raises if not a cover
@@ -241,9 +260,10 @@ def parse_diagram(text: str) -> Diagram:
     if not _DIAGRAM_RE.fullmatch(text):
         raise LiteralError(f"bad diagram literal: {text!r}")
     inner = text[1:-1].strip()
-    if not inner:
-        return EMPTY
-    return check_diagram(int(p) for p in inner.split(","))
+    lam = tuple(int(p) for p in inner.split(",")) if inner else EMPTY
+    if not is_diagram(lam):
+        raise LiteralError(f"not weakly decreasing positive parts: {list(lam)}")
+    return lam
 
 
 def format_diagram(lam: Diagram) -> str:
@@ -291,6 +311,7 @@ def format_loop(loop: LoopPath) -> str:
 
 def diagrams_of_weight(n: int) -> list[Diagram]:
     """All diagrams of weight exactly n, lexicographically decreasing parts."""
+    check_int("n", n, 0)
     out: list[Diagram] = []
 
     def build(remaining: int, maxpart: int, prefix: list[int]):
@@ -307,6 +328,8 @@ def diagrams_of_weight(n: int) -> list[Diagram]:
 
 
 def diagrams_up_to(n: int) -> list[Diagram]:
+    """All diagrams of weight <= n; none for a negative n."""
+    check_int("n", n)
     out: list[Diagram] = []
     for k in range(n + 1):
         out.extend(diagrams_of_weight(k))

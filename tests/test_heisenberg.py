@@ -155,6 +155,18 @@ def test_pool_has_at_most_one_worker_per_usable_cpu(monkeypatch):
     assert pooled == serial
 
 
+def test_verify_relation_checks_its_ints_before_any_pool(monkeypatch):
+    # Before, jobs=True ran serially, jobs=2.0 started a pool, and
+    # max_weight=True checked the bases of weight <= 1.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started before the parameters were checked")
+
+    monkeypatch.setattr(hs, "ProcessPoolExecutor", no_pool)
+    for args, name in (((3, True), "jobs"), ((3, 2.0), "jobs"), ((True,), "max_weight")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            hs.verify_relation("ybe", *args)
+
+
 def test_usable_cpus_is_positive():
     assert hs._usable_cpus() >= 1
 

@@ -153,3 +153,11 @@ def test_first_cumulants():
 def test_harmonic_function_wrapper():
     assert PLANCHEREL((2, 1)) == F(1, 3)
     assert PLANCHEREL.name == "plancherel"
+
+
+def test_the_measure_oracles_take_int_indices_only():
+    # At n = 2.0 both used to return a float: 3.0 for M_2 of (2, 1).
+    assert moment_by_measure((2, 1), 2) == moment((2, 1), 2) == 3
+    for fn in (moment_by_measure, boolean_cumulant_by_measure):
+        with pytest.raises(ValueError, match=r"^n must be an int, got 2\.0$"):
+            fn((2, 1), 2.0)

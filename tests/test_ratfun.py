@@ -216,17 +216,6 @@ def test_taylor_at_is_the_head_of_the_shift(coeffs, p, order, ts):
         assert _value(poly.shift(p).coeffs, t) == _value(coeffs, p + t)
 
 
-@settings(deadline=None, max_examples=200)
-@given(COEFFS, POINTS)
-def test_divide_linear_undoes_the_linear_factor(coeffs, r):
-    poly = Poly(coeffs)
-    factor = Poly([-r, 1])
-    assert (poly * factor).divide_linear(r) * factor == poly * factor
-    if poly(r):
-        with pytest.raises(ValueError, match="not a root"):
-            poly.divide_linear(r)
-
-
 NUMBERS = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=4))
 
 

@@ -1,5 +1,7 @@
+import ast
 import re
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -12,6 +14,8 @@ from ypa.young import (
     LoopPath,
     as_partition,
     box_content,
+    check_int,
+    diagrams_of_weight,
     diagrams_up_to,
     dim,
     down_covers,
@@ -318,3 +322,79 @@ def test_loop_literal_parses_exactly_or_raises_literal_error(tokens):
     except LiteralError:
         return
     assert format_loop(loop) == text
+
+
+# Every public int parameter goes through young.check_int: True is not 1,
+# False is not 0, and 2.0 is not 2.  Before, moment((2, 1), True) gave M_1,
+# cumulant_diagram((2, 1), False) gave B_2 and moment_by_measure gave a float.
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        (pl.moment, ((2, 1), True), "moment index"),
+        (pl.boolean_cumulant, ((2, 1), True), "cumulant index"),
+        (pl.moment_by_measure, ((2, 1), True), "n"),
+        (pl.boolean_cumulant_by_measure, ((2, 1), True), "n"),
+        (hs.verify_relation, ("ybe", True), "max_weight"),
+        (hs.verify_relation, ("ybe", 3, True), "jobs"),
+        (hs.cycle_program, (True,), "k"),
+        (hs.moment_diagram, ((2, 1), True), "k"),
+        (hs.cumulant_diagram, ((2, 1), True), "k"),
+        (hs.kerov_boolean_expansion, ((2,), True), "sample_weight"),
+        (diagrams_of_weight, (True,), "n"),
+        (diagrams_up_to, (True,), "n"),
+        (pl.moment_by_measure, ((2, 1), False), "n"),
+        (hs.cumulant_diagram, ((2, 1), False), "k"),
+        (hs.kerov_boolean_expansion, ((2,), False), "sample_weight"),
+        (diagrams_of_weight, (False,), "n"),
+        (diagrams_up_to, (False,), "n"),
+        (pl.moment, ((2, 1), 2.0), "moment index"),
+        (pl.boolean_cumulant, ((2, 1), 2.0), "cumulant index"),
+        (pl.moment_by_measure, ((2, 1), 2.0), "n"),
+        (pl.boolean_cumulant_by_measure, ((2, 1), 2.0), "n"),
+        (hs.verify_relation, ("ybe", 2.0), "max_weight"),
+        (hs.verify_relation, ("ybe", 3, 2.0), "jobs"),
+        (hs.cycle_program, (2.0,), "k"),
+        (hs.moment_diagram, ((2, 1), 2.0), "k"),
+        (hs.cumulant_diagram, ((2, 1), 2.0), "k"),
+        (hs.kerov_boolean_expansion, ((2,), 2.0), "sample_weight"),
+        (diagrams_of_weight, (2.0,), "n"),
+        (diagrams_up_to, (2.0,), "n"),
+    ],
+)
+def test_public_int_parameters_take_ints_only(fn, args, name):
+    hs.cumulant_diagram((2, 1), 1)  # a cached k = 1 must not answer for True
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        fn(*args)
+
+
+def test_check_int_names_the_parameter_and_its_bound():
+    assert check_int("n", 0) == 0 and check_int("n", 3, 1) == 3
+    with pytest.raises(ValueError, match=r"^n must be an int, got True$"):
+        check_int("n", True, 0)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1$"):
+        check_int("jobs", 0, 1)
+    assert diagrams_up_to(-1) == []
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        diagrams_of_weight(-1)
+
+
+def _int_type_tests(path: Path) -> list[int]:
+    """Lines of path comparing type(...) with int by `is` or `is not`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "id", None) == "type"
+        and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(getattr(c, "id", None) == "int" for c in node.comparators)
+    ]
+
+
+def test_the_int_rule_lives_in_young():
+    # check_int, check_signature and as_partition hold every int rule, so a
+    # copy of it in another module is a second rule that can drift.
+    src = Path(pl.__file__).parent
+    found = {p.name: _int_type_tests(p) for p in sorted(src.glob("*.py"))}
+    assert found["young.py"]
+    assert {name: lines for name, lines in found.items() if lines and name != "young.py"} == {}
