@@ -340,7 +340,7 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     one worker per base and per usable CPU, since a forking pool starts
     every worker at once.
     """
-    relation_sides(name)
+    relation_sides(name)  # raises on an unknown name
     check_int("max_weight", max_weight, 1)
     check_int("jobs", jobs, 1)
     tasks = [(name, base) for base in diagrams_up_to(max_weight)]
