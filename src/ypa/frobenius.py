@@ -14,17 +14,23 @@ that, at each step, poles at already-known rational locations are enclosed
 and poles at locations still involving an outer variable are not.  Both
 reproduce the normalized character on one-cycle partitions.  The satellite
 steps are checked pointwise at samples with distinct prime denominators,
-where every contour pole is simple: a residue is the product of the other
-linear factors at the pole, ``ratfun.product_at``, in integers; other poles
-use the reduced form.  Every n, k, entry of sigma and ``sample_count`` goes
-through ``young.check_int``, so ``True`` and ``2.0`` raise ``ValueError``.
+where every contour pole is simple.  Profile contents and shifts are
+integers, so with d the lcm of a tail's denominators, d times every root of
+both signs' level forms and d times every contour point w +- 1, w +- (k+1)
+are integers: pole orders are counted over ints, and a residue is the
+product of the other linear factors at the pole, ``ratfun.product_at`` with
+``scale=d``.  Other poles use the reduced form.  Every n, k, entry of sigma
+and ``sample_count`` goes through ``young.check_int``, so ``True`` and
+``2.0`` raise ``ValueError``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import affine
 from .affine import Term
@@ -32,10 +38,12 @@ from .ratfun import FactoredRatFun, product_at
 from .young import Diagram, as_partition, check_int, profile
 
 
-def _h_roots(lam: Diagram, shifts) -> tuple[list, list]:
+def _h_roots(lam: Diagram, shifts, d: int = 1) -> tuple[list, list]:
     """Zeros x - s and poles y - s of prod_s H(z + s), over the profile
-    minima x and maxima y of lam."""
+    minima x and maxima y of lam, times d; the shifts come already times d."""
     xs, ys = profile(lam)
+    if d != 1:
+        xs, ys = [d * x for x in xs], [d * y for y in ys]
     shifts = tuple(shifts)
     return [x - s for s in shifts for x in xs], [y - s for s in shifts for y in ys]
 
@@ -72,15 +80,23 @@ def satellite_I(lam: Diagram, n: int) -> Fraction:
     return satellite_final_form(lam, n).sum_of_residues()
 
 
-def _level_roots(lam: Diagram, k: int, tail, sgn: int) -> tuple[list, list]:
+def _level_roots(lam: Diagram, k: int, tail, sgn: int, d: int = 1) -> tuple[list, list]:
     """Unreduced zeros and poles of one sign's term of the level-k form:
     prod_(j<=k) H(z + sgn j) / (z - w) times prod over the tail of
     (z - zj)(z - zj + sgn k) / ((z - zj - sgn)(z - zj + sgn (k+1))), where
-    w = tail[0]; an empty tail leaves the H product alone."""
-    zeros, poles = _h_roots(lam, [sgn * j for j in range(k + 1)])
-    zeros += [r for zj in tail for r in (zj, zj - sgn * k)]
-    poles += list(tail[:1]) + [r for zj in tail for r in (zj + sgn, zj - sgn * (k + 1))]
+    w = tail[0]; an empty tail leaves the H product alone.  The tail comes
+    times d, and so do the roots: integers when d clears the denominators."""
+    s = sgn * d
+    zeros, poles = _h_roots(lam, [s * j for j in range(k + 1)], d)
+    zeros += [r for zj in tail for r in (zj, zj - s * k)]
+    poles += list(tail[:1]) + [r for zj in tail for r in (zj + s, zj - s * (k + 1))]
     return zeros, poles
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """The rationals times d, the lcm of their denominators, and d."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def satellite_level_form(
@@ -105,25 +121,31 @@ def satellite_level_form(
 
 
 def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
-    """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0]."""
-    roots = [_level_roots(lam, k, tail, sgn) for sgn in (1, -1)]
-    scale = f_eval(lam, n - k - 1, tail) / 2
+    """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0],
+    with the tail, the roots and the contour points times d."""
+    scaled, d = _over_lcm(tail)
+    roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
+    counts = [(Counter(zeros), Counter(poles)) for zeros, poles in roots]
+    trailing = f_eval(lam, n - k - 1, tail) / 2
     total = Fraction(0)
-    for p in {tail[0] + d for d in (1, -1, k + 1, -k - 1)}:
-        orders = [poles.count(p) - zeros.count(p) for zeros, poles in roots]
+    for p in {scaled[0] + e * d for e in (1, -1, k + 1, -k - 1)}:
+        orders = [poles[p] - zeros[p] for zeros, poles in counts]
         if max(orders) > 1:
-            total += satellite_level_form(lam, n, k, tail).residue_at(p)
+            total += satellite_level_form(lam, n, k, tail).residue_at(Fraction(p, d))
         else:
-            total += scale * sum(product_at(p, *r) for r, o in zip(roots, orders) if o == 1)
+            total += trailing * sum(
+                product_at(p, *r, d) for r, o in zip(roots, orders) if o == 1
+            )
     return total
 
 
 def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
-    """The level-k form at x, from its roots unless x is one of them."""
-    roots = [_level_roots(lam, k, tail, sgn) for sgn in (1, -1)]
-    if any(x in zeros + poles for zeros, poles in roots):
+    """The level-k form at x, from its roots times d unless x is one of them."""
+    (sx, *scaled), d = _over_lcm((x, *tail))
+    roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
+    if any(sx in zeros or sx in poles for zeros, poles in roots):
         return satellite_level_form(lam, n, k, tail)(x)
-    return f_eval(lam, n - k - 1, tail) / 2 * sum(product_at(x, *r) for r in roots)
+    return f_eval(lam, n - k - 1, tail) / 2 * sum(product_at(sx, *r, d) for r in roots)
 
 
 def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
@@ -132,9 +154,11 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     Integrating the level-k closed form in its first variable along the
     contour around w +- 1 and w +- (k+1) (all other poles excluded) must
     reproduce the level-(k+1) closed form at w, which at k + 1 = n - 1 is
-    the final form.  Each sign's term stays a list of roots: at a contour
-    point of net pole order 1 the residue is the product of the other
-    factors there; the right side is the level-(k+1) products at w.  On
+    the final form.  Each sign's term stays a list of roots, times d, the
+    lcm of the tail's denominators, so the roots and the contour points
+    are integers: at a contour point of net pole order 1 the residue is the
+    product of the other factors there, ``ratfun.product_at`` with
+    ``scale=d``; the right side is the level-(k+1) products at w.  On
     ``sample_points`` tails the coordinates have distinct prime
     denominators, so every contour pole is simple.  A higher order, or a
     root of the right side at w, uses the reduced form.  Raises ValueError

@@ -84,8 +84,9 @@ def boolean_cumulant(lam: Diagram, n: int) -> Fraction:
 
 
 def moment_by_measure(lam: Diagram, n: int) -> Fraction:
-    """Oracle: sum of c(mu/lam)^n over the transition measure."""
-    check_int("n", n)
+    """Oracle: sum of c(mu/lam)^n over the transition measure, for n >= 1
+    as :func:`moment`."""
+    check_int("n", n, 1)
     return sum(
         (Fraction(c) ** n * p_up(lam, mu) for mu, c in up_covers(lam)), Fraction(0)
     )

@@ -10,7 +10,9 @@ extraction at a point, for poles of any order.
 ``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
 ``taylor_at``, ``shift`` and the root cancellation of ``FactoredRatFun.make``
 (one division per cancelled root); ``product_at`` is the one root product
-prod (x - a) / prod (x - b) at a point, in integers.
+prod (x - a) / prod (x - b) at a point.  Its caller passes the point and the
+roots times a common ``scale`` that makes them integers, so the product runs
+in ints and the scale is folded back into one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 
 class PoleEvaluationError(ZeroDivisionError):
@@ -294,16 +296,20 @@ def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction
     return out
 
 
-def product_at(x: Fraction, zeros, poles) -> Fraction:
-    """prod (x - a) / prod (x - b) over the roots other than x, in integers."""
-    xn, xd = x.numerator, x.denominator
-    num = den = 1
-    for a in zeros:
-        if a != x:
-            num *= xn * a.denominator - a.numerator * xd
-            den *= xd * a.denominator
-    for b in poles:
-        if b != x:
-            num *= xd * b.denominator
-            den *= xn * b.denominator - b.numerator * xd
+def product_at(x, zeros, poles, scale: int = 1) -> Fraction:
+    """prod (x - a) / prod (x - b) over the roots other than x.
+
+    x and the roots are the true values times ``scale``, so integers when
+    ``scale`` clears their denominators: the differences are plain products,
+    and the result is one ``Fraction`` with scale^(#poles used - #zeros used)
+    folded in.
+    """
+    nums = [x - a for a in zeros if a != x]
+    dens = [x - b for b in poles if b != x]
+    num, den = prod(nums), prod(dens)
+    e = len(dens) - len(nums)
+    if e > 0:
+        num *= scale**e
+    else:
+        den *= scale**-e
     return Fraction(num, den)

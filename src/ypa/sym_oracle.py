@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import lcm, perm, prod
 from types import MappingProxyType
 
@@ -49,6 +49,7 @@ from .young import (
     Diagram,
     as_partition,
     box_content,
+    check_int,
     dim,
     down_covers,
     skew_dims,
@@ -80,17 +81,20 @@ def _alternative_middle(prev: Diagram, mid: Diagram, nxt: Diagram) -> Diagram | 
     return None
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True misses the i = 1 entry
 def seminormal_matrix(lam: Diagram, i: int) -> tuple[SparseMatrix, int]:
     """Young's seminormal form of t_i = (i, i+1) on V^lam, times scale.
 
     Returns (entries, scale) with scale the lcm of r^2 over the paths.  The
     entries are integers: scale/r on the diagonal and, in each 2x2 block,
     scale at (k, j) for k < j and scale (1 - 1/r^2) at (k, j) for k > j.
-    Rows and columns are indices into :func:`standard_tableaux`.
+    Rows and columns are indices into :func:`standard_tableaux`.  i goes
+    through ``young.check_int`` on a cache miss; the caches here are typed,
+    so ``True`` or ``1.0`` misses the i = 1 entry and raises ValueError, in
+    :func:`adjacent_transposition_matrix` and :func:`matrix_dict` as well.
     """
     n = weight(lam)
-    if not 1 <= i <= n - 1:
+    if not 1 <= check_int("i", i) <= n - 1:
         raise IndexError(f"transposition index {i} out of range 1..{n - 1}")
     paths = standard_tableaux(lam)
     index = {p: k for k, p in enumerate(paths)}
@@ -106,7 +110,7 @@ def seminormal_matrix(lam: Diagram, i: int) -> tuple[SparseMatrix, int]:
     return MappingProxyType(entries), scale
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: True misses the i = 1 entry
 def adjacent_transposition_matrix(lam: Diagram, i: int) -> tuple[tuple[tuple[int, int], Surd], ...]:
     """Sparse orthogonal matrix of t_i on V^lam in the GZ basis.
 
@@ -175,7 +179,7 @@ def cycle_type_representative(pi: tuple[int, ...], n: int) -> list[list[int]]:
     of the letters 1..n: ((n, n-1, ..), (..), ...).  :func:`character` takes
     n = |pi|, so the cycles fill the letters 1..|pi| of S_|pi|."""
     cycles = []
-    top = n
+    top = check_int("n", n)
     for part in pi:
         cycles.append(list(range(top, top - part, -1)))
         top -= part

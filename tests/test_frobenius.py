@@ -328,3 +328,46 @@ def test_a_double_contour_pole_uses_the_reduced_form(monkeypatch):
     )
     assert fr._contour_sum(lam, n, k, tail) == expected
     assert forms == [(lam, n, k, tail)]
+
+
+# Tails of each kind of common denominator d: an lcm below the product of the
+# denominators (4 and 6 and 10 give 60, not 240), integers (d = 1) and one
+# shared denominator (d = 7).
+_SCALED_TAILS = [
+    ((F(41, 4), F(-37, 6), F(53, 10)), 60),
+    ((F(19), F(-23), F(31)), 1),
+    ((F(38, 7), F(-45, 7), F(61, 7)), 7),
+]
+
+
+@pytest.mark.parametrize("tail, d", _SCALED_TAILS)
+def test_scaled_step_checks_equal_the_reduced_form_on_any_denominator(tail, d):
+    assert fr._over_lcm(tail)[1] == d
+    values = 0
+    for lam in [(), (1,), (2, 1), (3, 1, 1)]:
+        for n in (2, 3, 4):
+            for k in range(n - 1):
+                t = tail[: n - k - 1]
+                lhs = _outcome(_reduced_contour_sum, lam, n, k, t)
+                rhs = _outcome(_reduced_right_side, lam, n, k, t)
+                assert _outcome(fr._contour_sum, lam, n, k, t) == lhs
+                assert _outcome(fr._level_value, lam, n, k + 1, t[1:], t[0]) == rhs
+                values += not isinstance(lhs, type) and not isinstance(rhs, type)
+    assert values > 0
+
+
+def test_step_checks_on_sampled_tails_never_use_the_reduced_form(monkeypatch):
+    # The bench's step checks take every residue and value as an integer
+    # product; a call to satellite_level_form is a fallback to the reduced form.
+    calls = []
+    level_form = fr.satellite_level_form
+    monkeypatch.setattr(
+        fr, "satellite_level_form", lambda *a: calls.append(a) or level_form(*a)
+    )
+    rng = random.Random(22)
+    for lam in diagrams_up_to(4):
+        for n in (2, 3, 4):
+            for k in range(n - 1):
+                samples = [fr.sample_points(lam, n - k - 1, rng) for _ in range(3)]
+                assert fr.satellite_step_check(lam, n, k, samples)
+    assert calls == []

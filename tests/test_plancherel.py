@@ -161,3 +161,12 @@ def test_the_measure_oracles_take_int_indices_only():
     for fn in (moment_by_measure, boolean_cumulant_by_measure):
         with pytest.raises(ValueError, match=r"^n must be an int, got 2\.0$"):
             fn((2, 1), 2.0)
+
+
+def test_moment_by_measure_has_the_domain_of_moment():
+    # n = -1 used to raise a bare ZeroDivisionError and n = 0 to return 1.
+    for lam in ((), (2, 1)):
+        for n in (0, -1):
+            for fn in (moment, moment_by_measure):
+                with pytest.raises(ValueError, match=r"must be >= 1$"):
+                    fn(lam, n)

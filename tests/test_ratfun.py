@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -239,4 +240,25 @@ def test_product_at_is_the_fraction_product(case):
         if b != x:
             expected /= F(x) - b
     got = product_at(x, zeros, poles)
+    assert type(got) is F and got == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(point_and_roots(), st.integers(1, 6))
+def test_scaled_product_at_is_the_fraction_product(case, m):
+    # Scaled by a multiple s of the denominators' lcm, the point and the
+    # roots are ints; product_at folds s back in.
+    x, zeros, poles = case
+    s = m * lcm(*(F(v).denominator for v in (x, *zeros, *poles)))
+    expected = F(1)
+    for a in zeros:
+        if a != x:
+            expected *= F(x) - a
+    for b in poles:
+        if b != x:
+            expected /= F(x) - b
+    sx, *roots = (s * F(v) for v in (x, *zeros, *poles))
+    assert all(v.denominator == 1 for v in (sx, *roots))
+    roots = [int(v) for v in roots]
+    got = product_at(int(sx), roots[: len(zeros)], roots[len(zeros):], s)
     assert type(got) is F and got == expected

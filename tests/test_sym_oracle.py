@@ -66,6 +66,27 @@ def test_seminormal_index_range():
             so.seminormal_matrix((2, 1), i)
 
 
+# The int index goes through young.check_int on every cache miss, and the
+# typed caches send True and 1.0 to a miss: before, each of these answered
+# for i = 1 or n = 1.
+def test_seminormal_matrix_takes_an_int_index_only():
+    so.seminormal_matrix((2, 1), 1)
+    with pytest.raises(ValueError, match=r"^i must be an int, got True$"):
+        so.seminormal_matrix((2, 1), True)
+
+
+def test_matrix_dict_takes_an_int_index_only():
+    so.matrix_dict((2, 1), 1)
+    with pytest.raises(ValueError, match=r"^i must be an int, got 1\.0$"):
+        so.matrix_dict((2, 1), 1.0)
+
+
+def test_cycle_type_representative_takes_an_int_n_only():
+    assert so.cycle_type_representative((2,), 2) == [[2, 1]]
+    with pytest.raises(ValueError, match=r"^n must be an int, got True$"):
+        so.cycle_type_representative((2,), True)
+
+
 def test_seminormal_involution_commutation_and_braid_in_integers():
     for lam in diagrams_up_to(6):
         n = weight(lam)
