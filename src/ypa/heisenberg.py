@@ -413,12 +413,14 @@ def _circle_with_dots(kind: str, k: int) -> TangleProgram:
 
 def moment_diagram(lam: Diagram, k: int) -> Fraction:
     """k-th moment as the counterclockwise circle with k dots."""
+    lam = as_partition(lam)
     check_int("k", k, 1)
     return _closed_value(_circle_with_dots("ccw", k), lam)
 
 
 def cumulant_diagram(lam: Diagram, k: int) -> Fraction:
     """Boolean cumulant B_(k+2) as the clockwise circle with k dots."""
+    lam = as_partition(lam)
     check_int("k", k, 0)
     return _closed_value(_circle_with_dots("cw", k), lam)
 

@@ -7,7 +7,16 @@ differences at the added or removed box; the dim-ratio forms appear in the
 tests as independent oracles only.  The Cauchy transform ``G`` and its
 reciprocal ``H`` are the rational functions with zeros at removable and
 poles at addable contents (and vice versa); their expansions at infinity
-generate moments and Boolean cumulants.
+generate moments and Boolean cumulants.  Both are ratios of monic integer
+polynomials, so every Laurent coefficient at infinity is an int:
+:func:`moment` and :func:`boolean_cumulant` read them from ``_SERIES``, a
+per-process table that keeps, for each (lam, "G" or "H"), the integer
+coefficients of both polynomials and the expansion found so far, and
+extends it with ``ratfun.extend_series`` only when a larger n is asked for.
+``cauchy_g`` and ``inv_h`` stay as the ``FactoredRatFun`` forms; the
+measure sums ``moment_by_measure`` and ``boolean_cumulant_by_measure`` are
+independent oracles.  Every diagram goes through ``young.as_partition``
+before any table or cache lookup.
 """
 
 from __future__ import annotations
@@ -18,9 +27,10 @@ from functools import cache
 from math import factorial
 from typing import Callable
 
-from .ratfun import FactoredRatFun, product_at
+from .ratfun import FactoredRatFun, extend_series, monic_coeffs, product_at
 from .young import (
-    Diagram, box_content, check_int, dim, down_covers, profile, up_covers, weight,
+    Diagram, as_partition, box_content, check_int, dim, down_covers, profile,
+    up_covers, weight,
 )
 
 
@@ -71,21 +81,38 @@ def inv_h(lam: Diagram) -> FactoredRatFun:
     return FactoredRatFun.from_roots(xs, ys)
 
 
+# (lam, "G" | "H") -> (numerator, denominator, a_0..a_K so far), all ints.
+_SERIES: dict[tuple[Diagram, str], tuple[list[int], list[int], list[int]]] = {}
+
+
+def _series_at_infinity(lam: Diagram, which: str, n: int) -> int:
+    """a_n of G(z) = sum a_j z^(-1-j) or H(z) = sum a_j z^(1-j)."""
+    entry = _SERIES.get((lam, which))
+    if entry is None:
+        xs, ys = profile(lam)
+        num, den = (ys, xs) if which == "G" else (xs, ys)
+        entry = _SERIES[lam, which] = (monic_coeffs(num), monic_coeffs(den), [])
+    return extend_series(*entry, n)[n]
+
+
 def moment(lam: Diagram, n: int) -> Fraction:
     """n-th moment of the transition measure, read off the expansion of G."""
+    lam = as_partition(lam)
     check_int("moment index", n, 1)
-    return cauchy_g(lam).series_at_infinity(n)[n]
+    return Fraction(_series_at_infinity(lam, "G", n))
 
 
 def boolean_cumulant(lam: Diagram, n: int) -> Fraction:
     """n-th Boolean cumulant, read off the expansion of H."""
+    lam = as_partition(lam)
     check_int("cumulant index", n, 1)
-    return -inv_h(lam).series_at_infinity(n)[n]
+    return Fraction(-_series_at_infinity(lam, "H", n))
 
 
 def moment_by_measure(lam: Diagram, n: int) -> Fraction:
     """Oracle: sum of c(mu/lam)^n over the transition measure, for n >= 1
     as :func:`moment`."""
+    lam = as_partition(lam)
     check_int("n", n, 1)
     return sum(
         (Fraction(c) ** n * p_up(lam, mu) for mu, c in up_covers(lam)), Fraction(0)
@@ -94,6 +121,7 @@ def moment_by_measure(lam: Diagram, n: int) -> Fraction:
 
 def boolean_cumulant_by_measure(lam: Diagram, n: int) -> Fraction:
     """Oracle: |lam| * sum of c(lam/mu)^(n-2) over the cotransition measure."""
+    lam = as_partition(lam)
     if check_int("n", n) < 2:
         raise ValueError("measure form defined for n >= 2")
     return weight(lam) * sum(

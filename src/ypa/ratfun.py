@@ -7,6 +7,13 @@ happens.  Numerators are dense polynomials over Q.  The two workhorses are
 Laurent expansion at infinity (moment/cumulant extraction) and exact residue
 extraction at a point, for poles of any order.
 
+``monic_coeffs`` is the one expansion of prod (z - r) into coefficients, and
+``extend_series`` the one Laurent expansion at infinity: with a monic
+denominator, a_j = p_j - sum_t a_t q_(j-t) needs no division, its inner loop
+runs over the deg q nonzero q_(j-t) only, and it extends a coefficient list
+in place, so a caller can keep the list and grow it on demand.  Over integer
+roots every coefficient is an int.
+
 ``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
 ``taylor_at``, ``shift`` and the root cancellation of ``FactoredRatFun.make``
 (one division per cancelled root); ``product_at`` is the one root product
@@ -21,10 +28,42 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 
 
 class PoleEvaluationError(ZeroDivisionError):
     """Evaluation at a pole of the function."""
+
+
+def monic_coeffs(roots) -> list:
+    """Coefficients of prod (z - r) over the roots, with repeats, from the
+    leading 1 down: ints for int roots."""
+    cs = [1]
+    for r in roots:
+        # (z - r) * sum c_i z^(d-i): each c_i stays, -r c_i moves down a degree.
+        cs.append(0)
+        for i in range(len(cs) - 1, 0, -1):
+            cs[i] -= r * cs[i - 1]
+    return cs
+
+
+def extend_series(num, den, out: list, K: int) -> list:
+    """Extend ``out`` in place to the Laurent coefficients a_0..a_K at infinity
+    of sum_j num[j] z^(-j) / sum_j den[j] z^(-j), and return it.
+
+    ``num`` and ``den`` are coefficients from the leading one down, ``den``
+    monic, so a_j = num[j] - sum_(t<j) a_t den[j-t] with no division; only
+    the deg den terms with j - t <= deg den are summed.  ``out`` holds the
+    a_j found so far, for the same num and den.
+    """
+    if den[0] != 1:
+        raise ValueError("the denominator must be monic")
+    top = len(den) - 1
+    for j in range(len(out), K + 1):
+        lo = max(0, j - top)
+        acc = num[j] if j < len(num) else 0
+        out.append(acc - sum(map(mul, out[lo:j], den[j - lo:0:-1])))
+    return out
 
 
 def _divide(cs, r) -> tuple[list[Fraction], Fraction]:
@@ -51,14 +90,7 @@ class Poly:
     @staticmethod
     def from_roots(roots) -> "Poly":
         """The monic polynomial prod (z - r) over the roots, with repeats."""
-        cs = [Fraction(1)]
-        for r in roots:
-            # (z - r) * sum c_i z^i: each c_i moves up a degree, -r c_i stays.
-            cs.append(cs[-1])
-            for i in range(len(cs) - 2, 0, -1):
-                cs[i] = cs[i - 1] - r * cs[i]
-            cs[0] = -r * cs[0]
-        return Poly(cs)
+        return Poly(monic_coeffs(roots)[::-1])
 
     @property
     def degree(self) -> int:
@@ -175,9 +207,6 @@ class FactoredRatFun:
     def denom_dict(self) -> dict[Fraction, int]:
         return dict(self.denom)
 
-    def denom_poly(self) -> Poly:
-        return Poly.from_roots(r for r, m in self.denom for _ in range(m))
-
     def poles(self) -> list[Fraction]:
         return [r for r, _ in self.denom]
 
@@ -241,17 +270,8 @@ class FactoredRatFun:
         """
         if K < 0:
             raise ValueError("K must be >= 0")
-        if self.numer.is_zero():
-            return [Fraction(0)] * (K + 1)
-        num = list(reversed(self.numer.coeffs)) + [Fraction(0)] * (K + 1)
-        den = list(reversed(self.denom_poly().coeffs)) + [Fraction(0)] * (K + 1)
-        out: list[Fraction] = []
-        for j in range(K + 1):
-            acc = num[j]
-            for t in range(j):
-                acc -= out[t] * den[j - t]
-            out.append(acc / den[0])
-        return out
+        den = monic_coeffs(r for r, m in self.denom for _ in range(m))
+        return [Fraction(a) for a in extend_series(self.numer.coeffs[::-1], den, [], K)]
 
     def residue_at(self, p: Fraction) -> Fraction:
         """Coefficient of (z - p)^(-1) in the Laurent expansion at p.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ypa.cli import main, report_json
+from ypa.cli import MAX_CLI_MOMENT_INDEX, main, report_json
 from ypa.heisenberg import BUILTIN_ELEMENTS, character_diagram, relation_sides
 from ypa.plancherel import PLANCHEREL
 from ypa.tangle import evaluate, parse
@@ -269,6 +269,31 @@ def test_kerov_pi3(capsys):
 def test_kerov_weight_cap(capsys):
     code, _, err = run(capsys, "kerov", "--pi", "[6]", "--sample-weight", "6")
     assert code == 2 and "capped" in err
+
+
+@pytest.mark.parametrize("command", ["moments", "cumulants"])
+def test_moment_index_cap_is_checked_before_any_work(capsys, monkeypatch, command):
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before --upto was checked")
+
+    for name in ("cli.moment", "cli.boolean_cumulant", "heisenberg.moment_diagram",
+                 "heisenberg.cumulant_diagram"):
+        monkeypatch.setattr(f"ypa.{name}", boom)
+    code, out, err = run(
+        capsys, command, "--lambda", "[5,3,1]", "--upto", str(MAX_CLI_MOMENT_INDEX + 1)
+    )
+    assert code == 2 and out == ""
+    assert f"--upto capped at {MAX_CLI_MOMENT_INDEX}" in err
+
+
+@pytest.mark.parametrize("command", ["moments", "cumulants"])
+def test_moment_index_cap_itself_is_answered(capsys, command):
+    code, out, _ = run(
+        capsys, "--format", "json", command, "--lambda", "[5,3,1]",
+        "--upto", str(MAX_CLI_MOMENT_INDEX), "--source", "series",
+    )
+    assert code == 0
+    assert len(json.loads(out)["results"]) == MAX_CLI_MOMENT_INDEX
 
 
 def test_usage_error_from_argparse():

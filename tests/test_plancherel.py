@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+import ypa.heisenberg as hs
+import ypa.plancherel as pl
 from ypa.plancherel import (
     PLANCHEREL,
     boolean_cumulant,
@@ -14,11 +17,12 @@ from ypa.plancherel import (
     p_down,
     p_up,
 )
-from ypa.ratfun import FactoredRatFun
+from ypa.ratfun import ONE_POLY, FactoredRatFun, Poly, extend_series, monic_coeffs
 from ypa.young import (
     diagrams_up_to,
     dim,
     down_covers,
+    profile,
     up_covers,
     weight,
 )
@@ -170,3 +174,93 @@ def test_moment_by_measure_has_the_domain_of_moment():
             for fn in (moment, moment_by_measure):
                 with pytest.raises(ValueError, match=r"must be >= 1$"):
                     fn(lam, n)
+
+
+
+# -- the integer Laurent expansion at infinity ----------------------------------
+
+def _poly_product(roots):
+    p = ONE_POLY
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
+
+
+def _reference_series(numer_roots, denom_roots, K):
+    """Laurent coefficients a_0..a_K at infinity of prod (z - a) / prod (z - b):
+    the Fraction loop over every t < j that series_at_infinity ran before
+    the kernel, on polynomials built by Poly multiplication."""
+    num = list(reversed(_poly_product(numer_roots).coeffs)) + [F(0)] * (K + 1)
+    den = list(reversed(_poly_product(denom_roots).coeffs)) + [F(0)] * (K + 1)
+    out = []
+    for j in range(K + 1):
+        acc = num[j]
+        for t in range(j):
+            acc -= out[t] * den[j - t]
+        out.append(acc / den[0])
+    return out
+
+
+@pytest.mark.parametrize("order", [range(12, 0, -1), range(1, 13)], ids=["down", "up"])
+def test_moments_and_cumulants_against_the_reference_loop_to_weight_8(monkeypatch, order):
+    # From an empty table, in either order of n, every value is the same.
+    K, lams = 12, diagrams_up_to(8)
+    ref = {}
+    for lam in lams:
+        xs, ys = profile(lam)
+        ref[lam] = g, h = _reference_series(ys, xs, K), _reference_series(xs, ys, K)
+        assert cauchy_g(lam).series_at_infinity(K) == g
+        assert inv_h(lam).series_at_infinity(K) == h
+    monkeypatch.setattr(pl, "_SERIES", {})
+    for n in order:
+        for lam in lams:
+            (g, h), m, b = ref[lam], moment(lam, n), boolean_cumulant(lam, n)
+            assert type(m) is F and type(b) is F
+            assert m == g[n] == moment_by_measure(lam, n)
+            assert b == -h[n]
+            if n >= 2:
+                assert b == boolean_cumulant_by_measure(lam, n)
+    assert set(pl._SERIES) == {(lam, w) for lam in lams for w in "GH"}
+    assert all(len(out) == K + 1 for _, _, out in pl._SERIES.values())
+
+
+_root = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@given(
+    st.lists(_root, max_size=5),
+    st.lists(_root, max_size=5),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+def test_extend_series_equals_the_reference_loop(zeros, poles, K, first):
+    expected = _reference_series(zeros, poles, K)
+    num, den = monic_coeffs(zeros), monic_coeffs(poles)
+    out = extend_series(num, den, [], min(first, K))
+    assert extend_series(num, den, out, K) is out and out == expected
+    if all(type(r) is int for r in zeros + poles):
+        assert all(type(a) is int for a in out)
+    got = FactoredRatFun.from_roots(zeros, poles).series_at_infinity(K)
+    assert got == expected and all(type(a) is F for a in got)
+
+
+def test_extend_series_needs_a_monic_denominator():
+    with pytest.raises(ValueError, match="monic"):
+        extend_series([1], [2, 1], [], 3)
+
+
+@pytest.mark.parametrize("fn, n", [
+    (moment, 2), (boolean_cumulant, 2), (moment_by_measure, 2),
+    (boolean_cumulant_by_measure, 2), (hs.moment_diagram, 2), (hs.cumulant_diagram, 0),
+])
+def test_moment_routes_take_any_sequence_of_parts(fn, n):
+    # A list used to raise TypeError: unhashable type: 'list'.
+    assert fn([2, 1], n) == fn((2, 1), n) == 3
+    before = set(pl._SERIES)
+    for bad in ([1, 2], (2, 0), (2.0, 1)):
+        with pytest.raises(ValueError, match="not a partition"):
+            fn(bad, n)
+    assert set(pl._SERIES) == before
