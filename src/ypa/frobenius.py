@@ -38,16 +38,14 @@ from .ratfun import FactoredRatFun, product_at
 from .young import Diagram, as_partition, check_int, profile
 
 
-@lru_cache(maxsize=None)
-def _h_roots(lam: Diagram, shifts: tuple, d: int = 1) -> tuple[tuple, tuple]:
+def _h_roots(lam: Diagram, shifts, d: int = 1) -> tuple[list, list]:
     """Zeros x - s and poles y - s of prod_s H(z + s), over the profile
-    minima x and maxima y of lam, times d; the shifts come already times d.
-    Cached: the step checks ask for the same (lam, shifts, d) at every
-    sample of one tail length."""
+    minima x and maxima y of lam, times d; the shifts come already times d."""
     xs, ys = profile(lam)
     if d != 1:
         xs, ys = [d * x for x in xs], [d * y for y in ys]
-    return tuple(x - s for s in shifts for x in xs), tuple(y - s for s in shifts for y in ys)
+    shifts = tuple(shifts)
+    return [x - s for s in shifts for x in xs], [y - s for s in shifts for y in ys]
 
 
 def h_shifted(lam: Diagram, a: int | Fraction) -> FactoredRatFun:
@@ -57,7 +55,7 @@ def h_shifted(lam: Diagram, a: int | Fraction) -> FactoredRatFun:
 
 def h_product(lam: Diagram, shifts) -> FactoredRatFun:
     """prod_s H(z + s), for any iterable of shifts, built from its roots."""
-    return FactoredRatFun.from_roots(*_h_roots(lam, tuple(shifts)))
+    return FactoredRatFun.from_roots(*_h_roots(lam, shifts))
 
 
 def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
@@ -82,6 +80,14 @@ def satellite_I(lam: Diagram, n: int) -> Fraction:
     return satellite_final_form(lam, n).sum_of_residues()
 
 
+@lru_cache(maxsize=None)
+def _level_h_roots(lam: Diagram, k: int, sgn: int, d: int) -> tuple[tuple, tuple]:
+    """The roots of prod_(j<=k) H(z + sgn j) times d, as tuples: the step
+    checks ask for the same (lam, k, sgn, d) at every sample of one tail
+    length, since d is then the same product of primes."""
+    return tuple(map(tuple, _h_roots(lam, [sgn * d * j for j in range(k + 1)], d)))
+
+
 def _level_roots(lam: Diagram, k: int, tail, sgn: int, d: int = 1) -> tuple[list, list]:
     """Unreduced zeros and poles of one sign's term of the level-k form:
     prod_(j<=k) H(z + sgn j) / (z - w) times prod over the tail of
@@ -89,7 +95,7 @@ def _level_roots(lam: Diagram, k: int, tail, sgn: int, d: int = 1) -> tuple[list
     w = tail[0]; an empty tail leaves the H product alone.  The tail comes
     times d, and so do the roots: integers when d clears the denominators."""
     s = sgn * d
-    zeros, poles = _h_roots(lam, tuple(s * j for j in range(k + 1)), d)
+    zeros, poles = _level_h_roots(lam, k, sgn, d)
     zeros = [*zeros, *(r for zj in tail for r in (zj, zj - s * k))]
     poles = [*poles, *tail[:1], *(r for zj in tail for r in (zj + s, zj - s * (k + 1)))]
     return zeros, poles

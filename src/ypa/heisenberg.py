@@ -400,7 +400,7 @@ def character_tangle(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     |pi| nested cup_ud maxima, then per part, innermost first, the rows of
     its cycle (a plain cap for a part 1); zero when |pi| > |lam|.
     """
-    return _closed_value(_character_program(as_partition(pi)), lam)
+    return _closed_value(_character_program(as_partition(pi)), as_partition(lam))
 
 
 @lru_cache(maxsize=None)

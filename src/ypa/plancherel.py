@@ -15,8 +15,9 @@ coefficients of both polynomials and the expansion found so far, and
 extends it with ``ratfun.extend_series`` only when a larger n is asked for.
 ``cauchy_g`` and ``inv_h`` stay as the ``FactoredRatFun`` forms; the
 measure sums ``moment_by_measure`` and ``boolean_cumulant_by_measure`` are
-independent oracles.  Every diagram goes through ``young.as_partition``
-before any table or cache lookup.
+independent oracles.  Those four functions pass lam through
+``young.as_partition`` first, so a list of parts answers as its tuple and a
+non-partition raises ``ValueError`` before any table lookup.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ def monic_coeffs(roots) -> list:
     leading 1 down: ints for int roots."""
     cs = [1]
     for r in roots:
-        # (z - r) * sum c_i z^(d-i): each c_i stays, -r c_i moves down a degree.
+        # Times (z - r): c_i z^(m-i) stays, and -r c_i joins the next lower degree.
         cs.append(0)
         for i in range(len(cs) - 1, 0, -1):
             cs[i] -= r * cs[i - 1]

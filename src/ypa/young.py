@@ -17,9 +17,13 @@ int checks it with :func:`check_int`, once per call, before any cache
 lookup, process pool or sampling; nothing is coerced.
 
 Caching: :func:`skew_dims`, :func:`dim`, :func:`profile` and the cover maps
-use per-process ``functools.cache`` tables.  Under the process-pool verifier
-every worker owns its table, and within one process CPython's GIL makes the
-idempotent inserts safe, so no further locking is needed.
+use per-process ``functools.cache`` tables.  ``plancherel._SERIES`` is a
+per-process dict as well: the integer Laurent expansions of G and H per
+diagram, whose lists grow in place when a larger order is asked for; its
+callers pass the diagram through :func:`as_partition` first.  Under the
+process-pool verifier every worker owns its tables.  Within one process
+CPython's GIL makes the idempotent cache inserts safe, and no ``ypa`` code
+extends ``_SERIES`` from two threads, so no further locking is needed.
 """
 
 from __future__ import annotations

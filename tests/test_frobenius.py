@@ -374,14 +374,14 @@ def test_step_checks_on_sampled_tails_never_use_the_reduced_form(monkeypatch):
 
 
 def test_level_roots_share_the_cached_h_roots_but_not_their_lists():
-    # The H part of both signs' roots is cached per (lam, shifts, d); each
+    # The H part of each sign's roots is cached per (lam, k, sign, d); each
     # call still returns fresh lists, so appending to one changes no other.
     lam, tail = (3, 1), [11, -4]
-    fr._h_roots.cache_clear()
+    fr._level_h_roots.cache_clear()
     first = fr._level_roots(lam, 2, tail, 1, 5)
     first[0].append("changed")
     second = fr._level_roots(lam, 2, tail, 1, 5)
     assert "changed" not in second[0]
-    assert fr._h_roots.cache_info().hits == 1
+    assert fr._level_h_roots.cache_info().hits == 1
     zeros, poles = fr._h_roots(lam, (0, 5, 10), 5)
     assert second == ([*zeros, 11, 1, -4, -14], [*poles, 11, 16, -4, 1, -19])

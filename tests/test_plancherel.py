@@ -255,9 +255,11 @@ def test_extend_series_needs_a_monic_denominator():
 @pytest.mark.parametrize("fn, n", [
     (moment, 2), (boolean_cumulant, 2), (moment_by_measure, 2),
     (boolean_cumulant_by_measure, 2), (hs.moment_diagram, 2), (hs.cumulant_diagram, 0),
+    (hs.character_tangle, (1,)),
 ])
-def test_moment_routes_take_any_sequence_of_parts(fn, n):
-    # A list used to raise TypeError: unhashable type: 'list'.
+def test_closed_diagram_routes_take_any_sequence_of_parts(fn, n):
+    # A list used to raise TypeError: unhashable type: 'list'.  Each value
+    # here is 3: M_2 = B_2 = |lam| and Sigma_1 = |lam| on (2, 1).
     assert fn([2, 1], n) == fn((2, 1), n) == 3
     before = set(pl._SERIES)
     for bad in ([1, 2], (2, 0), (2.0, 1)):
