@@ -380,7 +380,7 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
 
 
 def _closed_value(program: TangleProgram, lam: Diagram) -> Fraction:
-    return evaluate(program, LoopPath((lam,), ()), PLANCHEREL).as_fraction()
+    return evaluate(program, LoopPath((as_partition(lam),), ()), PLANCHEREL).as_fraction()
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +400,7 @@ def character_tangle(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     |pi| nested cup_ud maxima, then per part, innermost first, the rows of
     its cycle (a plain cap for a part 1); zero when |pi| > |lam|.
     """
-    return _closed_value(_character_program(as_partition(pi)), as_partition(lam))
+    return _closed_value(_character_program(as_partition(pi)), lam)
 
 
 @lru_cache(maxsize=None)
@@ -413,14 +413,12 @@ def _circle_with_dots(kind: str, k: int) -> TangleProgram:
 
 def moment_diagram(lam: Diagram, k: int) -> Fraction:
     """k-th moment as the counterclockwise circle with k dots."""
-    lam = as_partition(lam)
     check_int("k", k, 1)
     return _closed_value(_circle_with_dots("ccw", k), lam)
 
 
 def cumulant_diagram(lam: Diagram, k: int) -> Fraction:
     """Boolean cumulant B_(k+2) as the clockwise circle with k dots."""
-    lam = as_partition(lam)
     check_int("k", k, 0)
     return _closed_value(_circle_with_dots("cw", k), lam)
 
