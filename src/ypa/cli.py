@@ -33,6 +33,11 @@ MAX_CLI_KEROV_WEIGHT = 5
 # quadratically in --upto: on lambda = (5,3,1) they took 0.5 s at 200, 2.0 s
 # at 400 and 9 s at 800 (one run each, 2-core VM, Python 3.11).
 MAX_CLI_MOMENT_INDEX = 200
+# `verify --relation all` took 3.0 s at --max-weight 12 and 10.6 s at 14;
+# `kerov --pi "[5]"`, the slowest |pi| <= 5, took 4.0 s at --sample-weight 20
+# and 7.0 s at 22 (one run each, 2-core VM, Python 3.11).
+MAX_CLI_VERIFY_WEIGHT = 12
+MAX_CLI_KEROV_SAMPLE_WEIGHT = 20
 
 CHARACTER_METHODS = {
     "diagram": hs.character_diagram,
@@ -88,6 +93,8 @@ def cmd_character(args):
 
 
 def cmd_verify(args):
+    if args.max_weight > MAX_CLI_VERIFY_WEIGHT:
+        raise CliUsage(f"--max-weight capped at {MAX_CLI_VERIFY_WEIGHT}")
     names = list(hs.RELATION_IDS) if args.relation == "all" else [args.relation]
     reports = [hs.verify_relation(n, args.max_weight, args.jobs) for n in names]
     if all(r.verified for r in reports):
@@ -213,6 +220,8 @@ def cmd_kerov(args):
     pi = parse_diagram(args.pi)
     if sum(pi) > MAX_CLI_KEROV_WEIGHT:
         raise CliUsage(f"|pi| capped at {MAX_CLI_KEROV_WEIGHT}")
+    if args.sample_weight > MAX_CLI_KEROV_SAMPLE_WEIGHT:
+        raise CliUsage(f"--sample-weight capped at {MAX_CLI_KEROV_SAMPLE_WEIGHT}")
     try:
         expansion = hs.kerov_boolean_expansion(pi, args.sample_weight)
     except hs.KerovUnderdeterminedError as exc:

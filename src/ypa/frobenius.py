@@ -21,7 +21,8 @@ are integers: pole orders are counted over ints, and a residue is the
 product of the other linear factors at the pole, ``ratfun.product_at`` with
 ``scale=d``.  Other poles use the reduced form.  Every n, k, entry of sigma
 and ``sample_count`` goes through ``young.check_int``, so ``True`` and
-``2.0`` raise ``ValueError``.
+``2.0`` raise ``ValueError``; every sample coordinate and point of F goes
+through ``young.check_rational``, so a float or ``True`` raises it too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import lcm
 from . import affine
 from .affine import Term
 from .ratfun import FactoredRatFun, product_at
-from .young import Diagram, as_partition, check_int, profile
+from .young import Diagram, as_partition, check_int, check_rational, profile
 
 
 def _h_roots(lam: Diagram, shifts, d: int = 1) -> tuple[list, list]:
@@ -179,7 +180,7 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     checked = 0
     for tail in samples:
         checked += 1
-        tail = tuple(Fraction(z) for z in tail)
+        tail = tuple(Fraction(check_rational("sample coordinate", z)) for z in tail)
         if len(tail) != n - k - 1:
             raise ValueError(f"sample needs {n - k - 1} values")
         if _contour_sum(lam, n, k, tail) != _level_value(lam, n, k + 1, tail[1:], tail[0]):
@@ -206,9 +207,10 @@ def f_term(lam: Diagram, n: int) -> Term:
 
 
 def f_eval(lam: Diagram, n: int, points) -> Fraction:
-    """Evaluate F at rational points; raises PoleHit on a pole."""
+    """Evaluate F at rational points, each an int or a Fraction (else
+    ValueError); raises PoleHit on a pole."""
     check_int("n", n)
-    points = [Fraction(p) for p in points]
+    points = list(points)
     if len(points) != n:
         raise ValueError(f"need {n} points")
     values = {i + 1: p for i, p in enumerate(points)}

@@ -10,8 +10,9 @@ tuple that is not a partition, so everything that reads the Young graph
 checks each diagram once, on its first visit.
 
 The input rules live here, one each: :func:`as_partition` for a diagram,
-:func:`check_int` for an int parameter (``True`` and ``2.0`` are not ints)
-and :func:`check_signature` for a tuple of signs.  Every public function of
+:func:`check_int` for an int parameter (``True`` and ``2.0`` are not ints),
+:func:`check_rational` for an exact rational (an int or a ``Fraction``) and
+:func:`check_signature` for a tuple of signs.  Every public function of
 ``young``, ``plancherel``, ``heisenberg`` and ``frobenius`` that takes an
 int checks it with :func:`check_int`, once per call, before any cache
 lookup, process pool or sampling; nothing is coerced.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
 
@@ -60,6 +62,13 @@ def check_int(name: str, value, lo: int | None = None) -> int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}")
+    return value
+
+
+def check_rational(name: str, value):
+    """value, or ValueError unless it is an int (True is not) or a Fraction."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
     return value
 
 

@@ -102,3 +102,152 @@ def test_a_pole_after_a_vanishing_factor_is_still_a_pole_hit():
     t = _term([(1, None, F(0), 1), (2, None, F(0), -1)])
     with pytest.raises(PoleHit):
         affine.evaluate([t], {1: F(0), 2: F(0)})
+
+
+def test_an_int_and_an_equal_fraction_constant_share_one_key():
+    a = affine.term_product(F(1), [(1, None, 2, 1), (1, 2, 2, -1)])
+    b = affine.term_product(F(1), [(1, None, F(2), 1), (1, 2, F(2), -1)])
+    assert list(a.factors) == list(b.factors)
+    for ka, kb in zip(a.factors, b.factors):
+        assert hash(ka) == hash(kb) and type(ka[-1]) is type(kb[-1]) is int
+    merged = {}
+    for t in (a, b):
+        for key, e in t.factors.items():
+            merged[key] = merged.get(key, 0) + e
+    assert merged == {("c", 1, 2): 2, ("d", 1, 2, 2): -2}
+    # Mixed in one term, the two constants merge into one factor.
+    assert affine.term_product(F(1), [(1, None, 2, 1), (1, None, F(2), 1)]).factors == {
+        ("c", 1, 2): 2
+    }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: affine.term_product(0.5, [(1, None, 0, 1)]),
+        lambda: affine.term_product(True, [(1, None, 0, 1)]),
+        lambda: affine.term_product(1, [(1, None, 0.5, 1)]),
+        lambda: affine.term_product(1, [(1, 2, True, 1)]),
+        lambda: affine.const_factor(1, 2.0),
+        lambda: affine.diff_factor(1, 2, 1.0),
+        lambda: affine.evaluate([_term([(1, None, F(0), 1)])], {1: 0.1}),
+        lambda: affine.evaluate([_term([(1, None, F(0), 1)])], {1: True}),
+        lambda: affine.substitute(_term([(1, None, F(0), 1)]), 1, 0.5),
+        lambda: affine.substitute(_term([(1, None, F(0), 1)]), 1, True),
+    ],
+)
+def test_no_float_or_bool_enters_the_class(call):
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        call()
+
+
+def _key_fraction(key):
+    return key[:-1] + (F(key[-1]),)
+
+
+def _reference_substitute(term, v, value):
+    # The plain-Fraction rule: every constant, value and base a Fraction.
+    value, coef, factors = F(value), F(term.coef), {}
+    for key, e in term.factors.items():
+        key = _key_fraction(key)
+        if key[0] == "c" and key[1] == v:
+            base = value - key[2]
+            if not base:
+                if e < 0:
+                    raise AffinePoleError("substitution at a pole")
+                return None
+            coef *= base**e
+        elif key[0] == "d" and v in (key[1], key[2]):
+            i, j, c = key[1:]
+            if v == i:
+                nk, coef = ("c", j, value - c), coef * (-1) ** (e % 2)
+            else:
+                nk = ("c", i, value + c)
+            factors[nk] = factors.get(nk, 0) + e
+            if not factors[nk]:
+                del factors[nk]
+        else:
+            factors[key] = factors.get(key, 0) + e
+    return affine.Term(coef, factors)
+
+
+def _reference_residue_in(terms, v):
+    out = []
+    for term in terms:
+        for key, e in term.factors.items():
+            if e < 0 and key[0] == "c" and key[1] == v:
+                if e < -1:
+                    raise AffinePoleError(f"pole of order {-e} in z_{v} at {key[2]}")
+                rest = affine.Term(term.coef, {k: x for k, x in term.factors.items() if k != key})
+                sub = _reference_substitute(rest, v, key[2])
+                if sub is not None:
+                    out.append(sub)
+    return out
+
+
+def _assert_same_terms(got, expected):
+    # Equal in value; the coefficient a Fraction, each constant an int when
+    # it is integral and a Fraction otherwise.
+    assert got == expected
+    for t in got:
+        assert type(t.coef) is F
+        for key in t.factors:
+            c = key[-1]
+            assert type(c) is (int if F(c).denominator == 1 else F)
+
+
+# Int-valued constants and values beside Fraction ones: an int base with a
+# negative exponent is where int ** -e would have become a float.
+_rational = st.one_of(st.integers(-4, 4), _small)
+_int_factor = st.tuples(
+    st.integers(1, 3), st.one_of(st.none(), st.integers(1, 3)), _rational, st.integers(-3, 3)
+).filter(lambda f: f[0] != f[1])
+_int_terms = st.lists(
+    st.builds(affine.term_product, _rational, st.lists(_int_factor, max_size=8)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(_int_terms, st.fixed_dictionaries({i: _rational for i in (1, 2, 3)}))
+def test_evaluate_with_int_constants_equals_the_fraction_product(terms, values):
+    for t in terms:
+        fraction_keys = {_key_fraction(k): e for k, e in t.factors.items()}
+        _assert_same_terms([t], [affine.Term(t.coef, fraction_keys)])
+    try:
+        expected = _fraction_product(terms, {i: F(v) for i, v in values.items()})
+    except PoleHit as exc:
+        with pytest.raises(PoleHit, match=re.escape(str(exc))):
+            affine.evaluate(terms, values)
+        return
+    got = affine.evaluate(terms, values)
+    assert got == expected and type(got) is F
+
+
+@settings(deadline=None)
+@given(_int_terms, st.integers(1, 3), _rational)
+def test_substitute_and_residue_with_int_constants_equal_the_fraction_rule(terms, v, value):
+    for t in terms:
+        try:
+            expected = _reference_substitute(t, v, value)
+        except AffinePoleError:
+            with pytest.raises(AffinePoleError):
+                affine.substitute(t, v, value)
+            continue
+        got = affine.substitute(t, v, value)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            _assert_same_terms([got], [expected])
+    try:
+        expected = _reference_residue_in(terms, v)
+    except AffinePoleError as exc:
+        with pytest.raises(AffinePoleError, match=re.escape(str(exc))):
+            affine.residue_in(terms, v)
+        return
+    _assert_same_terms(affine.residue_in(terms, v), expected)
+
+
+def test_substitute_at_an_int_pole_distance_keeps_a_fraction():
+    # (z1 - 1)^-2 at z1 = 3 is 1/4, not the float 0.25.
+    t = affine.substitute(_term([(1, None, 1, -2)]), 1, 3)
+    assert t.coef == F(1, 4) and type(t.coef) is F

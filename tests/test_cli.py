@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from ypa.cli import MAX_CLI_MOMENT_INDEX, main, report_json
+from ypa.cli import (
+    MAX_CLI_KEROV_SAMPLE_WEIGHT,
+    MAX_CLI_MOMENT_INDEX,
+    MAX_CLI_VERIFY_WEIGHT,
+    main,
+    report_json,
+)
 from ypa.heisenberg import BUILTIN_ELEMENTS, character_diagram, relation_sides
 from ypa.plancherel import PLANCHEREL
 from ypa.tangle import evaluate, parse
@@ -294,6 +300,39 @@ def test_moment_index_cap_itself_is_answered(capsys, command):
     )
     assert code == 0
     assert len(json.loads(out)["results"]) == MAX_CLI_MOMENT_INDEX
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap, work",
+    [
+        (["verify", "--relation", "all", "--max-weight"], "--max-weight",
+         MAX_CLI_VERIFY_WEIGHT, "heisenberg.verify_relation"),
+        (["kerov", "--pi", "[2]", "--sample-weight"], "--sample-weight",
+         MAX_CLI_KEROV_SAMPLE_WEIGHT, "heisenberg.kerov_boolean_expansion"),
+    ],
+)
+def test_weight_caps_are_checked_before_any_work(capsys, monkeypatch, argv, flag, cap, work):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"computed before {flag} was checked")
+
+    monkeypatch.setattr(f"ypa.{work}", boom)
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"{flag} capped at {cap}" in err
+
+
+def test_weight_caps_themselves_are_answered(capsys):
+    # The cheapest relation and pi keep this quick at the caps.
+    code, out, _ = run(
+        capsys, "--format", "json", "verify", "--relation", "left_circle",
+        "--max-weight", str(MAX_CLI_VERIFY_WEIGHT),
+    )
+    assert code == 0 and json.loads(out)["status"] == "verified"
+    code, out, _ = run(
+        capsys, "--format", "json", "kerov", "--pi", "[1]",
+        "--sample-weight", str(MAX_CLI_KEROV_SAMPLE_WEIGHT),
+    )
+    assert code == 0 and json.loads(out)["results"]["P_polynomial"] == "x2"
 
 
 def test_usage_error_from_argparse():

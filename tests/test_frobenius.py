@@ -385,3 +385,26 @@ def test_level_roots_share_the_cached_h_roots_but_not_their_lists():
     assert fr._level_h_roots.cache_info().hits == 1
     zeros, poles = fr._h_roots(lam, (0, 5, 10), 5)
     assert second == ([*zeros, 11, 1, -4, -14], [*poles, 11, 16, -4, 1, -19])
+
+
+def test_radial_values_are_fractions_on_every_supported_input():
+    # A key constant is an int, and int ** -e would be a float.
+    for lam in diagrams_up_to(6):
+        for n in range(1, fr.MAX_RADIAL_N + 1):
+            assert type(fr.radial_I(lam, n)) is F
+        for n in range(1, 4):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                assert type(fr.radial_I(lam, n, sigma)) is F
+
+
+@pytest.mark.parametrize("bad", [0.1, True, 1.0])
+def test_f_and_the_step_checks_take_exact_points_only(bad):
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        fr.f_eval((1,), 1, [bad])
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        fr.satellite_step_check((2, 1), 2, 0, [(bad,)])
+
+
+def test_f_takes_int_points_as_their_fractions():
+    pts = (5, F(-9, 2), 7)
+    assert fr.f_eval((2, 1), 3, pts) == fr.f_eval((2, 1), 3, [F(p) for p in pts])
