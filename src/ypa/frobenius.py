@@ -6,7 +6,9 @@ Everything here integrates the same multivariate function
                   * prod_(i<j) (z_i-z_j)^2 / ((z_i-z_j-1)(z_i-z_j+1))
                   * prod H(z_i)
 
-by summing exact residues; there is no numeric quadrature anywhere.  The
+by summing exact residues; there is no numeric quadrature anywhere.  A
+contour around every finite pole (``frobenius_sigma``, ``satellite_I``) is
+read at infinity by ``ratfun.residue_sum``, with no ``FactoredRatFun``.  The
 satellite scheme integrates variable by variable along small contours around
 z +- k and z +- 1 and collapses to the univariate Frobenius integrand
 H(z) H(z-1) ... H(z-k+1); the radial scheme nests the contours by radius so
@@ -35,7 +37,7 @@ from math import lcm
 
 from . import affine
 from .affine import Term
-from .ratfun import FactoredRatFun, product_at
+from .ratfun import FactoredRatFun, product_at, residue_sum
 from .young import Diagram, as_partition, check_int, check_rational, profile
 
 
@@ -63,22 +65,21 @@ def frobenius_sigma(lam: Diagram, k: int) -> Fraction:
     """Sigma_(k)(lam) = -(1/k) * contour integral of H(z) H(z-1) .. H(z-k+1)."""
     lam = as_partition(lam)
     check_int("k", k, 1)
-    prod = h_product(lam, [-j for j in range(k)])
-    return -prod.sum_of_residues() / k
+    return -residue_sum(*_h_roots(lam, [-j for j in range(k)])) / k
 
 
 # -- satellite scheme -----------------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)  # typed: True misses the n = 1 entry
 def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
     """The level form at k = n - 1: (prod H(z+j) + prod H(z-j)) / 2 over j < n."""
     return satellite_level_form(lam, n, n - 1, ())
 
 
 def satellite_I(lam: Diagram, n: int) -> Fraction:
-    """The satellite integral; satisfies Sigma_(n) = -satellite_I / n."""
+    """The satellite integral, Sigma_(n) = -satellite_I / n: the mean of the
+    final form's two signs' residue sums (F of no variables is 1)."""
     check_int("n", n, 1)
-    return satellite_final_form(lam, n).sum_of_residues()
+    return sum(residue_sum(*_level_roots(lam, n - 1, (), s)) for s in (1, -1)) / 2
 
 
 @lru_cache(maxsize=None)

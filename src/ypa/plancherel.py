@@ -13,9 +13,10 @@ polynomials, so every Laurent coefficient at infinity is an int:
 per-process table that keeps, for each (lam, "G" or "H"), the integer
 coefficients of both polynomials and the expansion found so far, and
 extends it with ``ratfun.extend_series`` only when a larger n is asked for.
-``cauchy_g`` and ``inv_h`` stay as the ``FactoredRatFun`` forms; the
-measure sums ``moment_by_measure`` and ``boolean_cumulant_by_measure`` are
-independent oracles.  Those four functions pass lam through
+``cauchy_g`` and ``inv_h``, uncached, stay as the ``FactoredRatFun`` forms
+that tests compare with, and the measure sums ``moment_by_measure`` and
+``boolean_cumulant_by_measure`` are independent oracles.  These two,
+:func:`moment` and :func:`boolean_cumulant` pass lam through
 ``young.as_partition`` first, so a list of parts answers as its tuple and a
 non-partition raises ``ValueError`` before any table lookup.
 """
@@ -75,7 +76,6 @@ def cauchy_g(lam: Diagram) -> FactoredRatFun:
     return FactoredRatFun.from_roots(ys, xs)
 
 
-@cache
 def inv_h(lam: Diagram) -> FactoredRatFun:
     """H(z) = 1/G(z) = prod(z - x_i) / prod(z - y_i)."""
     xs, ys = profile(lam)

@@ -4,8 +4,8 @@ Every rational function in scope has all its poles at explicitly known
 rational points (contents of boxes, possibly shifted by integers), so the
 denominator is stored as a multiset of roots and no root-finding ever
 happens.  Numerators are dense polynomials over Q.  The two workhorses are
-Laurent expansion at infinity (moment/cumulant extraction) and exact residue
-extraction at a point, for poles of any order.
+Laurent expansion at infinity (moments, cumulants and every sum of all finite
+residues) and exact residue extraction at a point, for poles of any order.
 
 ``monic_coeffs`` is the one expansion of prod (z - r) into coefficients, and
 ``extend_series`` the one Laurent expansion at infinity: with a monic
@@ -13,6 +13,10 @@ denominator, a_j = p_j - sum_t a_t q_(j-t) needs no division, its inner loop
 runs over the deg q nonzero q_(j-t) only, and it extends a coefficient list
 in place, so a caller can keep the list and grow it on demand.  Over integer
 roots every coefficient is an int.
+
+``residue_sum`` is the one global residue rule: the sum of all finite
+residues of prod (z - a) / prod (z - b) is its z^(-1) coefficient at
+infinity, read through ``extend_series`` from the unreduced roots.
 
 ``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
 ``taylor_at``, ``shift`` and the root cancellation of ``FactoredRatFun.make``
@@ -333,3 +337,13 @@ def product_at(x, zeros, poles, scale: int = 1) -> Fraction:
     else:
         den *= scale**-e
     return Fraction(num, den)
+
+
+def residue_sum(zeros, poles) -> Fraction:
+    """The sum of all finite residues of prod (z - a) / prod (z - b), its
+    z^(-1) coefficient at infinity; repeated and shared roots need no
+    cancelling, and over int roots every step is an int."""
+    j = len(zeros) - len(poles) + 1
+    if j < 0:
+        return Fraction(0)
+    return Fraction(extend_series(monic_coeffs(zeros), monic_coeffs(poles), [], j)[j])

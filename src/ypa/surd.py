@@ -111,9 +111,6 @@ class Surd:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "Surd | Fraction | int") -> "Surd":
-        return (-self) + other
-
     def __mul__(self, other: "Surd | Fraction | int") -> "Surd":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -173,9 +170,6 @@ class Surd:
 
     def __repr__(self) -> str:
         return f"Surd({self.render()})"
-
-
-ONE = Surd.from_rational(1)
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,14 @@
 """Young diagrams, the Young graph, profiles, loops, and their literals.
 
 Diagrams are tuples of weakly decreasing positive integers (no trailing
-zeros); the empty tuple is the empty diagram.  An edge ``mu -> lam`` of the
-Young graph adds one box; loops carry a sign per step (+ adds, - removes).
+zeros); the empty tuple is the empty diagram.  An edge ``mu -> lam`` of
+the Young graph adds one box; a loop's sign per step is 1 (adds) or -1.
 
 The cover maps are the one edge table: :func:`profile` and
-:func:`box_content` read the contents of the boxes off them.  They reject a
-tuple that is not a partition, so everything that reads the Young graph
-checks each diagram once, on its first visit.
+:func:`box_content` read the contents of the boxes off them, and
+:func:`skew_dims` counts paths along them (:func:`dim` is the hook-length
+formula).  They reject a tuple that is not a partition, so everything that
+reads the Young graph checks each diagram once, on its first visit.
 
 The input rules live here, one each: :func:`as_partition` for a diagram,
 :func:`check_int` for an int parameter (``True`` and ``2.0`` are not ints),
@@ -15,7 +16,8 @@ The input rules live here, one each: :func:`as_partition` for a diagram,
 :func:`check_signature` for a tuple of signs.  Every public function of
 ``young``, ``plancherel``, ``heisenberg`` and ``frobenius`` that takes an
 int checks it with :func:`check_int`, once per call, before any cache
-lookup, process pool or sampling; nothing is coerced.
+lookup, process pool or sampling; loops and tangle elements check their
+signs with :func:`check_signature`.  Nothing is coerced.
 
 Caching: :func:`skew_dims`, :func:`dim`, :func:`profile` and the cover maps
 use per-process ``functools.cache`` tables.  ``plancherel._SERIES`` is a
@@ -34,6 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import factorial, prod
 from types import MappingProxyType
 
 Diagram = tuple[int, ...]
@@ -177,13 +180,10 @@ def skew_dims(lam: Diagram, k: int) -> Mapping[Diagram, int]:
 
 @cache
 def dim(lam: Diagram) -> int:
-    """Number of saturated paths from the empty diagram to lam.
-
-    This is the path-count definition (equivalently the number of standard
-    tableaux), :func:`skew_dims` at level 0.  Tests cross-check it against
-    |lam|! / prod(hook lengths).
-    """
-    return skew_dims(lam, 0)[EMPTY]
+    """The number of paths from the empty diagram to lam (of standard
+    tableaux), |lam|! / prod(hook lengths); :func:`skew_dims` counts paths."""
+    lam = as_partition(lam)
+    return factorial(weight(lam)) // prod(hook_lengths(lam))
 
 
 def hook_lengths(lam: Diagram) -> list[int]:
@@ -223,26 +223,9 @@ class LoopPath:
         return len(self.signature)
 
 
-_SIGNS = {1: 1, -1: -1, "+": 1, "-": -1}
-
-
-def _sign(s) -> int:
-    if type(s) not in (int, str) or s not in _SIGNS:  # True and 1.0 are not signs
-        raise ValueError(f"sign {s!r} is not 1, -1, '+' or '-'")
-    return _SIGNS[s]
-
-
-def signature_of(signs) -> Signature:
-    """The signature of ``signs``, each 1, -1, '+' or '-'; it must balance."""
-    sig = tuple(_sign(s) for s in signs)
-    if sum(sig) != 0:
-        raise ValueError(f"signature must balance to zero: {signs}")
-    return sig
-
-
 def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
     """All loops with the given base and signature, in lexicographic order."""
-    sig = signature_of(sig)
+    check_signature(sig, "loop")
     out: list[LoopPath] = []
 
     def walk(prefix: list[Diagram]):

@@ -135,6 +135,18 @@ def test_moments_both_sources(capsys):
     assert "status: ok" in out
 
 
+def test_moments_of_a_staircase_by_both_sources(capsys):
+    # The dotted circles read dim of 55-box diagrams, by the hook lengths.
+    code, out, _ = run(
+        capsys, "--format", "json", "moments", "--lambda", "[10,9,8,7,6,5,4,3,2,1]",
+        "--upto", "10", "--source", "both",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "ok"
+    assert data["results"]["2"] == {"diagram": "55", "series": "55"}
+
+
 def test_cumulants_b2_is_weight(capsys):
     code, out, _ = run(
         capsys,

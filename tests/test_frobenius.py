@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import ypa.frobenius as fr
 import ypa.heisenberg as hs
+import ypa.plancherel as pl
 import ypa.sym_oracle as so
 from ypa import affine
 from ypa.affine import AffinePoleError, PoleHit
@@ -132,6 +133,44 @@ def test_final_form_is_the_last_level_form():
                 fr.h_product(lam, range(n)) + fr.h_product(lam, [-j for j in range(n)])
             ) * F(1, 2)
             assert fr.satellite_final_form(lam, n) == half_sum
+
+
+def test_closed_contours_are_the_reduced_forms_residue_sums():
+    # frobenius_sigma and satellite_I read the z^-1 coefficient at infinity;
+    # the reference sums the reduced form's residues pole by pole.
+    for lam in diagrams_up_to(8):
+        for k in range(1, 9):
+            sigma = fr.frobenius_sigma(lam, k)
+            reduced = fr.h_product(lam, [-j for j in range(k)]).sum_of_residues()
+            assert type(sigma) is F and sigma == -reduced / k
+        for n in range(1, 8):
+            value = fr.satellite_I(lam, n)
+            assert type(value) is F
+            assert value == fr.satellite_final_form(lam, n).sum_of_residues()
+
+
+def test_workload_routes_build_no_reduced_form(monkeypatch):
+    # The benchmark's contour and series routes run on roots alone: building
+    # a FactoredRatFun anywhere on them fails this test.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a FactoredRatFun was built")
+
+    monkeypatch.setattr(FactoredRatFun, "__init__", refuse)
+    rng = random.Random(25)
+    for lam in diagrams_up_to(4):
+        for n in range(1, 5):
+            sigma = fr.frobenius_sigma(lam, n)
+            assert -fr.satellite_I(lam, n) == n * sigma
+            assert fr.radial_I(lam, n) == (-1) ** n * hs.character_diagram(lam, (n,))
+            assert type(pl.moment(lam, n)) is type(pl.boolean_cumulant(lam, n)) is F
+            for k in range(n - 1):
+                samples = [fr.sample_points(lam, n - k - 1, rng) for _ in range(3)]
+                assert fr.satellite_step_check(lam, n, k, samples)
+            if n >= 2:
+                checks = fr.lemma_checks(lam, n, sample_count=3, seed=n)
+                assert checks == {"cyclic_sum": True, "inversion": True}
+    with pytest.raises(AssertionError, match="FactoredRatFun was built"):
+        fr.satellite_final_form((2, 1), 2)
 
 
 def test_satellite_step_checks():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ypa.plancherel import cauchy_g, inv_h
-from ypa.ratfun import ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, product_at
+from ypa.ratfun import (
+    ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, product_at, residue_sum,
+)
 from ypa.young import diagrams_up_to
 
 
@@ -262,3 +264,29 @@ def test_scaled_product_at_is_the_fraction_product(case, m):
     roots = [int(v) for v in roots]
     got = product_at(int(sx), roots[: len(zeros)], roots[len(zeros):], s)
     assert type(got) is F and got == expected
+
+
+# A small pool, so that roots repeat and zeros meet poles often.
+POOL = st.sampled_from([*range(-3, 4), F(-1, 2), F(1, 2), F(5, 3)])
+
+
+@st.composite
+def residue_roots(draw):
+    """Zeros and poles over ints and Fractions, with repeats, sharing some
+    roots; the degree gap runs from -8 to 8, so gaps <= -2 come up often."""
+    roots = st.lists(st.one_of(POOL, NUMBERS), max_size=5)
+    shared = draw(st.lists(POOL, max_size=3))
+    zeros = draw(st.permutations(draw(roots) + shared))
+    poles = draw(st.permutations(draw(roots) + shared))
+    return zeros, poles
+
+
+@settings(deadline=None, max_examples=300)
+@given(residue_roots())
+def test_residue_sum_is_the_sum_of_the_reduced_residues(case):
+    zeros, poles = case
+    got = residue_sum(zeros, poles)
+    assert type(got) is F
+    assert got == FactoredRatFun.from_roots(zeros, poles).sum_of_residues()
+    if len(zeros) - len(poles) <= -2:
+        assert got == 0

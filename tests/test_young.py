@@ -1,6 +1,5 @@
 import ast
 import re
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -22,11 +21,9 @@ from ypa.young import (
     enumerate_loops,
     format_diagram,
     format_loop,
-    hook_lengths,
     parse_diagram,
     parse_loop,
     profile,
-    signature_of,
     skew_dims,
     transpose,
     up_covers,
@@ -64,12 +61,20 @@ def test_dim_of_a_long_diagram_needs_no_recursion():
     assert dim((1000, 1)) == 1000
 
 
-def test_dim_against_hook_length_formula():
-    for lam in diagrams_up_to(10):
-        hooks = 1
-        for h in hook_lengths(lam):
-            hooks *= h
-        assert dim(lam) * hooks == factorial(weight(lam))
+def test_dim_is_the_path_count():
+    # dim is the hook-length formula; skew_dims counts the paths themselves.
+    for lam in diagrams_up_to(12):
+        assert dim(lam) == skew_dims(lam, 0)[()]
+
+
+def test_dim_of_a_staircase_counts_no_paths():
+    # 465 boxes: the path counter would walk every sub-diagram.  The value
+    # still obeys the branching rule dim(lam) = sum of dim(mu) over mu -> lam.
+    staircase = tuple(range(30, 0, -1))
+    assert weight(staircase) == 465
+    walked = skew_dims.cache_info().currsize
+    assert dim(staircase) == sum(dim(mu) for mu, _ in down_covers(staircase))
+    assert skew_dims.cache_info().currsize == walked
 
 
 def test_skew_dims_split_dim_at_every_level():
@@ -175,16 +180,16 @@ def test_loop_validation():
         LoopPath(((1,), (1, 1), (1,)), (-1, 1))  # wrong step direction
 
 
-# A sign is 1, -1, '+' or '-'; anything else raises and names it.  Before,
+# A sign is the int 1 or -1; anything else raises and names it.  Before,
 # every other value read as -1, so (1, 0) balanced and gave loops.
 @pytest.mark.parametrize(
     "probe, bad",
     [
-        (lambda: signature_of((1, 0)), "0"),
-        (lambda: signature_of((1, 2)), "2"),
-        (lambda: signature_of(("+", "x")), "'x'"),
-        (lambda: signature_of((True, -1)), "True"),
-        (lambda: signature_of((1.0, -1)), "1.0"),
+        (lambda: enumerate_loops((), (1, 0)), "0"),
+        (lambda: enumerate_loops((1,), (1, 2)), "2"),
+        (lambda: enumerate_loops((1,), ("x", "-")), "'x'"),
+        (lambda: enumerate_loops((1,), (True, -1)), "True"),
+        (lambda: enumerate_loops((1,), (1.0, -1)), "1.0"),
         (lambda: enumerate_loops((1,), (1, 0)), "0"),
         (lambda: LoopPath(((1,), (2,), (1,)), (5, -5)), "5"),
         (lambda: LoopPath(((1,), (2,), (1,)), ("+", "-")), "'+'"),
@@ -196,9 +201,10 @@ def test_only_plus_and_minus_one_are_signs(probe, bad):
         probe()
 
 
-def test_signs_may_be_written_as_text():
-    assert signature_of(("+", "-", 1, -1)) == (1, -1, 1, -1)
-    assert signature_of(("-", "+")) == (-1, 1)
+def test_loops_take_no_text_signs():
+    # '+' and '-' once read as 1 and -1 here; check_signature is the one rule.
+    with pytest.raises(ValueError, match=r"^loop sign '\+' is not 1 or -1$"):
+        enumerate_loops((1,), ("+", "-"))
 
 
 # Every reader of the Young graph goes through the cover maps, which reject
