@@ -180,8 +180,8 @@ def skew_dims(lam: Diagram, k: int) -> Mapping[Diagram, int]:
 
 @cache
 def dim(lam: Diagram) -> int:
-    """The number of paths from the empty diagram to lam (of standard
-    tableaux), |lam|! / prod(hook lengths); :func:`skew_dims` counts paths."""
+    """The number of paths from the empty diagram to lam, or of standard
+    tableaux: |lam|! / prod(hook lengths).  :func:`skew_dims` counts paths."""
     lam = as_partition(lam)
     return factorial(weight(lam)) // prod(hook_lengths(lam))
 

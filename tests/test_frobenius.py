@@ -86,7 +86,6 @@ def test_radial_preconditions():
 def test_frobenius_routes_take_ints_only(fn, args):
     # Nothing is coerced: True is not 1, and 2.0 is not 2.
     # A cached n = 1 must not answer for True.
-    fr.satellite_final_form((2, 1), 1)
     fr.f_term((2, 1), 1)
     with pytest.raises(ValueError):
         fn(*args)
