@@ -38,6 +38,11 @@ MAX_CLI_MOMENT_INDEX = 200
 # and 7.0 s at 22 (one run each, 2-core VM, Python 3.11).
 MAX_CLI_VERIFY_WEIGHT = 12
 MAX_CLI_KEROV_SAMPLE_WEIGHT = 20
+# The oracle traces on V^mu for every mu of weight |pi| below lambda.  On the
+# staircase lambda = (k, k-1, ..., 1), which holds every such mu, pi = (k)
+# took 1.7 s at k = 10, 9.0 s at 11 and 50 s at 12 (one run each, 2-core VM,
+# Python 3.11).
+MAX_CLI_ORACLE_PI = 10
 
 CHARACTER_METHODS = {
     "diagram": hs.character_diagram,
@@ -87,6 +92,8 @@ def character_values(lam, pi, method: str = "all") -> dict[str, Fraction]:
 
 def cmd_character(args):
     lam, pi = parse_diagram(getattr(args, "lambda")), parse_diagram(args.pi)
+    if args.method in ("oracle", "all") and sum(pi) > MAX_CLI_ORACLE_PI:
+        raise CliUsage(f"|pi| capped at {MAX_CLI_ORACLE_PI} for --method {args.method}")
     values = character_values(lam, pi, args.method)
     status = "ok" if len(set(values.values())) == 1 else "disagree"
     return {m: str(v) for m, v in values.items()}, status

@@ -78,6 +78,7 @@ def satellite_final_form(lam: Diagram, n: int) -> FactoredRatFun:
 def satellite_I(lam: Diagram, n: int) -> Fraction:
     """The satellite integral, Sigma_(n) = -satellite_I / n: the mean of the
     final form's two signs' residue sums (F of no variables is 1)."""
+    lam = as_partition(lam)
     check_int("n", n, 1)
     return sum(residue_sum(*_level_roots(lam, n - 1, (), s)) for s in (1, -1)) / 2
 
@@ -229,6 +230,7 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
     n <= 3: every pole those meet is simple, while some sigma != id at n = 4
     meet a double constant pole, which affine.residue_in rejects.
     """
+    lam = as_partition(lam)
     check_int("n", n, 1)
     if sigma is None:
         sigma = tuple(range(1, n + 1))

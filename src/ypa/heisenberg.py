@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from math import gcd, lcm, perm
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, sqrt_fraction
@@ -376,7 +376,8 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     n, k = weight(lam), sum(pi)
     if k > n:
         return Fraction(0)
-    return perm(n, k) * path_sum_character(lam, pi) / dim(lam)
+    chi = path_sum_character(lam, pi).numerator  # an int-valued Fraction
+    return Fraction(perm(n, k) * chi, dim(lam))
 
 
 def _closed_value(program: TangleProgram, lam: Diagram) -> Fraction:
@@ -464,7 +465,8 @@ def kerov_boolean_expansion(
     Monomials range over B_k, 2 <= k <= |pi| - len(pi) + 2, of weighted
     degree sum(k * e_k) <= |pi| + len(pi), filtered by the transpose parity
     rule sum(k * e_k) == |pi| - len(pi) mod 2.  Solved exactly by sampling
-    all diagrams of weight <= sample_weight.
+    all diagrams of weight <= sample_weight, in the fraction-free
+    elimination of :func:`_solve_exact`.
     """
     check_int("sample_weight", sample_weight, 0)
     pi = tuple(pi)
@@ -490,8 +492,25 @@ def _eval_monomial(m: Monomial, b: dict[int, Fraction]) -> Fraction:
     return acc
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The int row divided by the gcd of its entries (a zero row stays)."""
+    g = gcd(*row) or 1
+    return [x // g for x in row]
+
+
 def _solve_exact(rows, m: int) -> list[Fraction]:
-    mat = [list(r) + [v] for r, v in rows]
+    """The unique solution of the (row, value) system in m unknowns.
+
+    Fraction-free Gauss-Jordan: each row, int or Fraction entries, is scaled
+    to ints by the lcm of its denominators; eliminating with pivot a turns
+    row_i into a row_i - b row_r, made primitive again, so every entry stays
+    an int.  Each unknown is then one Fraction(value, pivot).
+    """
+    mat = []
+    for r, v in rows:
+        row = [*r, v]
+        d = lcm(*(x.denominator for x in row))
+        mat.append(_primitive([x.numerator * (d // x.denominator) for x in row]))
     pivots: list[int] = []
     r = 0
     for c in range(m):
@@ -499,12 +518,12 @@ def _solve_exact(rows, m: int) -> list[Fraction]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        pivot_row = mat[r]
+        a = pivot_row[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            b = mat[i][c]
+            if i != r and b:
+                mat[i] = _primitive([a * x - b * y for x, y in zip(mat[i], pivot_row)])
         pivots.append(c)
         r += 1
     for i in range(r, len(mat)):
@@ -516,7 +535,7 @@ def _solve_exact(rows, m: int) -> list[Fraction]:
         )
     sol = [Fraction(0)] * m
     for i, c in enumerate(pivots):
-        sol[c] = mat[i][m]
+        sol[c] = Fraction(mat[i][m], mat[i][c])
     return sol
 
 

@@ -23,7 +23,8 @@ each mu of weight k, and chi^lam(pi) = sum over mu of f^(lam/mu) chi^mu(pi).
 The path counts f^(lam/mu) come from :func:`ypa.young.skew_dims`; each
 chi^mu(pi) is one trace on V^mu, cached, so no matrix is built above k boxes.
 The transposition word is split in two halves, each multiplied out in
-integers, and trace(AB) = sum A_rc B_cr pairs them without forming AB.  This
+integers, and trace(AB) = sum A_rc B_cr pairs them without forming AB; one
+exact division by the scales gives the int chi^mu(pi).  This
 gives an oracle for the normalized characters that never touches the tangle
 evaluator, and takes neither the path sum's content-gap weights nor a residue.
 
@@ -33,7 +34,12 @@ removes its own block of boxes and weights only its own steps, so the sum
 factors block by block: one table per (diagram, block length) of the
 diagrams that block reaches and their summed weights, and one value per
 (diagram, tail of pi).  Both are cached, so a table or a tail built for
-one character serves every later one.
+one character serves every later one.  A table holds int numerators over
+one common denominator, so each tail value is an int, with one exact
+division per block.
+
+Both routes run in integers and build one ``Fraction`` per public result;
+a remainder where an integer character is due raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from math import lcm, perm, prod
+from math import gcd, lcm, perm, prod
 from types import MappingProxyType
 
 from .surd import Surd, sqrt_fraction
@@ -211,19 +217,29 @@ def character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> 
     k = sum(pi)
     if k > n:
         raise ValueError(f"|pi| = {k} exceeds |lam| = {n}")
-    return sum(
-        (f * _trace(mu, pi, reverse_word) for mu, f in skew_dims(lam, k).items()),
-        Fraction(0),
-    )
+    return Fraction(_character(lam, pi, reverse_word))
+
+
+def _character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> int:
+    """The int chi^lam(pi) of :func:`character`, on checked input."""
+    return sum(f * _trace(mu, pi, reverse_word) for mu, f in skew_dims(lam, sum(pi)).items())
+
+
+def _exact_quotient(total: int, denominator: int, what: str) -> int:
+    """total / denominator, which must be an int; ArithmeticError otherwise."""
+    quotient, remainder = divmod(total, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} is not an integer: {total}/{denominator}")
+    return quotient
 
 
 @cache
-def _trace(mu: Diagram, pi: tuple[int, ...], reverse_word: bool) -> Fraction:
+def _trace(mu: Diagram, pi: tuple[int, ...], reverse_word: bool) -> int:
     """chi^mu(pi) for |mu| = |pi|, as the trace of the cycle word on V^mu.
 
     The word of adjacent transpositions is split in two halves; each is
     multiplied out in the integer seminormal form, and the trace pairs them,
-    divided once by the product of the scales.
+    divided exactly, once, by the product of the scales.
     """
     word = [
         i
@@ -233,7 +249,7 @@ def _trace(mu: Diagram, pi: tuple[int, ...], reverse_word: bool) -> Fraction:
     half = len(word) // 2
     a, scale_a = _word_product(mu, word[:half])
     b, scale_b = _word_product(mu, word[half:])
-    return Fraction(sparse_trace(a, b), scale_a * scale_b)
+    return _exact_quotient(sparse_trace(a, b), scale_a * scale_b, f"the trace of {pi} on {mu}")
 
 
 def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
@@ -255,42 +271,53 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     # many parts as lam has boxes.
     reached = [(lam,)]
     for m in pi[:-1]:
-        reached.append(tuple({mu: None for d in reached[-1] for mu, _ in _block_sums(d, m)}))
+        reached.append(tuple({mu: None for d in reached[-1] for mu, _ in _block_sums(d, m)[0]}))
     for j in range(len(pi) - 1, 0, -1):
         for d in reached[j]:
             _path_sum(d, pi[j:])
-    return _path_sum(lam, pi)
+    return Fraction(_path_sum(lam, pi))
 
 
 @cache
-def _block_sums(lam: Diagram, m: int) -> tuple[tuple[Diagram, Fraction], ...]:
-    """Each mu reached by removing m boxes from lam, with the sum over those
-    descents of the product of 1/(c_i - c_(i+1)) over consecutive contents
-    (mu whose sum cancels to zero are left out), built level by level over
-    states keyed by (diagram, last content)."""
-    states: dict[tuple[Diagram, int | None], Fraction] = {(lam, None): Fraction(1)}
-    for _ in range(m):
-        nxt: dict[tuple[Diagram, int | None], Fraction] = {}
-        for (d, last), coeff in states.items():
+def _block_sums(lam: Diagram, m: int) -> tuple[tuple[tuple[Diagram, int], ...], int]:
+    """Each mu reached by removing m >= 1 boxes from lam, with the sum over
+    those descents of the product of 1/(c_i - c_(i+1)) over consecutive
+    contents (mu whose sum cancels to zero are left out), built level by
+    level over states keyed by (diagram, last content).
+
+    Returns ((mu, numerator), ...) and one common denominator: each level
+    multiplies the denominator by the lcm of that level's content gaps, so
+    every step is an int, and then divides out the gcd of the denominator
+    and the numerators; the sums per mu are reduced the same way.
+    """
+    states = {(mu, c): 1 for mu, c in down_covers(lam)}
+    denominator = 1
+    for _ in range(m - 1):
+        gaps = lcm(*(last - c for d, last in states for _, c in down_covers(d)))
+        nxt: dict[tuple[Diagram, int], int] = {}
+        for (d, last), num in states.items():
             for mu, c in down_covers(d):
-                step = coeff if last is None else coeff / (last - c)
-                nxt[(mu, c)] = nxt.get((mu, c), 0) + step
-        states = nxt
-    sums: dict[Diagram, Fraction] = {}
-    for (mu, _), coeff in states.items():
-        sums[mu] = sums.get(mu, 0) + coeff
-    return tuple((mu, coeff) for mu, coeff in sums.items() if coeff)
+                nxt[(mu, c)] = nxt.get((mu, c), 0) + num * (gaps // (last - c))
+        denominator *= gaps
+        g = gcd(denominator, *nxt.values())
+        states = {key: num // g for key, num in nxt.items()}
+        denominator //= g
+    sums: dict[Diagram, int] = {}
+    for (mu, _), num in states.items():
+        sums[mu] = sums.get(mu, 0) + num
+    g = gcd(denominator, *sums.values())
+    return tuple((mu, num // g) for mu, num in sums.items() if num), denominator // g
 
 
 @cache
-def _path_sum(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
-    """The path sum of :func:`path_sum_character`, on checked input."""
+def _path_sum(lam: Diagram, pi: tuple[int, ...]) -> int:
+    """The int path sum of :func:`path_sum_character`, on checked input:
+    one exact division per block."""
     if not pi:
-        return Fraction(dim(lam))
-    total = Fraction(0)
-    for mu, coeff in _block_sums(lam, pi[0]):
-        total += coeff * _path_sum(mu, pi[1:])
-    return total
+        return dim(lam)
+    sums, denominator = _block_sums(lam, pi[0])
+    total = sum(num * _path_sum(mu, pi[1:]) for mu, num in sums)
+    return _exact_quotient(total, denominator, f"the path sum of {pi} on {lam}")
 
 
 def normalized_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
@@ -300,4 +327,4 @@ def normalized_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     k = sum(pi)
     if n < k:
         return Fraction(0)
-    return perm(n, k) * character(lam, pi) / dim(lam)
+    return Fraction(perm(n, k) * _character(lam, pi), dim(lam))

@@ -20,7 +20,8 @@ lookup, process pool or sampling; loops and tangle elements check their
 signs with :func:`check_signature`.  Nothing is coerced.
 
 Caching: :func:`skew_dims`, :func:`dim`, :func:`profile` and the cover maps
-use per-process ``functools.cache`` tables.  ``plancherel._SERIES`` is a
+use per-process ``functools.cache`` tables; :func:`profile` checks its
+diagram before its table.  ``plancherel._SERIES`` is a
 per-process dict as well: the integer Laurent expansions of G and H per
 diagram, whose lists grow in place when a larger order is asked for; its
 callers pass the diagram through :func:`as_partition` first.  Under the
@@ -135,13 +136,19 @@ def down_covers(lam: Diagram) -> tuple[tuple[Diagram, int], ...]:
     return tuple(out)
 
 
-@cache
 def profile(lam: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Local minima and maxima of the Russian-convention profile.
 
     Minima are the contents of addable boxes, maxima of removable boxes;
-    they interlace strictly and share the same sum.
+    they interlace strictly and share the same sum.  lam goes through
+    :func:`as_partition` before the cache, so ``(True, 1)`` never reads the
+    entry of ``(1, 1)``.
     """
+    return _profile(as_partition(lam))
+
+
+@cache
+def _profile(lam: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (
         tuple(sorted(c for _, c in up_covers(lam))),
         tuple(sorted(c for _, c in down_covers(lam))),

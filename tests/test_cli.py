@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from ypa.cli import (
+    CHARACTER_METHODS,
     MAX_CLI_KEROV_SAMPLE_WEIGHT,
     MAX_CLI_MOMENT_INDEX,
+    MAX_CLI_ORACLE_PI,
     MAX_CLI_VERIFY_WEIGHT,
     main,
     report_json,
@@ -347,6 +349,33 @@ def test_weight_caps_themselves_are_answered(capsys):
     assert code == 0 and json.loads(out)["results"]["P_polynomial"] == "x2"
 
 
+@pytest.mark.parametrize("method", ["oracle", "all"])
+def test_oracle_pi_cap_is_checked_before_any_work(capsys, monkeypatch, method):
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before |pi| was checked")
+
+    for name in ("diagram", "oracle", "frobenius"):
+        monkeypatch.setitem(CHARACTER_METHODS, name, boom)
+    code, out, err = run(
+        capsys, "character", "--lambda", "[9,8,7]",
+        "--pi", f"[{MAX_CLI_ORACLE_PI + 1}]", "--method", method,
+    )
+    assert code == 2 and out == ""
+    assert f"|pi| capped at {MAX_CLI_ORACLE_PI} for --method {method}" in err
+
+
+def test_oracle_pi_cap_leaves_the_other_methods_and_the_cap_itself(capsys):
+    big = f"[{MAX_CLI_ORACLE_PI + 1}]"
+    for method in ("diagram", "frobenius"):
+        code, _, _ = run(capsys, "character", "--lambda", "[9,8,7]", "--pi", big,
+                         "--method", method)
+        assert code == 0
+    cap = f"[{MAX_CLI_ORACLE_PI}]"
+    code, out, _ = run(capsys, "--format", "json", "character", "--lambda", cap,
+                       "--pi", cap, "--method", "all")
+    assert code == 0 and len(set(json.loads(out)["results"].values())) == 1
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--max-weight", "not-a-number"])
@@ -562,6 +591,17 @@ def test_character_table_script_smoke():
     assert len(lines) > 1
     # |pi| > |lambda|: the Frobenius residues give 0 by themselves.
     assert "[1],[2],frobenius,0" in lines
+    assert "disagreements" not in proc.stderr
+
+
+def test_character_table_agrees_three_ways_up_to_weight_seven():
+    proc = _run_script("character_table.py", "--max-lambda", "7", "--max-pi", "7")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "lambda,pi,method,value"
+    # 45 diagrams times 44 classes, two methods each, and the Frobenius
+    # residues on the 7 one-part classes.
+    assert len(lines) - 1 == 4275
     assert "disagreements" not in proc.stderr
 
 

@@ -97,6 +97,17 @@ def test_frobenius_routes_keep_their_range_messages():
             fn((2, 1), 0)
 
 
+@pytest.mark.parametrize("fn", [fr.satellite_I, fr.radial_I])
+def test_contour_integrals_check_lambda_before_their_caches(fn):
+    # A list is read as its partition; (True, 1) equals and hashes as the
+    # cached (1, 1), and is still rejected.
+    for n in (1, 2, 3):
+        assert fn([2, 1], n) == fn((2, 1), n)
+    fn((1, 1), 2)
+    with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
+        fn((True, 1), 2)
+
+
 def test_all_schemes_agree():
     for lam in diagrams_up_to(5):
         for n in range(1, 5):

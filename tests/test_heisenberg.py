@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ypa.heisenberg as hs
 from ypa.plancherel import PLANCHEREL, boolean_cumulant, f_pl, moment
@@ -232,6 +233,76 @@ def test_kerov_p_polynomial_signs():
 def test_kerov_underdetermined():
     with pytest.raises(hs.KerovUnderdeterminedError):
         hs.kerov_boolean_expansion((3,), 1)
+
+
+def _fraction_gauss_jordan(rows, m):
+    """Gauss-Jordan over Fractions, the reference for the fraction-free solve."""
+    mat = [[F(x) for x in r] + [F(v)] for r, v in rows]
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, len(mat)):
+        if mat[i][m]:
+            raise hs.KerovInconsistentError("no polynomial fits the sampled values")
+    if len(pivots) < m:
+        raise hs.KerovUnderdeterminedError(
+            f"rank {len(pivots)} < {m} monomials; increase sample_weight"
+        )
+    sol = [F(0)] * m
+    for i, c in enumerate(pivots):
+        sol[c] = mat[i][m]
+    return sol
+
+
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def _systems(draw):
+    """(rows, m): small entries, so that rank-deficient systems are common;
+    half the right sides come from a solution, the rest are drawn freely."""
+    m = draw(st.integers(0, 4))
+    matrix = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), max_size=6))
+    if matrix and draw(st.booleans()):
+        rows = draw(st.integers(1, 3))
+        matrix += [matrix[draw(st.integers(0, len(matrix) - 1))] for _ in range(rows)]
+    if draw(st.booleans()):
+        x = draw(st.lists(_entries, min_size=m, max_size=m))
+        values = [sum((a * b for a, b in zip(row, x)), F(0)) for row in matrix]
+    else:
+        values = draw(st.lists(_entries, min_size=len(matrix), max_size=len(matrix)))
+    return list(zip(matrix, values)), m
+
+
+@settings(deadline=None, max_examples=200)
+@given(_systems())
+def test_fraction_free_solve_equals_the_fraction_reference(system):
+    rows, m = system
+    try:
+        expected = _fraction_gauss_jordan(rows, m)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            hs._solve_exact(rows, m)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    solution = hs._solve_exact(rows, m)
+    assert solution == expected
+    assert all(type(v) is F for v in solution)
 
 
 def test_relation_sides_zero_rhs():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -274,6 +275,55 @@ def test_path_sum_equals_the_recursive_descent():
         ((3, 3, 3, 3, 2, 1), (2, 2, 2, 1)),
     ]:
         assert so.path_sum_character(lam, pi) == _descending_path_sum(lam, pi)
+
+
+def _fraction_block_sums(lam, m):
+    """The block table as Fraction sums, step by step, kept as a reference."""
+    states = {(lam, None): F(1)}
+    for _ in range(m):
+        nxt = {}
+        for (d, last), coeff in states.items():
+            for mu, c in down_covers(d):
+                step = coeff if last is None else coeff / (last - c)
+                nxt[(mu, c)] = nxt.get((mu, c), 0) + step
+        states = nxt
+    sums = {}
+    for (mu, _), coeff in states.items():
+        sums[mu] = sums.get(mu, 0) + coeff
+    return {mu: coeff for mu, coeff in sums.items() if coeff}
+
+
+def test_block_sums_are_ints_over_one_reduced_denominator():
+    for lam in diagrams_up_to(8):
+        for m in range(1, weight(lam) + 1):
+            sums, denominator = so._block_sums(lam, m)
+            assert type(denominator) is int and denominator > 0
+            assert all(type(num) is int and num for _, num in sums)
+            assert gcd(denominator, *(num for _, num in sums)) == 1
+            assert {mu: F(num, denominator) for mu, num in sums} == _fraction_block_sums(
+                lam, m
+            ), (lam, m)
+
+
+def test_a_character_that_is_not_an_integer_raises():
+    assert so._exact_quotient(-12, 4, "chi") == -3
+    with pytest.raises(ArithmeticError, match="chi is not an integer: 7/2"):
+        so._exact_quotient(7, 2, "chi")
+
+
+def test_character_routes_return_fractions():
+    # Every value is an integer or a ratio of integers; int / int would give
+    # a float, and a bare int would change the public type.
+    for lam in diagrams_up_to(7):
+        for pi in diagrams_up_to(7)[1:]:
+            values = [so.normalized_character(lam, pi), hs.character_diagram(lam, pi)]
+            if sum(pi) <= weight(lam):
+                values += [
+                    so.character(lam, pi),
+                    so.character(lam, pi, reverse_word=True),
+                    so.path_sum_character(lam, pi),
+                ]
+            assert all(type(v) is F for v in values), (lam, pi, values)
 
 
 def test_path_sum_is_independent_of_cache_order():

@@ -230,6 +230,15 @@ def test_non_partitions_raise(probe):
         probe()
 
 
+def test_profile_checks_its_diagram_before_its_cache():
+    # (True, 1) equals and hashes as (1, 1), so a check behind the cache
+    # would answer it from the entry of (1, 1).
+    assert profile((1, 1)) == ((-2, 1), (-1,))
+    with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
+        profile((True, 1))
+    assert profile([1, 1]) == profile((1, 1))
+
+
 def test_as_partition_takes_int_parts_only():
     assert as_partition([3, 1, 1]) == (3, 1, 1)
     assert as_partition(()) == ()
