@@ -499,7 +499,9 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _solve_exact(rows, m: int) -> list[Fraction]:
-    """The unique solution of the (row, value) system in m unknowns.
+    """The unique solution of the (row, value) system in m unknowns; raises
+    KerovInconsistentError when there is none, else KerovUnderdeterminedError
+    when it is not unique.
 
     Fraction-free Gauss-Jordan: each row, int or Fraction entries, is scaled
     to ints by the lcm of its denominators; eliminating with pivot a turns

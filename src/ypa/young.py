@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
+from operator import ge
 from types import MappingProxyType
 
 Diagram = tuple[int, ...]
@@ -46,10 +47,18 @@ Signature = tuple[int, ...]  # entries +1 / -1
 EMPTY: Diagram = ()
 
 
-def is_diagram(parts) -> bool:
-    return all(
-        type(p) is int and p > 0 for p in parts  # True is not a part
-    ) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+_INT = frozenset((int,))
+
+
+def is_diagram(parts: tuple) -> bool:
+    """Every part of type int (True is not a part), weakly decreasing, and
+    the last one positive; the type test comes first, so no other kind of
+    part is compared."""
+    return (
+        _INT.issuperset(map(type, parts))
+        and all(map(ge, parts, parts[1:]))
+        and (not parts or parts[-1] > 0)
+    )
 
 
 def as_partition(parts) -> Diagram:

@@ -1,9 +1,10 @@
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ypa.frobenius as fr
 import ypa.heisenberg as hs
@@ -21,6 +22,7 @@ from ypa.young import (
     enumerate_loops,
     format_diagram,
     format_loop,
+    is_diagram,
     parse_diagram,
     parse_loop,
     profile,
@@ -237,6 +239,19 @@ def test_profile_checks_its_diagram_before_its_cache():
     with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
         profile((True, 1))
     assert profile([1, 1]) == profile((1, 1))
+
+
+_PARTS = (-1, 0, 1, 2, 3, True, False, 2.0, 1.0, Fraction(3, 2), Fraction(2), "1", None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(_PARTS), max_size=5))
+def test_is_diagram_is_the_partition_rule(parts):
+    parts = tuple(parts)
+    spelled_out = all(type(p) is int and p > 0 for p in parts) and all(
+        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    )
+    assert is_diagram(parts) == spelled_out
 
 
 def test_as_partition_takes_int_parts_only():
