@@ -293,10 +293,11 @@ def _block_sums(lam: Diagram, m: int) -> tuple[tuple[tuple[Diagram, int], ...], 
     states = {(mu, c): 1 for mu, c in down_covers(lam)}
     denominator = 1
     for _ in range(m - 1):
-        gaps = lcm(*(last - c for d, last in states for _, c in down_covers(d)))
+        steps = [(last, num, down_covers(d)) for (d, last), num in states.items()]
+        gaps = lcm(*(last - c for last, _, covers in steps for _, c in covers))
         nxt: dict[tuple[Diagram, int], int] = {}
-        for (d, last), num in states.items():
-            for mu, c in down_covers(d):
+        for last, num, covers in steps:
+            for mu, c in covers:
                 nxt[(mu, c)] = nxt.get((mu, c), 0) + num * (gaps // (last - c))
         denominator *= gaps
         g = gcd(denominator, *nxt.values())
