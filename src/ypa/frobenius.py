@@ -15,29 +15,30 @@ H(z) H(z-1) ... H(z-k+1); the radial scheme nests the contours by radius so
 that, at each step, poles at already-known rational locations are enclosed
 and poles at locations still involving an outer variable are not.  Both
 reproduce the normalized character on one-cycle partitions.  The satellite
-steps are checked pointwise at samples with distinct prime denominators,
-where every contour pole is simple.  Profile contents and shifts are
-integers, so with d the lcm of a tail's denominators, d times every root of
-both signs' level forms and d times every contour point w +- 1, w +- (k+1)
-are integers: pole orders are counted over ints, and a residue is the
-product of the other linear factors at the pole, ``ratfun.product_at`` with
-``scale=d``.  Other poles use the reduced form.  Every n, k, entry of sigma
-and ``sample_count`` goes through ``young.check_int``, so ``True`` and
-``2.0`` raise ``ValueError``; every sample coordinate and point of F goes
-through ``young.check_rational``, so a float or ``True`` raises it too.
+steps are checked pointwise at rational samples.  Profile contents and
+shifts are integers, so with d the lcm of a tail's denominators, d times
+every root of both signs' level forms and d times every contour point
+w +- 1, w +- (k+1) are integers, and every residue and value is one
+``ratfun.residue_at`` of those roots with ``scale=d``, for a pole of any
+order; the reduced ``FactoredRatFun`` forms (``h_product``,
+``satellite_level_form`` and the rest) stay as the tests' reference only.
+Every n, k, entry of sigma, ``sample_count`` and ``seed`` goes through
+``young.check_int``, so ``True`` and ``2.0`` raise ``ValueError``; every
+sample coordinate and point of F goes through ``young.check_rational``, so
+a float or ``True`` raises it too; every public function that takes lam
+passes it through ``young.as_partition`` once, before any cache.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from . import affine
 from .affine import Term
-from .ratfun import FactoredRatFun, product_at, residue_sum
+from .ratfun import FactoredRatFun, PoleEvaluationError, residue_at, residue_sum
 from .young import Diagram, as_partition, check_int, check_rational, profile
 
 
@@ -134,29 +135,29 @@ def satellite_level_form(
 def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
     """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0],
     with the tail, the roots and the contour points times d."""
+    trailing = _f_eval(lam, n - k - 1, tail)
     scaled, d = _over_lcm(tail)
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
-    counts = [(Counter(zeros), Counter(poles)) for zeros, poles in roots]
-    trailing = f_eval(lam, n - k - 1, tail) / 2
-    total = Fraction(0)
-    for p in {scaled[0] + e * d for e in (1, -1, k + 1, -k - 1)}:
-        orders = [poles[p] - zeros[p] for zeros, poles in counts]
-        if max(orders) > 1:
-            total += satellite_level_form(lam, n, k, tail).residue_at(Fraction(p, d))
-        else:
-            total += trailing * sum(
-                product_at(p, *r, d) for r, o in zip(roots, orders) if o == 1
-            )
-    return total
+    points = {scaled[0] + e * d for e in (1, -1, k + 1, -k - 1)}
+    return trailing / 2 * sum(residue_at(p, *r, d) for p in points for r in roots)
 
 
 def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
-    """The level-k form at x, from its roots times d unless x is one of them."""
+    """The level-k form at x, the residue at x of the form over (z - x),
+    from its roots times d; PoleEvaluationError at a pole of the form."""
+    trailing = _f_eval(lam, n - k - 1, tail)
     (sx, *scaled), d = _over_lcm((x, *tail))
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
-    if any(sx in zeros or sx in poles for zeros, poles in roots):
-        return satellite_level_form(lam, n, k, tail)(x)
-    return f_eval(lam, n - k - 1, tail) / 2 * sum(product_at(sx, *r, d) for r in roots)
+    # The form's Laurent coefficients of (z - x)^-j at x, j from 0 to the
+    # terms' highest pole order there: each is the residue of the two terms
+    # times (z - x)^(j-1).  A pole of one term may cancel the other's.
+    value, *polar = (
+        sum(residue_at(sx, [*zeros, *[sx] * j], [*poles, sx], d) for zeros, poles in roots)
+        for j in range(1 + max(0, *(poles.count(sx) - zeros.count(sx) for zeros, poles in roots)))
+    )
+    if trailing and any(polar):
+        raise PoleEvaluationError(f"evaluation at pole z = {x}")
+    return trailing / 2 * value
 
 
 def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
@@ -167,14 +168,14 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     reproduce the level-(k+1) closed form at w, which at k + 1 = n - 1 is
     the final form.  Each sign's term stays a list of roots, times d, the
     lcm of the tail's denominators, so the roots and the contour points
-    are integers: at a contour point of net pole order 1 the residue is the
-    product of the other factors there, ``ratfun.product_at`` with
-    ``scale=d``; the right side is the level-(k+1) products at w.  On
-    ``sample_points`` tails the coordinates have distinct prime
-    denominators, so every contour pole is simple.  A higher order, or a
-    root of the right side at w, uses the reduced form.  Raises ValueError
-    when ``samples`` is empty.
+    are integers: the left side is the sum of ``ratfun.residue_at`` over
+    the contour points and both signs, with ``scale=d``, whatever the pole
+    orders; the right side is the level-(k+1) form's residue at w over
+    (z - w), or PoleEvaluationError at a pole.  On ``sample_points`` tails
+    the coordinates have distinct prime denominators, so every contour pole
+    is simple.  Raises ValueError when ``samples`` is empty.
     """
+    lam = as_partition(lam)
     check_int("n", n)
     check_int("k", k)
     if not 0 <= k <= n - 2:
@@ -194,10 +195,14 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
 
 # -- the multivariate integrand and the radial scheme ---------------------------
 
-@lru_cache(maxsize=None, typed=True)  # typed: True misses the n = 1 entry
 def f_term(lam: Diagram, n: int) -> Term:
     """F as a single product of affine factors in variables 1..n."""
-    check_int("n", n)
+    return _f_term(as_partition(lam), check_int("n", n))
+
+
+@lru_cache(maxsize=None)
+def _f_term(lam: Diagram, n: int) -> Term:
+    """The Term of :func:`f_term`, on checked input."""
     xs, ys = profile(lam)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return affine.term_product(1, [
@@ -211,12 +216,15 @@ def f_term(lam: Diagram, n: int) -> Term:
 def f_eval(lam: Diagram, n: int, points) -> Fraction:
     """Evaluate F at rational points, each an int or a Fraction (else
     ValueError); raises PoleHit on a pole."""
-    check_int("n", n)
-    points = list(points)
-    if len(points) != n:
+    lam, points = as_partition(lam), list(points)
+    if len(points) != check_int("n", n):
         raise ValueError(f"need {n} points")
-    values = {i + 1: p for i, p in enumerate(points)}
-    return affine.evaluate([f_term(lam, n)], values)
+    return _f_eval(lam, n, points)
+
+
+def _f_eval(lam: Diagram, n: int, points) -> Fraction:
+    """F at the n points, on a checked lam and n."""
+    return affine.evaluate([_f_term(lam, n)], {i + 1: p for i, p in enumerate(points)})
 
 
 def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Fraction:
@@ -242,7 +250,7 @@ def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Frac
         raise ValueError(
             f"radial integrals supported for sigma=id up to n={MAX_RADIAL_N}, else n<=3"
         )
-    terms = [f_term(lam, n)]
+    terms = [_f_term(lam, n)]
     for v in sigma:
         terms = affine.residue_in(terms, v)
     return affine.constant_value(terms)
@@ -288,15 +296,16 @@ def lemma_checks(
 ) -> dict[str, bool]:
     """Exact checks of the cyclic-sum and inversion laws at random rational
     sample points."""
+    lam = as_partition(lam)
     check_int("n", n, 2)
     check_int("sample_count", sample_count, 1)
-    rng = random.Random(seed)
+    rng = random.Random(check_int("seed", seed))
     cyclic_ok = inversion_ok = True
     for _ in range(sample_count):
         pts = sample_points(lam, n, rng)
-        rotated = [f_eval(lam, n, pts[p:] + pts[:p]) for p in range(n)]
+        rotated = [_f_eval(lam, n, pts[p:] + pts[:p]) for p in range(n)]
         if sum(rotated):
             cyclic_ok = False
-        if (-1) ** (n - 1) * rotated[0] != f_eval(lam, n, pts[::-1]):
+        if (-1) ** (n - 1) * rotated[0] != _f_eval(lam, n, pts[::-1]):
             inversion_ok = False
     return {"cyclic_sum": cyclic_ok, "inversion": inversion_ok}

@@ -1,14 +1,16 @@
 """The Plancherel harmonic function and its transition/cotransition measures.
 
 ``f_pl(lam) = dim(lam) / |lam|!`` is harmonic on the Young graph:
-``f(mu) = sum_{mu -> lam} f(lam)``.  The transition measure ``p_up`` and the
-cotransition measure ``p_down`` are each one ``ratfun.product_at`` of content
-differences at the added or removed box; the dim-ratio forms appear in the
-tests as independent oracles only.  The Cauchy transform ``G`` and its
+``f(mu) = sum_{mu -> lam} f(lam)``.  The Cauchy transform ``G`` and its
 reciprocal ``H`` are the rational functions with zeros at removable and
-poles at addable contents (and vice versa); their expansions at infinity
-generate moments and Boolean cumulants.  Both are ratios of monic integer
-polynomials, so every Laurent coefficient at infinity is an int:
+poles at addable contents (and vice versa).  The transition measure
+``p_up`` is the residue of G at the added box's content, and the
+cotransition measure ``p_down`` is -1/|lam| times the residue of H at the
+removed box's content, each one ``ratfun.residue_at`` of the profile
+contents; the dim-ratio forms appear in the tests as independent oracles
+only.  The expansions of G and H at infinity generate moments and Boolean
+cumulants.  Both are ratios of monic integer polynomials, so every Laurent
+coefficient at infinity is an int:
 :func:`moment` and :func:`boolean_cumulant` read them from ``_SERIES``, a
 per-process table that keeps, for each (lam, "G" or "H"), the integer
 coefficients of both polynomials and the expansion found so far, and
@@ -29,7 +31,7 @@ from functools import cache
 from math import factorial
 from typing import Callable
 
-from .ratfun import FactoredRatFun, extend_series, monic_coeffs, product_at
+from .ratfun import FactoredRatFun, extend_series, monic_coeffs, residue_at
 from .young import (
     Diagram, as_partition, box_content, check_int, dim, down_covers, profile,
     up_covers, weight,
@@ -57,17 +59,16 @@ PLANCHEREL = HarmonicFunction("plancherel", f_pl)
 
 
 def p_up(lam: Diagram, mu: Diagram) -> Fraction:
-    """Transition probability from lam to a cover mu."""
-    x = box_content(mu, lam)
-    xs, ys = profile(lam)
-    return product_at(x, ys, xs)
+    """Transition probability from lam to a cover mu: the residue of G at
+    the added box's content; G's zeros and poles are profile(lam) reversed."""
+    return residue_at(box_content(mu, lam), *profile(lam)[::-1])
 
 
 def p_down(lam: Diagram, mu: Diagram) -> Fraction:
-    """Cotransition probability from lam to a diagram mu it covers."""
-    y = box_content(lam, mu)
-    xs, ys = profile(lam)
-    return -product_at(y, xs, ys) / weight(lam)
+    """Cotransition probability from lam to a diagram mu it covers: -1/|lam|
+    times the residue of H at the removed box's content; H's zeros and
+    poles are profile(lam)."""
+    return -residue_at(box_content(lam, mu), *profile(lam)) / weight(lam)
 
 
 def cauchy_g(lam: Diagram) -> FactoredRatFun:

@@ -1,11 +1,11 @@
 """Exact univariate rational functions with factored-linear denominators.
 
-Every rational function in scope has all its poles at explicitly known
-rational points (contents of boxes, possibly shifted by integers), so the
-denominator is stored as a multiset of roots and no root-finding ever
-happens.  Numerators are dense polynomials over Q.  The two workhorses are
-Laurent expansion at infinity (moments, cumulants and every sum of all finite
-residues) and exact residue extraction at a point, for poles of any order.
+Every rational function in scope is prod (z - a) / prod (z - b) over known
+rational roots (contents of boxes, possibly shifted by integers), so it is
+handled as its two lists of roots, unreduced, and no root-finding ever
+happens.  The two workhorses are Laurent expansion at infinity (moments,
+cumulants and every sum of all finite residues) and exact residue
+extraction at a point, for poles of any order.
 
 ``monic_coeffs`` is the one expansion of prod (z - r) into coefficients, and
 ``extend_series`` the one Laurent expansion at infinity: with a monic
@@ -18,12 +18,19 @@ roots every coefficient is an int.
 residues of prod (z - a) / prod (z - b) is its z^(-1) coefficient at
 infinity, read through ``extend_series`` from the unreduced roots.
 
-``_divide`` is the one synthetic division by (z - r), behind ``Poly.__call__``,
-``taylor_at``, ``shift`` and the root cancellation of ``FactoredRatFun.make``
-(one division per cancelled root); ``product_at`` is the one root product
-prod (x - a) / prod (x - b) at a point.  Its caller passes the point and the
-roots times a common ``scale`` that makes them integers, so the product runs
-in ints and the scale is folded back into one ``Fraction`` at the end.
+``residue_at`` is the one residue at a point of prod (z - a) / prod (z - b),
+read from the unreduced roots for a pole of any order: the product of the
+other factors at a simple pole, and their Taylor coefficient through
+``monic_coeffs`` and ``extend_series`` at a higher one.  Its caller passes
+the point and the roots times a common ``scale`` that makes them integers,
+so every step runs in ints and the scale is folded back into one
+``Fraction`` at the end.  The transition measures and the satellite step
+checks take every residue and value from it.
+
+``Poly`` and the reduced ``FactoredRatFun`` are the tests' reference: no
+engine route builds one.  ``_divide`` is their one synthetic division by
+(z - r), behind ``Poly.__call__``, ``taylor_at``, ``shift`` and the root
+cancellation of ``FactoredRatFun.make`` (one division per cancelled root).
 """
 
 from __future__ import annotations
@@ -320,23 +327,34 @@ def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction
     return out
 
 
-def product_at(x, zeros, poles, scale: int = 1) -> Fraction:
-    """prod (x - a) / prod (x - b) over the roots other than x.
+def residue_at(p, zeros, poles, scale: int = 1) -> Fraction:
+    """The residue at p of prod (z - a) / prod (z - b), repeated and shared
+    roots allowed.
 
-    x and the roots are the true values times ``scale``, so integers when
-    ``scale`` clears their denominators: the differences are plain products,
-    and the result is one ``Fraction`` with scale^(#poles used - #zeros used)
-    folded in.
+    With m the poles at p less the zeros at p, it is 0 for m <= 0, the
+    product of the other factors at p for m = 1, and their (m-1)-th Taylor
+    coefficient at p for m >= 2.  p and the roots are the true values times
+    ``scale``, so integers when ``scale`` clears their denominators: every
+    step is an int, and scale^(#poles - #zeros - 1) is folded into the one
+    ``Fraction`` at the end.
     """
-    nums = [x - a for a in zeros if a != x]
-    dens = [x - b for b in poles if b != x]
+    m = poles.count(p) - zeros.count(p)
+    if m <= 0:
+        return Fraction(0)
+    nums = [p - a for a in zeros if a != p]
+    dens = [p - b for b in poles if b != p]
     num, den = prod(nums), prod(dens)
-    e = len(dens) - len(nums)
-    if e > 0:
-        num *= scale**e
-    else:
-        den *= scale**-e
-    return Fraction(num, den)
+    if m > 1:
+        # The other factors at z = p + t are prod (t + v) over the differences
+        # v, with constant terms num and den.  Over t = den s they read
+        # sum_j c_j s^j / den, the denominator's constant term 1 and every
+        # coefficient an int, so the coefficient of t^(m-1) is c_(m-1) / den^m.
+        ns, ds = (monic_coeffs([-v for v in vs])[: -m - 1 : -1] for vs in (nums, dens))
+        ns = [v * den**i for i, v in enumerate(ns)]
+        ds = [1, *(v * den ** (i - 1) for i, v in enumerate(ds) if i)]
+        num, den = extend_series(ns, ds, [], m - 1)[m - 1], den**m
+    e = len(poles) - len(zeros) - 1
+    return Fraction(num * scale**e, den) if e > 0 else Fraction(num, den * scale**-e)
 
 
 def residue_sum(zeros, poles) -> Fraction:

@@ -53,12 +53,12 @@ from types import MappingProxyType
 from .surd import Surd, sqrt_fraction
 from .young import (
     Diagram,
+    _skew_dims,
     as_partition,
     box_content,
     check_int,
     dim,
     down_covers,
-    skew_dims,
     up_covers,
     weight,
 )
@@ -68,10 +68,14 @@ TableauPath = tuple[Diagram, ...]
 SparseMatrix = Mapping[tuple[int, int], "int | Surd"]
 
 
-@cache
 def standard_tableaux(lam: Diagram) -> tuple[TableauPath, ...]:
     """All saturated paths from empty to lam, in lexicographic order, built
     level by level down the cover maps, with no recursion."""
+    return _standard_tableaux(as_partition(lam))
+
+
+@cache
+def _standard_tableaux(lam: Diagram) -> tuple[TableauPath, ...]:
     paths: list[TableauPath] = [(lam,)]  # each path from k boxes below lam up
     while paths[0][0]:
         paths = [(mu, *path) for path in paths for mu, _ in down_covers(path[0])]
@@ -87,22 +91,26 @@ def _alternative_middle(prev: Diagram, mid: Diagram, nxt: Diagram) -> Diagram | 
     return None
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True misses the i = 1 entry
 def seminormal_matrix(lam: Diagram, i: int) -> tuple[SparseMatrix, int]:
     """Young's seminormal form of t_i = (i, i+1) on V^lam, times scale.
 
     Returns (entries, scale) with scale the lcm of r^2 over the paths.  The
     entries are integers: scale/r on the diagonal and, in each 2x2 block,
     scale at (k, j) for k < j and scale (1 - 1/r^2) at (k, j) for k > j.
-    Rows and columns are indices into :func:`standard_tableaux`.  i goes
-    through ``young.check_int`` on a cache miss; the caches here are typed,
-    so ``True`` or ``1.0`` misses the i = 1 entry and raises ValueError, in
-    :func:`adjacent_transposition_matrix` and :func:`matrix_dict` as well.
+    Rows and columns are indices into :func:`standard_tableaux`.  lam goes
+    through ``young.as_partition`` and i through ``young.check_int`` before
+    the cache, so ``(2, True)``, ``True`` or ``1.0`` raises ValueError.
     """
+    lam = as_partition(lam)
     n = weight(lam)
     if not 1 <= check_int("i", i) <= n - 1:
         raise IndexError(f"transposition index {i} out of range 1..{n - 1}")
-    paths = standard_tableaux(lam)
+    return _seminormal_matrix(lam, i)
+
+
+@cache
+def _seminormal_matrix(lam: Diagram, i: int) -> tuple[SparseMatrix, int]:
+    paths = _standard_tableaux(lam)
     index = {p: k for k, p in enumerate(paths)}
     gaps = [box_content(p[i + 1], p[i]) - box_content(p[i], p[i - 1]) for p in paths]
     scale = lcm(*(r * r for r in gaps))
@@ -176,7 +184,7 @@ def _word_product(lam: Diagram, word: list[int]) -> tuple[SparseMatrix, int]:
     """The integer seminormal product of t_w over the word, and its scale."""
     if not word:
         return sparse_identity(dim(lam)), 1
-    mats = [seminormal_matrix(lam, i) for i in word]
+    mats = [_seminormal_matrix(lam, i) for i in word]
     return reduce(sparse_mul, (m for m, _ in mats)), prod(s for _, s in mats)
 
 
@@ -222,7 +230,7 @@ def character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> 
 
 def _character(lam: Diagram, pi: tuple[int, ...], reverse_word: bool = False) -> int:
     """The int chi^lam(pi) of :func:`character`, on checked input."""
-    return sum(f * _trace(mu, pi, reverse_word) for mu, f in skew_dims(lam, sum(pi)).items())
+    return sum(f * _trace(mu, pi, reverse_word) for mu, f in _skew_dims(lam, sum(pi)).items())
 
 
 def _exact_quotient(total: int, denominator: int, what: str) -> int:

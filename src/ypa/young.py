@@ -20,8 +20,8 @@ lookup, process pool or sampling; loops and tangle elements check their
 signs with :func:`check_signature`.  Nothing is coerced.
 
 Caching: :func:`skew_dims`, :func:`dim`, :func:`profile` and the cover maps
-use per-process ``functools.cache`` tables; :func:`profile` checks its
-diagram before its table.  ``plancherel._SERIES`` is a
+use per-process ``functools.cache`` tables; :func:`profile` and
+:func:`skew_dims` check their input before their tables.  ``plancherel._SERIES`` is a
 per-process dict as well: the integer Laurent expansions of G and H per
 diagram, whose lists grow in place when a larger order is asked for; its
 callers pass the diagram through :func:`as_partition` first.  Under the
@@ -36,7 +36,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial, prod
 from operator import ge
 from types import MappingProxyType
@@ -172,20 +172,25 @@ def box_content(big: Diagram, small: Diagram) -> int:
     raise ValueError(f"{big} does not cover {small}")
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 miss the k = 1 entry
 def skew_dims(lam: Diagram, k: int) -> Mapping[Diagram, int]:
     """Each mu of weight k below lam, with f^(lam/mu), its number of
     saturated paths up to lam.
 
     This is the one path counter: it counts level by level down the cover
     maps, from lam to level k, so a long diagram costs no recursion depth.
+    lam and k are checked before the cache, as in :func:`profile`.
     """
     lam = as_partition(lam)
     n = weight(lam)
     if not 0 <= check_int("level", k) <= n:
         raise ValueError(f"level {k} is not in 0..{n}")
+    return _skew_dims(lam, k)
+
+
+@cache
+def _skew_dims(lam: Diagram, k: int) -> Mapping[Diagram, int]:
     level = {lam: 1}  # each diagram below lam, with its paths up to lam
-    for _ in range(n - k):
+    for _ in range(weight(lam) - k):
         below: dict[Diagram, int] = {}
         for nu, paths in level.items():
             for mu, _ in down_covers(nu):

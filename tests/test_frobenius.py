@@ -12,7 +12,7 @@ import ypa.sym_oracle as so
 from ypa import affine
 from ypa.affine import AffinePoleError, PoleHit
 from ypa.plancherel import inv_h
-from ypa.ratfun import FactoredRatFun
+from ypa.ratfun import FactoredRatFun, PoleEvaluationError
 from ypa.young import diagrams_up_to
 
 
@@ -106,6 +106,29 @@ def test_contour_integrals_check_lambda_before_their_caches(fn):
     fn((1, 1), 2)
     with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
         fn((True, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fr.satellite_step_check, (2, 0, [(F(36, 7),)])),
+        (fr.f_eval, (1, [F(1, 7)])),
+        (fr.f_term, (2,)),
+        (fr.lemma_checks, (2, 2)),
+    ],
+)
+def test_step_checks_and_f_check_lambda_before_their_caches(fn, args):
+    fn((1, 1), *args)
+    assert fn([1, 1], *args) == fn((1, 1), *args)
+    with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
+        fn((True, 1), *args)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, None, "1"])
+def test_lemma_checks_take_an_int_seed_only(seed):
+    # True and 1.0 would run as seed 1, and None would draw from the OS.
+    with pytest.raises(ValueError, match="^seed must be an int"):
+        fr.lemma_checks((2, 1), 2, 2, seed)
 
 
 def test_all_schemes_agree():
@@ -228,14 +251,15 @@ def test_lemma_checks():
 def test_lemma_checks_evaluate_f_n_plus_one_times_per_draw(monkeypatch):
     # The n rotations of each draw include the unrotated sample, which is
     # also the left side of the inversion law; only the reversal is extra.
+    # They call the unchecked body of f_eval, lambda being checked once.
     calls = []
-    f_eval = fr.f_eval
+    f_eval = fr._f_eval
 
     def counted(lam, n, pts):
         calls.append(tuple(pts))
         return f_eval(lam, n, pts)
 
-    monkeypatch.setattr(fr, "f_eval", counted)
+    monkeypatch.setattr(fr, "_f_eval", counted)
     for n in (2, 3, 4):
         calls.clear()
         res = fr.lemma_checks((2, 1), n, sample_count=3, seed=4)
@@ -364,7 +388,7 @@ def test_pointwise_step_checks_equal_the_reduced_form_algorithm(case):
     assert _outcome(fr.satellite_step_check, lam, n, k, iter([tail])) == expected
 
 
-def test_a_double_contour_pole_uses_the_reduced_form(monkeypatch):
+def test_a_double_contour_pole_is_a_root_list_residue(monkeypatch):
     # tail[1] = w + k + 2 puts a second pole at w + 1 in the sgn = +1 term.
     lam, n, k = (2, 1), 3, 0
     w = F(38, 7)
@@ -376,7 +400,45 @@ def test_a_double_contour_pole_uses_the_reduced_form(monkeypatch):
         fr, "satellite_level_form", lambda *a: forms.append(a) or level_form(*a)
     )
     assert fr._contour_sum(lam, n, k, tail) == expected
-    assert forms == [(lam, n, k, tail)]
+    assert forms == []
+
+
+def _colliding_tails():
+    # Every remaining coordinate at w plus an integer offset, for w a half,
+    # a third and an integer: double contour poles, roots of the right side
+    # at w, poles of F on the tail and signs whose poles at w cancel.
+    for lam in diagrams_up_to(3):
+        for n in (2, 3, 4):
+            for k in range(n - 1):
+                for w in (F(1, 2), F(-5, 3), F(2)):
+                    offsets = range(-k - 3, k + 4)
+                    for rest in itertools.product(offsets, repeat=n - k - 2):
+                        yield lam, n, k, (w, *(w + o for o in rest))
+
+
+def test_colliding_tails_equal_the_reduced_form_algorithm(monkeypatch):
+    cases = list(_colliding_tails())
+    expected = []
+    for lam, n, k, tail in cases:
+        lhs = _outcome(_reduced_contour_sum, lam, n, k, tail)
+        rhs = _outcome(_reduced_right_side, lam, n, k, tail)
+        if isinstance(lhs, type) or isinstance(rhs, type):
+            verdict = lhs if isinstance(lhs, type) else rhs
+        else:
+            verdict = lhs == rhs
+        expected.append((lhs, rhs, verdict))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a FactoredRatFun was built")
+
+    monkeypatch.setattr(FactoredRatFun, "__init__", refuse)
+    for (lam, n, k, tail), (lhs, rhs, verdict) in zip(cases, expected):
+        assert _outcome(fr._contour_sum, lam, n, k, tail) == lhs
+        assert _outcome(fr._level_value, lam, n, k + 1, tail[1:], tail[0]) == rhs
+        assert _outcome(fr.satellite_step_check, lam, n, k, [tail]) == verdict
+    seen = {v if isinstance(v, type) else type(v) for e in expected for v in e}
+    assert seen == {F, PoleHit, PoleEvaluationError, bool}
+    assert len(cases) == 1428
 
 
 # Tails of each kind of common denominator d: an lcm below the product of the
@@ -406,8 +468,8 @@ def test_scaled_step_checks_equal_the_reduced_form_on_any_denominator(tail, d):
 
 
 def test_step_checks_on_sampled_tails_never_use_the_reduced_form(monkeypatch):
-    # The bench's step checks take every residue and value as an integer
-    # product; a call to satellite_level_form is a fallback to the reduced form.
+    # The bench's step checks take every residue and value from the roots;
+    # a call to satellite_level_form would be a detour through the reduced form.
     calls = []
     level_form = fr.satellite_level_form
     monkeypatch.setattr(

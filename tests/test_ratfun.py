@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ypa.plancherel import cauchy_g, inv_h
 from ypa.ratfun import (
-    ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, product_at, residue_sum,
+    ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, residue_at, residue_sum,
 )
 from ypa.young import diagrams_up_to
 
@@ -222,52 +222,58 @@ def test_taylor_at_is_the_head_of_the_shift(coeffs, p, order, ts):
 NUMBERS = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=4))
 
 
+# A small pool, so that roots repeat and zeros meet poles often.
+POOL = st.sampled_from([*range(-3, 4), F(-1, 2), F(1, 2), F(5, 3)])
+
+
 @st.composite
 def point_and_roots(draw):
-    """A point, and zeros and poles that may include the point itself."""
-    x = draw(NUMBERS)
-    roots = st.lists(st.one_of(NUMBERS, st.just(x)), max_size=6)
-    return x, draw(roots), draw(roots)
+    """A point, and zeros and poles that may hold it: a pole of order up to
+    4 at the point, or none, and roots repeated and shared with the other
+    side."""
+    p = draw(NUMBERS)
+    pool = st.one_of(NUMBERS, st.just(p), POOL)
+    shared = draw(st.lists(pool, max_size=2))
+    zeros = draw(st.lists(pool, max_size=4)) + shared
+    poles = draw(st.lists(pool, max_size=4)) + shared + [p] * draw(st.integers(0, 4))
+    return p, draw(st.permutations(zeros)), draw(st.permutations(poles))
 
 
 @settings(deadline=None, max_examples=200)
 @given(point_and_roots())
-def test_product_at_is_the_fraction_product(case):
-    x, zeros, poles = case
-    expected = F(1)
-    for a in zeros:
-        if a != x:
-            expected *= F(x) - a
-    for b in poles:
-        if b != x:
-            expected /= F(x) - b
-    got = product_at(x, zeros, poles)
-    assert type(got) is F and got == expected
+def test_residue_at_is_the_reduced_residue(case):
+    p, zeros, poles = case
+    got = residue_at(p, zeros, poles)
+    assert type(got) is F
+    assert got == FactoredRatFun.from_roots(zeros, poles).residue_at(p)
+    if poles.count(p) <= zeros.count(p):
+        assert got == 0
 
 
 @settings(deadline=None, max_examples=100)
 @given(point_and_roots(), st.integers(1, 6))
-def test_scaled_product_at_is_the_fraction_product(case, m):
+def test_scaled_residue_at_is_the_reduced_residue(case, m):
     # Scaled by a multiple s of the denominators' lcm, the point and the
-    # roots are ints; product_at folds s back in.
-    x, zeros, poles = case
-    s = m * lcm(*(F(v).denominator for v in (x, *zeros, *poles)))
-    expected = F(1)
-    for a in zeros:
-        if a != x:
-            expected *= F(x) - a
-    for b in poles:
-        if b != x:
-            expected /= F(x) - b
-    sx, *roots = (s * F(v) for v in (x, *zeros, *poles))
-    assert all(v.denominator == 1 for v in (sx, *roots))
+    # roots are ints; residue_at folds s^(#poles - #zeros - 1) back in.
+    p, zeros, poles = case
+    s = m * lcm(*(F(v).denominator for v in (p, *zeros, *poles)))
+    sp, *roots = (s * F(v) for v in (p, *zeros, *poles))
+    assert all(v.denominator == 1 for v in (sp, *roots))
     roots = [int(v) for v in roots]
-    got = product_at(int(sx), roots[: len(zeros)], roots[len(zeros):], s)
-    assert type(got) is F and got == expected
+    got = residue_at(int(sp), roots[: len(zeros)], roots[len(zeros):], s)
+    assert type(got) is F
+    assert got == FactoredRatFun.from_roots(zeros, poles).residue_at(p)
 
 
-# A small pool, so that roots repeat and zeros meet poles often.
-POOL = st.sampled_from([*range(-3, 4), F(-1, 2), F(1, 2), F(5, 3)])
+def test_residue_at_examples():
+    # 1/(z - 1)^2 (z - 3): the Taylor coefficient of 1/(z - 3) at 1 is -1/4.
+    assert residue_at(1, [], [1, 1, 3]) == F(-1, 4)
+    assert residue_at(3, [], [1, 1, 3]) == F(1, 4)
+    # A shared root cancels: (z - 2)/(z - 2)^2 has a simple pole at 2.
+    assert residue_at(2, [2], [2, 2]) == 1
+    assert residue_at(2, [2, 2], [2, 2]) == 0
+    # The same at scale 2: 1/(z - 1/2)^2 (z - 3/2) at 1/2.
+    assert residue_at(1, [], [1, 1, 3], 2) == -1
 
 
 @st.composite

@@ -67,13 +67,24 @@ def test_seminormal_index_range():
             so.seminormal_matrix((2, 1), i)
 
 
-# The int index goes through young.check_int on every cache miss, and the
-# typed caches send True and 1.0 to a miss: before, each of these answered
-# for i = 1 or n = 1.
+# The int index goes through young.check_int before seminormal_matrix's
+# cache, and adjacent_transposition_matrix's typed cache sends True and 1.0
+# to a miss: before, each of these answered for i = 1 or n = 1.
 def test_seminormal_matrix_takes_an_int_index_only():
     so.seminormal_matrix((2, 1), 1)
     with pytest.raises(ValueError, match=r"^i must be an int, got True$"):
         so.seminormal_matrix((2, 1), True)
+
+
+def test_tableaux_and_seminormal_matrices_check_lambda_before_their_caches():
+    # (2, True) equals and hashes as the cached (2, 1).
+    assert len(so.standard_tableaux((2, 1))) == 2
+    so.seminormal_matrix((2, 1), 1)
+    with pytest.raises(ValueError, match=r"not a partition: \(2, True\)"):
+        so.standard_tableaux((2, True))
+    with pytest.raises(ValueError, match=r"not a partition: \(2, True\)"):
+        so.seminormal_matrix((2, True), 1)
+    assert so.standard_tableaux([2, 1]) == so.standard_tableaux((2, 1))
 
 
 def test_matrix_dict_takes_an_int_index_only():
@@ -209,15 +220,15 @@ def test_block_sum_equals_the_full_trace():
 def test_oracle_builds_no_matrix_above_pi(monkeypatch):
     # lam = (5,4,2,1) has dimension 5,632; pi = (3,1) needs traces on S_4 only.
     so._trace.cache_clear()
-    so.seminormal_matrix.cache_clear()
-    original = so.seminormal_matrix
+    so._seminormal_matrix.cache_clear()
+    original = so._seminormal_matrix
     built = []
 
     def recording(lam, i):
         built.append((lam, i))
         return original(lam, i)
 
-    monkeypatch.setattr(so, "seminormal_matrix", recording)
+    monkeypatch.setattr(so, "_seminormal_matrix", recording)
     value = so.normalized_character((5, 4, 2, 1), (3, 1))
     assert value == hs.character_diagram((5, 4, 2, 1), (3, 1))
     # Every cache entry was recorded, and none has more than |pi| boxes.

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.plancherel as pl
+import ypa.young as yg
 from ypa.young import (
     LiteralError,
     LoopPath,
@@ -74,9 +75,9 @@ def test_dim_of_a_staircase_counts_no_paths():
     # still obeys the branching rule dim(lam) = sum of dim(mu) over mu -> lam.
     staircase = tuple(range(30, 0, -1))
     assert weight(staircase) == 465
-    walked = skew_dims.cache_info().currsize
+    walked = yg._skew_dims.cache_info().currsize
     assert dim(staircase) == sum(dim(mu) for mu, _ in down_covers(staircase))
-    assert skew_dims.cache_info().currsize == walked
+    assert yg._skew_dims.cache_info().currsize == walked
 
 
 def test_skew_dims_split_dim_at_every_level():
@@ -92,7 +93,7 @@ def test_skew_dims_split_dim_at_every_level():
 
 
 def test_skew_dims_of_a_long_row_need_no_recursion():
-    skew_dims.cache_clear()
+    yg._skew_dims.cache_clear()
     assert skew_dims((400,), 0) == {(): 1}
     assert skew_dims((400,), 150) == {(150,): 1}
 
@@ -104,6 +105,14 @@ def test_skew_dims_rejects_bad_levels_and_non_partitions(lam, k):
     skew_dims((2, 1), 1)  # a cached k = 1 must not answer for True or 1.0
     with pytest.raises(ValueError):
         skew_dims(lam, k)
+
+
+def test_skew_dims_checks_its_diagram_before_its_cache():
+    # (True, 1) equals and hashes as the cached (1, 1).
+    assert skew_dims((1, 1), 0) == {(): 1}
+    with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
+        skew_dims((True, 1), 0)
+    assert skew_dims([1, 1], 0) == {(): 1}
 
 
 def test_profile_invariants_up_to_weight_12():
