@@ -121,6 +121,7 @@ def satellite_level_form(
     the one whose contour comes next).  Valid for 0 <= k <= n - 1; at
     k = n - 1 the tail is empty and this is the final form.
     """
+    lam = as_partition(lam)
     check_int("n", n)
     check_int("k", k)
     if not 0 <= k <= n - 1:

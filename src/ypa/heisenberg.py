@@ -29,7 +29,7 @@ from math import gcd, lcm, perm
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, sqrt_fraction
-from .sym_oracle import path_sum_character
+from .sym_oracle import _path_sum_character
 from .tangle import Element, TangleProgram, evaluate, parse
 from .young import (
     Diagram,
@@ -261,11 +261,13 @@ class RelationSides:
 
 
 def _side_value(side: tuple[tuple[int, TangleProgram], ...], loop: LoopPath) -> Surd:
-    total = Surd()  # an empty side is the zero function
+    total = None  # a one-program side is its program's value, with no sum
     for coef, prog in side:
         value = evaluate(prog, loop, PLANCHEREL)
-        total = total + value if coef > 0 else total - value
-    return total
+        if coef < 0:
+            value = -value
+        total = value if total is None else total + value
+    return Surd() if total is None else total  # an empty side is zero
 
 
 RELATIONS: dict[str, RelationSides] = {
@@ -376,8 +378,7 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     n, k = weight(lam), sum(pi)
     if k > n:
         return Fraction(0)
-    chi = path_sum_character(lam, pi).numerator  # an int-valued Fraction
-    return Fraction(perm(n, k) * chi, dim(lam))
+    return Fraction(perm(n, k) * _path_sum_character(lam, pi), dim(lam))
 
 
 def _closed_value(program: TangleProgram, lam: Diagram) -> Fraction:

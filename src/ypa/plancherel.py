@@ -18,9 +18,10 @@ extends it with ``ratfun.extend_series`` only when a larger n is asked for.
 ``cauchy_g`` and ``inv_h``, uncached, stay as the ``FactoredRatFun`` forms
 that tests compare with, and the measure sums ``moment_by_measure`` and
 ``boolean_cumulant_by_measure`` are independent oracles.  These two,
-:func:`moment` and :func:`boolean_cumulant` pass lam through
-``young.as_partition`` first, so a list of parts answers as its tuple and a
-non-partition raises ``ValueError`` before any table lookup.
+:func:`moment`, :func:`boolean_cumulant`, :func:`p_up` and :func:`p_down`
+pass each diagram through ``young.as_partition`` first, so a list of parts
+answers as its tuple and a non-partition raises ``ValueError`` before any
+table lookup.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ PLANCHEREL = HarmonicFunction("plancherel", f_pl)
 def p_up(lam: Diagram, mu: Diagram) -> Fraction:
     """Transition probability from lam to a cover mu: the residue of G at
     the added box's content; G's zeros and poles are profile(lam) reversed."""
+    lam, mu = as_partition(lam), as_partition(mu)
     return residue_at(box_content(mu, lam), *profile(lam)[::-1])
 
 
@@ -68,6 +70,7 @@ def p_down(lam: Diagram, mu: Diagram) -> Fraction:
     """Cotransition probability from lam to a diagram mu it covers: -1/|lam|
     times the residue of H at the removed box's content; H's zeros and
     poles are profile(lam)."""
+    lam, mu = as_partition(lam), as_partition(mu)
     return -residue_at(box_content(lam, mu), *profile(lam)) / weight(lam)
 
 

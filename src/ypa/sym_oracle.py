@@ -268,12 +268,19 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     of a block depends only on its own steps, so the sum is a product of
     block tables, Sum_mu B(lam, pi_1)[mu] * chi(mu, pi_2, ...), each table
     built once and shared across calls.  This is the only copy;
-    :func:`ypa.heisenberg.character_diagram` rescales it.
+    :func:`ypa.heisenberg.character_diagram` checks lam and pi itself and
+    rescales the unchecked body ``_path_sum_character``.
     """
     lam, pi = as_partition(lam), as_partition(pi)
     n, k = weight(lam), sum(pi)
     if k > n:
         raise ValueError(f"|pi| = {k} exceeds |lam| = {n}")
+    return Fraction(_path_sum_character(lam, pi))
+
+
+def _path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> int:
+    """:func:`path_sum_character` as an int, for checked lam and pi with
+    |pi| <= |lam|."""
     # Fill the tail sums shortest first, over the diagrams each block boundary
     # reaches, so that no call nests more than one block deep: pi may have as
     # many parts as lam has boxes.
@@ -283,7 +290,7 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     for j in range(len(pi) - 1, 0, -1):
         for d in reached[j]:
             _path_sum(d, pi[j:])
-    return Fraction(_path_sum(lam, pi))
+    return _path_sum(lam, pi)
 
 
 @cache

@@ -37,10 +37,11 @@ against the current strand orientations the moment it reads it, so a source
 with several errors reports the first one in reading order, and it turns
 each row into primitive steps at the row's ``;``.  :func:`evaluate` is one
 loop over the steps.  A state is a region tuple and a squarefree radicand
-``d``, with the amplitude ``n/m sqrt(d)`` kept as a reduced integer pair;
-each step multiplies it by the integer terms ``(radicand, n, m)`` of its
-moves' weights, and after every step states with equal regions and
-radicands merge.  A row's cups lie above its other atoms, so they come
+``d``, with the amplitude ``n/m sqrt(d)`` kept as an integer pair; each
+step multiplies it by the integer terms ``(radicand, n, m)`` of its weight.
+States with equal regions and radicands merge, and their pairs are reduced,
+after caps and boxes only: cups and dots are injective on states, so they
+never make two equal.  A row's cups lie above its other atoms, so they come
 first.  The cups, and then the dots, caps and boxes, each run right to
 left: inserting or deleting regions moves only the regions east of it, so
 every step still to come keeps its compiled position.  As the parser reads
@@ -429,60 +430,68 @@ def _box_terms(
     return tuple((d, c.numerator, c.denominator) for d, c in value.terms.items())
 
 
-def _moves(step: Step, regs: tuple[Diagram, ...], f: HarmonicFunction):
-    """The states one step takes ``regs`` to, one ``(regions, radicand,
-    numerator, denominator)`` per non-zero term of the step's weight."""
-    kind, p, x = step
-    fval = f.value
-    if kind == "cup":
-        cup, src = x
-        region = regs[p]
-        for s, _c in up_covers(region) if cup == "du" else down_covers(region):
-            if src is None or s == regs[src]:
-                out = regs[: p + 1] + (s, region) + regs[p + 1 :]
-                yield (out, *_sqrt_ratio(fval, s, region))
-    elif kind == "dot":
-        w, e = regs[p - 1], regs[p]
-        big, small = (e, w) if sum(w) < sum(e) else (w, e)
-        c = box_content(big, small)
-        if c:  # content 0 annihilates the state
-            yield regs, 1, c, 1
-    elif kind == "cap":
-        if regs[p - 1] == regs[p + 1]:
-            yield (regs[:p] + regs[p + 2 :], *_sqrt_ratio(fval, regs[p], regs[p - 1]))
-    else:  # box
-        q2 = len(x.signature)
-        if regs[p - 1] == regs[p + q2 - 1]:
-            out = regs[:p] + regs[p + q2 :]
-            for term in _box_terms(x, f, regs[p - 1 : p + q2]):
-                yield (out, *term)
-
-
 def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:
     """Exact state-sum value of the program on the loop.
 
     A state is a tuple of regions and a squarefree radicand ``d``; its
-    amplitude is ``n/m sqrt(d)``, kept as the reduced integer pair ``(n, m)``.
-    Each step multiplies every state by each term of each of its moves: a
-    radicand 1 leaves the other one, and two others multiply, with the square
-    part of their product folded into the numerator.  Moves that reach equal
-    regions and radicands merge; zero amplitudes drop.  The paths into one
-    region tuple share a radicand on every relation and character tangle;
-    a box whose value has several terms fans out into several states.  The
-    ``Surd`` is built once, at the end, from one ``Fraction`` per radicand.
+    amplitude is ``n/m sqrt(d)``, a pair of integers.  Each step multiplies
+    every state by each term of its weight: a radicand 1 leaves the other
+    one, and two others multiply, with the square part of their product
+    folded into the numerator.  Openings (cups and dots) are injective on
+    states and never weigh zero: a cup's output holds its input's regions
+    and its cover, the squarefree part of ``d1 * d2`` determines ``d1`` for
+    a fixed ``d2``, and a dot keeps its state's key.  So their outputs are
+    written as they come, unreduced, and states merge after caps and boxes
+    only: equal regions and radicands add, zero amplitudes drop and each
+    pair is reduced.  The paths into one region tuple share a
+    radicand on every relation and character tangle; a box whose value has
+    several terms fans out into several states.  The ``Surd`` is built once,
+    at the end, from one ``Fraction`` per radicand.
     """
     if loop.signature != program.signature:
         raise TangleError(
             f"loop signature {loop.signature} does not match program "
             f"signature {program.signature}"
         )
+    fval = f.value
     states: dict[tuple[tuple[Diagram, ...], int], tuple[int, int]] = {
         (tuple(reversed(loop.diagrams)), 1): (1, 1)
     }
-    for step in program.steps:
+    for kind, p, x in program.steps:
         new_states: dict[tuple[tuple[Diagram, ...], int], tuple[int, int]] = {}
+        if kind == "dot":
+            for (regs, d), (n, m) in states.items():
+                w, e = regs[p - 1], regs[p]
+                c = box_content(e, w) if sum(w) < sum(e) else box_content(w, e)
+                if c:  # content 0 annihilates the state
+                    new_states[regs, d] = n * c, m
+            states = new_states
+            continue
+        if kind == "cup":
+            cup, src = x
+            for (regs, d1), (n1, m1) in states.items():
+                region = regs[p]
+                for s, _c in up_covers(region) if cup == "du" else down_covers(region):
+                    if src is None or s == regs[src]:
+                        out = regs[: p + 1] + (s, region) + regs[p + 1 :]
+                        d2, n2, m2 = _sqrt_ratio(fval, s, region)
+                        if d1 == 1 or d2 == 1:
+                            new_states[out, d1 * d2] = n1 * n2, m1 * m2
+                        else:
+                            sq, d = squarefree_split(d1 * d2)
+                            new_states[out, d] = n1 * n2 * sq, m1 * m2
+            states = new_states
+            continue
+        w = 2 if kind == "cap" else len(x.signature)  # strands closed
         for (regs, d1), (n1, m1) in states.items():
-            for out, d2, n2, m2 in _moves(step, regs, f):
+            if regs[p - 1] != regs[p + w - 1]:
+                continue  # the flanking regions must agree
+            out = regs[:p] + regs[p + w :]
+            if kind == "cap":
+                weights = (_sqrt_ratio(fval, regs[p], regs[p - 1]),)
+            else:
+                weights = _box_terms(x, f, regs[p - 1 : p + w])
+            for d2, n2, m2 in weights:
                 n, m = n1 * n2, m1 * m2
                 if d1 == 1 or d2 == 1:
                     d = d1 * d2

@@ -115,6 +115,7 @@ def test_contour_integrals_check_lambda_before_their_caches(fn):
         (fr.f_eval, (1, [F(1, 7)])),
         (fr.f_term, (2,)),
         (fr.lemma_checks, (2, 2)),
+        (fr.satellite_level_form, (2, 0, (F(36, 7),))),
     ],
 )
 def test_step_checks_and_f_check_lambda_before_their_caches(fn, args):

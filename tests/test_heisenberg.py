@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ypa.heisenberg as hs
+import ypa.sym_oracle as so
 from ypa.plancherel import PLANCHEREL, boolean_cumulant, f_pl, moment
 from ypa.surd import Surd, sqrt_fraction
 from ypa.tangle import as_element, evaluate
@@ -193,6 +194,23 @@ def test_character_diagram_spot_values():
 def test_character_diagram_rejects_non_partition():
     with pytest.raises(ValueError):
         hs.character_diagram((2,), (1, 2))
+
+
+def test_character_diagram_checks_its_input_once(monkeypatch):
+    # character_diagram checks lam and pi itself, so the path sum it rescales
+    # runs without the public route's second check.
+    expected = {
+        (lam, pi): hs.character_diagram(lam, pi)
+        for lam in diagrams_up_to(5)
+        for pi in ((1,), (2,), (2, 1), (3,), (2, 2))
+    }
+
+    def no_check(parts):
+        raise AssertionError("sym_oracle checked its input again")
+
+    monkeypatch.setattr(so, "as_partition", no_check)
+    for (lam, pi), value in expected.items():
+        assert hs.character_diagram(list(lam), list(pi)) == value
 
 
 def test_character_tangle_equals_closed_form():

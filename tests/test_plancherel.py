@@ -266,3 +266,23 @@ def test_closed_diagram_routes_take_any_sequence_of_parts(fn, n):
         with pytest.raises(ValueError, match="not a partition"):
             fn(bad, n)
     assert set(pl._SERIES) == before
+
+
+@pytest.mark.parametrize(
+    "fn, lam, mu",
+    [
+        (p_up, (1, 1), (2, 1)),
+        (p_up, (1,), (1, 1)),
+        (p_down, (2, 1), (1, 1)),
+        (p_down, (1, 1), (1,)),
+    ],
+)
+def test_measures_check_both_diagrams_before_any_cache(fn, lam, mu):
+    # A list is read as its partition; (True, 1) equals and hashes as the
+    # cached (1, 1), and is still rejected, as lambda or as mu.
+    value = fn(lam, mu)
+    for args in ((list(lam), list(mu)), (list(lam), mu), (lam, list(mu)), (lam, mu)):
+        got = fn(*args)
+        assert got == value and type(got) is F
+    with pytest.raises(ValueError, match=r"not a partition: \(True, 1\)"):
+        fn(*(((True, 1) if d == (1, 1) else d) for d in (lam, mu)))

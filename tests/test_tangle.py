@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ypa import heisenberg as hs, tangle
 from ypa.heisenberg import BUILTIN_ELEMENTS, CROSS, IND_IND_LHS, RELATIONS, cross
 from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
-from ypa.surd import Surd, sqrt_fraction
+from ypa.surd import Surd, sqrt_fraction, squarefree_split
 from ypa.tangle import (
     Element,
     TangleError,
@@ -21,6 +22,7 @@ from ypa.tangle import (
 )
 from ypa.young import (
     LoopPath,
+    box_content,
     diagrams_up_to,
     down_covers,
     enumerate_loops,
@@ -604,22 +606,165 @@ def test_pins_never_change_a_value(source):
     _assert_pins_keep_every_value(prog)
 
 
-def test_no_state_dies_at_a_box(monkeypatch):
+def _box_flank_checks(prog, loop):
+    """The flank check of every region tuple that reaches a box, walking the
+    state sum's region tuples alone: a cup inserts each cover, or its pin's
+    diagram only, a dot keeps the tuple, and a cap or box keeps the tuples
+    whose flanks agree."""
+    states, checks = {tuple(reversed(loop.diagrams))}, []
+    for kind, p, x in prog.steps:
+        if kind == "cup":
+            cup, src = x
+            covers = up_covers if cup == "du" else down_covers
+            states = {
+                regs[: p + 1] + (s, regs[p]) + regs[p + 1 :]
+                for regs in states
+                for s, _ in covers(regs[p])
+                if src is None or s == regs[src]
+            }
+        elif kind != "dot":
+            w = 2 if kind == "cap" else len(x.signature)
+            if kind == "box":
+                checks += [regs[p - 1] == regs[p + w - 1] for regs in states]
+            states = {
+                regs[:p] + regs[p + w :] for regs in states if regs[p - 1] == regs[p + w - 1]
+            }
+    return checks
+
+
+def test_no_state_dies_at_a_box():
     # Each cup a later box equates with an earlier region sums over that
     # region's diagram only, so every state reaching a box passes its flank
     # check on every relation program.
-    moves, boxes = tangle._moves, []
+    checks = [
+        ok
+        for sides in RELATIONS.values()
+        for _, prog in sides.lhs + sides.rhs
+        for base in diagrams_up_to(6)
+        for loop in enumerate_loops(base, prog.signature)
+        for ok in _box_flank_checks(prog, loop)
+    ]
+    assert checks and all(checks)
 
-    def checked(step, regs, f):
-        kind, p, x = step
-        if kind == "box":
-            boxes.append(regs[p - 1] == regs[p + len(x.signature) - 1])
-        return moves(step, regs, f)
 
-    monkeypatch.setattr(tangle, "_moves", checked)
-    for name in hs.RELATION_IDS:
-        assert hs.verify_relation(name, 6).verified
-    assert boxes and all(boxes)
+def _oracle_moves(step, regs, f):
+    """The states one step takes ``regs`` to, one ``(regions, radicand,
+    numerator, denominator)`` per non-zero term of the step's weight."""
+    kind, p, x = step
+    fval = f.value
+    if kind == "cup":
+        cup, src = x
+        region = regs[p]
+        for s, _c in up_covers(region) if cup == "du" else down_covers(region):
+            if src is None or s == regs[src]:
+                out = regs[: p + 1] + (s, region) + regs[p + 1 :]
+                yield (out, *tangle._sqrt_ratio(fval, s, region))
+    elif kind == "dot":
+        w, e = regs[p - 1], regs[p]
+        big, small = (e, w) if sum(w) < sum(e) else (w, e)
+        c = box_content(big, small)
+        if c:  # content 0 annihilates the state
+            yield regs, 1, c, 1
+    elif kind == "cap":
+        if regs[p - 1] == regs[p + 1]:
+            yield (regs[:p] + regs[p + 2 :], *tangle._sqrt_ratio(fval, regs[p], regs[p - 1]))
+    else:  # box
+        q2 = len(x.signature)
+        if regs[p - 1] == regs[p + q2 - 1]:
+            out = regs[:p] + regs[p + q2 :]
+            for term in tangle._box_terms(x, f, regs[p - 1 : p + q2]):
+                yield (out, *term)
+
+
+def _merge_after_every_step(program, loop, f):
+    """The state sum with equal states merged and every amplitude reduced
+    after every step, the reference for :func:`evaluate`."""
+    if loop.signature != program.signature:
+        raise TangleError(
+            f"loop signature {loop.signature} does not match program "
+            f"signature {program.signature}"
+        )
+    states = {(tuple(reversed(loop.diagrams)), 1): (1, 1)}
+    for step in program.steps:
+        new_states = {}
+        for (regs, d1), (n1, m1) in states.items():
+            for out, d2, n2, m2 in _oracle_moves(step, regs, f):
+                n, m = n1 * n2, m1 * m2
+                if d1 == 1 or d2 == 1:
+                    d = d1 * d2
+                else:
+                    s, d = squarefree_split(d1 * d2)
+                    n *= s
+                key = (out, d)
+                acc = new_states.get(key)
+                if acc is None:
+                    new_states[key] = n, m
+                elif acc[1] == m:
+                    new_states[key] = acc[0] + n, m
+                else:
+                    new_states[key] = acc[0] * m + n * acc[1], acc[1] * m
+        states = {}
+        for key, (n, m) in new_states.items():
+            if n:
+                g = gcd(n, m)
+                states[key] = n // g, m // g
+    terms = {}
+    for (regions, d), (n, m) in states.items():
+        if len(regions) != 1 or regions[0] != loop.base:
+            raise TangleError(
+                f"program {program.name!r} ends in state {regions}, "
+                f"not the loop base {loop.base}"
+            )
+        terms[d] = Fraction(n, m)
+    return Surd(terms)
+
+
+def _outcome(run, prog, loop):
+    """The terms of the value in order, or the error's class and message."""
+    try:
+        return list(run(prog, loop, PLANCHEREL).terms.items())
+    except TangleError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_merge_order_keeps_every_value(prog, max_weight):
+    for base in diagrams_up_to(max_weight):
+        for loop in enumerate_loops(base, prog.signature):
+            assert _outcome(evaluate, prog, loop) == _outcome(
+                _merge_after_every_step, prog, loop
+            ), (prog.name, loop)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_row_program)
+def test_merging_at_closings_equals_merging_after_every_step(source):
+    try:
+        prog = parse(source, BUILTIN_ELEMENTS)
+    except TangleError:
+        return
+    _assert_merge_order_keeps_every_value(prog, 3)
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [prog for sides in RELATIONS.values() for _, prog in sides.lhs + sides.rhs],
+    ids=lambda prog: prog.name,
+)
+def test_relation_programs_merge_as_after_every_step(prog):
+    _assert_merge_order_keeps_every_value(prog, 4)
+
+
+def test_two_radicands_of_one_region_tuple_enter_a_cup():
+    # The box's value 1 + sqrt(2) leaves two states with the same regions,
+    # radicands 1 and 2, and the cup opens both.
+    two = Element(
+        "two", (1, -1), lambda loop, f: Surd({1: Fraction(1), 2: Fraction(1)})
+    )
+    prog = parse("tangle t : (+,-) { row box two; row cup_du; row cap; }", {"two": two})
+    assert [kind for kind, _, _ in prog.steps] == ["box", "cup", "cap"]
+    _assert_merge_order_keeps_every_value(prog, 3)
+    loop = enumerate_loops((2, 1), prog.signature)[0]
+    assert evaluate(prog, loop, PLANCHEREL) == Surd({1: Fraction(1), 2: Fraction(1)})
 
 
 _CUP_PINS = {
