@@ -443,10 +443,10 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
     a fixed ``d2``, and a dot keeps its state's key.  So their outputs are
     written as they come, unreduced, and states merge after caps and boxes
     only: equal regions and radicands add, zero amplitudes drop and each
-    pair is reduced.  The paths into one region tuple share a
-    radicand on every relation and character tangle; a box whose value has
-    several terms fans out into several states.  The ``Surd`` is built once,
-    at the end, from one ``Fraction`` per radicand.
+    pair is reduced.  The paths into one region tuple share a radicand on
+    every relation and character tangle; a box whose value has several
+    terms fans out into several states.  The ``Surd`` is built once, at the
+    end, from one ``Fraction`` per radicand.
     """
     if loop.signature != program.signature:
         raise TangleError(
