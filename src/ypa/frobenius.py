@@ -19,13 +19,17 @@ steps are checked pointwise at rational samples.  Profile contents and
 shifts are integers, so with d the lcm of a tail's denominators, d times
 every root of both signs' level forms and d times every contour point
 w +- 1, w +- (k+1) are integers, and every residue and value is one
-``ratfun.residue_at`` of those roots with ``scale=d``, for a pole of any
-order; the reduced ``FactoredRatFun`` forms (``h_product``,
+``ratfun.residue_pair`` of those roots with ``scale=d``, for a pole of any
+order: an int numerator and denominator.  Each side of a step check adds
+up its pairs by cross-multiplication and folds in the trailing F / 2, so
+it makes one ``Fraction``, and ``sample_points`` makes one per coordinate.
+The reduced ``FactoredRatFun`` forms (``h_product``,
 ``satellite_level_form`` and the rest) stay as the tests' reference only.
 Every n, k, entry of sigma, ``sample_count`` and ``seed`` goes through
-``young.check_int``, so ``True`` and ``2.0`` raise ``ValueError``; every
-sample coordinate and point of F goes through ``young.check_rational``, so
-a float or ``True`` raises it too; every public function that takes lam
+``young.check_int``, so ``True`` and ``2.0`` raise ``ValueError``, and so
+does a negative n (F of no variables, n = 0, is 1); every sample
+coordinate and point of F goes through ``young.check_rational``, so a
+float or ``True`` raises it too; every public function that takes lam
 passes it through ``young.as_partition`` once, before any cache.
 """
 
@@ -38,7 +42,7 @@ from math import lcm
 
 from . import affine
 from .affine import Term
-from .ratfun import FactoredRatFun, PoleEvaluationError, residue_at, residue_sum
+from .ratfun import FactoredRatFun, PoleEvaluationError, residue_pair, residue_sum
 from .young import Diagram, as_partition, check_int, check_rational, profile
 
 
@@ -133,14 +137,26 @@ def satellite_level_form(
     return (plus + minus) * (Fraction(1, 2) * f_eval(lam, n - k - 1, tail))
 
 
+def _pair_sum(pairs) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs, cross-multiplied and
+    unreduced; a pair with a zero numerator is skipped."""
+    num, den = 0, 1
+    for a, b in pairs:
+        if a:
+            num, den = num * b + a * den, den * b
+    return num, den
+
+
 def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
     """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0],
-    with the tail, the roots and the contour points times d."""
+    with the tail, the roots and the contour points times d: their int
+    pairs summed, times the trailing F / 2, as one Fraction."""
     trailing = _f_eval(lam, n - k - 1, tail)
     scaled, d = _over_lcm(tail)
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
     points = {scaled[0] + e * d for e in (1, -1, k + 1, -k - 1)}
-    return trailing / 2 * sum(residue_at(p, *r, d) for p in points for r in roots)
+    num, den = _pair_sum(residue_pair(p, *r, d) for p in points for r in roots)
+    return Fraction(trailing.numerator * num, 2 * trailing.denominator * den)
 
 
 def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
@@ -151,14 +167,15 @@ def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
     # The form's Laurent coefficients of (z - x)^-j at x, j from 0 to the
     # terms' highest pole order there: each is the residue of the two terms
-    # times (z - x)^(j-1).  A pole of one term may cancel the other's.
-    value, *polar = (
-        sum(residue_at(sx, [*zeros, *[sx] * j], [*poles, sx], d) for zeros, poles in roots)
+    # times (z - x)^(j-1), an int pair.  A pole of one term may cancel the
+    # other's, so a coefficient is polar when its pair's numerator is not 0.
+    (num, den), *polar = (
+        _pair_sum(residue_pair(sx, [*zeros, *[sx] * j], [*poles, sx], d) for zeros, poles in roots)
         for j in range(1 + max(0, *(poles.count(sx) - zeros.count(sx) for zeros, poles in roots)))
     )
-    if trailing and any(polar):
+    if trailing and any(a for a, _ in polar):
         raise PoleEvaluationError(f"evaluation at pole z = {x}")
-    return trailing / 2 * value
+    return Fraction(trailing.numerator * num, 2 * trailing.denominator * den)
 
 
 def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
@@ -169,12 +186,14 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     reproduce the level-(k+1) closed form at w, which at k + 1 = n - 1 is
     the final form.  Each sign's term stays a list of roots, times d, the
     lcm of the tail's denominators, so the roots and the contour points
-    are integers: the left side is the sum of ``ratfun.residue_at`` over
+    are integers: the left side is the sum of ``ratfun.residue_pair`` over
     the contour points and both signs, with ``scale=d``, whatever the pole
-    orders; the right side is the level-(k+1) form's residue at w over
-    (z - w), or PoleEvaluationError at a pole.  On ``sample_points`` tails
-    the coordinates have distinct prime denominators, so every contour pole
-    is simple.  Raises ValueError when ``samples`` is empty.
+    orders; the right side is the level-(k+1) form's residue pair at w
+    over (z - w), or PoleEvaluationError at a pole.  Each side sums its
+    int pairs and is one ``Fraction`` times the trailing F / 2.  On
+    ``sample_points`` tails the coordinates have distinct prime
+    denominators, so every contour pole is simple.  Raises ValueError when
+    ``samples`` is empty.
     """
     lam = as_partition(lam)
     check_int("n", n)
@@ -198,7 +217,7 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
 
 def f_term(lam: Diagram, n: int) -> Term:
     """F as a single product of affine factors in variables 1..n."""
-    return _f_term(as_partition(lam), check_int("n", n))
+    return _f_term(as_partition(lam), check_int("n", n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +237,7 @@ def f_eval(lam: Diagram, n: int, points) -> Fraction:
     """Evaluate F at rational points, each an int or a Fraction (else
     ValueError); raises PoleHit on a pole."""
     lam, points = as_partition(lam), list(points)
-    if len(points) != check_int("n", n):
+    if len(points) != check_int("n", n, 0):
         raise ValueError(f"need {n} points")
     return _f_eval(lam, n, points)
 
@@ -277,7 +296,7 @@ def sample_points(lam: Diagram, n: int, rng: random.Random) -> tuple[Fraction, .
     factors) and every pairwise difference is a non-integer (missing the
     z_i - z_j = 0, +-1, +-k poles).
     """
-    check_int("n", n)
+    check_int("n", n, 0)
     if n > len(_SAMPLE_DENOMS):
         raise ValueError("too many variables for the sampling scheme")
     xs, ys = profile(lam)
@@ -288,7 +307,7 @@ def sample_points(lam: Diagram, n: int, rng: random.Random) -> tuple[Fraction, .
         num = rng.randint(bound * p, 4 * bound * p)
         if num % p == 0:
             num += 1
-        out.append(Fraction(num, p) * rng.choice((1, -1)))
+        out.append(Fraction(num * rng.choice((1, -1)), p))
     return tuple(out)
 
 

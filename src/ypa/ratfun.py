@@ -18,14 +18,15 @@ roots every coefficient is an int.
 residues of prod (z - a) / prod (z - b) is its z^(-1) coefficient at
 infinity, read through ``extend_series`` from the unreduced roots.
 
-``residue_at`` is the one residue at a point of prod (z - a) / prod (z - b),
+``residue_pair`` is the one residue at a point of prod (z - a) / prod (z - b),
 read from the unreduced roots for a pole of any order: the product of the
 other factors at a simple pole, and their Taylor coefficient through
 ``monic_coeffs`` and ``extend_series`` at a higher one.  Its caller passes
 the point and the roots times a common ``scale`` that makes them integers,
-so every step runs in ints and the scale is folded back into one
-``Fraction`` at the end.  The transition measures and the satellite step
-checks take every residue and value from it.
+so every step runs in ints, and it returns the residue as an unreduced
+numerator and denominator with the scale folded in.  ``residue_at`` is that
+pair as one ``Fraction``, for the transition measures; the satellite step
+checks add up the pairs in ints and make one ``Fraction`` per side.
 
 ``Poly`` and the reduced ``FactoredRatFun`` are the tests' reference: no
 engine route builds one.  ``_divide`` is their one synthetic division by
@@ -327,20 +328,20 @@ def _convolve(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction
     return out
 
 
-def residue_at(p, zeros, poles, scale: int = 1) -> Fraction:
+def residue_pair(p, zeros, poles, scale: int = 1) -> tuple:
     """The residue at p of prod (z - a) / prod (z - b), repeated and shared
-    roots allowed.
+    roots allowed, as an unreduced numerator and a nonzero denominator.
 
     With m the poles at p less the zeros at p, it is 0 for m <= 0, the
     product of the other factors at p for m = 1, and their (m-1)-th Taylor
     coefficient at p for m >= 2.  p and the roots are the true values times
     ``scale``, so integers when ``scale`` clears their denominators: every
-    step is an int, and scale^(#poles - #zeros - 1) is folded into the one
-    ``Fraction`` at the end.
+    step, and both entries, are ints, with scale^(#poles - #zeros - 1)
+    folded in.
     """
     m = poles.count(p) - zeros.count(p)
     if m <= 0:
-        return Fraction(0)
+        return 0, 1
     nums = [p - a for a in zeros if a != p]
     dens = [p - b for b in poles if b != p]
     num, den = prod(nums), prod(dens)
@@ -354,7 +355,12 @@ def residue_at(p, zeros, poles, scale: int = 1) -> Fraction:
         ds = [1, *(v * den ** (i - 1) for i, v in enumerate(ds) if i)]
         num, den = extend_series(ns, ds, [], m - 1)[m - 1], den**m
     e = len(poles) - len(zeros) - 1
-    return Fraction(num * scale**e, den) if e > 0 else Fraction(num, den * scale**-e)
+    return (num * scale**e, den) if e > 0 else (num, den * scale**-e)
+
+
+def residue_at(p, zeros, poles, scale: int = 1) -> Fraction:
+    """The residue of :func:`residue_pair`, as one ``Fraction``."""
+    return Fraction(*residue_pair(p, zeros, poles, scale))
 
 
 def residue_sum(zeros, poles) -> Fraction:

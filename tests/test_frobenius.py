@@ -9,11 +9,11 @@ import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.plancherel as pl
 import ypa.sym_oracle as so
-from ypa import affine
+from ypa import affine, ratfun
 from ypa.affine import AffinePoleError, PoleHit
 from ypa.plancherel import inv_h
 from ypa.ratfun import FactoredRatFun, PoleEvaluationError
-from ypa.young import diagrams_up_to
+from ypa.young import diagrams_up_to, profile
 
 
 def test_f_eval_examples():
@@ -240,6 +240,55 @@ def test_sample_points_avoid_poles():
                 assert (pts[i] - pts[j]).denominator > 1
 
 
+def _parent_sample_points(lam, n, rng):
+    # The sampler before it built each coordinate as one Fraction: the same
+    # draws, randint then choice, with the sign applied by a Fraction product.
+    xs, ys = profile(lam)
+    bound = max([abs(c) for c in xs + ys] + [1]) + 2 * n + 1
+    out = []
+    for i in range(n):
+        p = fr._SAMPLE_DENOMS[i]
+        num = rng.randint(bound * p, 4 * bound * p)
+        if num % p == 0:
+            num += 1
+        out.append(F(num, p) * rng.choice((1, -1)))
+    return tuple(out)
+
+
+def test_sample_points_draw_as_the_fraction_product():
+    # The contours bench draws its inputs here: every point and the rng
+    # state after it must be those of the Fraction product.
+    for lam in diagrams_up_to(4):
+        for n in range(fr.MAX_LEMMA_N + 1):
+            got, want = random.Random(n * 31 + len(lam)), random.Random(n * 31 + len(lam))
+            for _ in range(5):
+                pts = fr.sample_points(lam, n, got)
+                assert pts == _parent_sample_points(lam, n, want)
+                assert all(type(p) is F for p in pts)
+            assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fr.sample_points, ((2, 1), -1, random.Random(0))),
+        (fr.f_term, ((2, 1), -2)),
+        (fr.f_eval, ((2, 1), -1, [])),
+    ],
+)
+def test_f_and_the_sampler_reject_a_negative_n(fn, args):
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        fn(*args)
+
+
+def test_f_of_no_variables_is_one():
+    # n = 0 stays valid: the final level form's trailing factor is F of no
+    # variables.
+    assert fr.sample_points((2, 1), 0, random.Random(0)) == ()
+    assert fr.f_eval((2, 1), 0, []) == 1
+    assert fr.f_term((2, 1), 0).factors == {}
+
+
 def test_lemma_checks():
     for lam in [(1,), (2, 1)]:
         for n in (2, 3):
@@ -440,6 +489,35 @@ def test_colliding_tails_equal_the_reduced_form_algorithm(monkeypatch):
     seen = {v if isinstance(v, type) else type(v) for e in expected for v in e}
     assert seen == {F, PoleHit, PoleEvaluationError, bool}
     assert len(cases) == 1428
+
+
+def test_step_checks_sum_residue_pairs_not_fractions(monkeypatch):
+    # The step checks add up residue_pair's int pairs and make one Fraction
+    # per side; a per-residue Fraction through residue_at must not come back.
+    cases = list(_colliding_tails())[::7]
+    expected = []
+    for lam, n, k, tail in cases:
+        lhs = _outcome(_reduced_contour_sum, lam, n, k, tail)
+        rhs = _outcome(_reduced_right_side, lam, n, k, tail)
+        if isinstance(lhs, type) or isinstance(rhs, type):
+            verdict = lhs if isinstance(lhs, type) else rhs
+        else:
+            verdict = lhs == rhs
+        expected.append((lhs, rhs, verdict))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("residue_at was called")
+
+    monkeypatch.setattr(fr, "residue_at", refuse, raising=False)
+    monkeypatch.setattr(ratfun, "residue_at", refuse)
+    for (lam, n, k, tail), (lhs, rhs, verdict) in zip(cases, expected):
+        got = _outcome(fr._contour_sum, lam, n, k, tail)
+        assert got == lhs and type(got) is type(lhs)
+        got = _outcome(fr._level_value, lam, n, k + 1, tail[1:], tail[0])
+        assert got == rhs and type(got) is type(rhs)
+        assert _outcome(fr.satellite_step_check, lam, n, k, [tail]) == verdict
+    seen = {v if isinstance(v, type) else type(v) for e in expected for v in e}
+    assert seen == {F, PoleHit, PoleEvaluationError, bool}
 
 
 # Tails of each kind of common denominator d: an lcm below the product of the

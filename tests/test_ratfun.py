@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ypa.plancherel import cauchy_g, inv_h
 from ypa.ratfun import (
-    ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, residue_at, residue_sum,
+    ONE_POLY, FactoredRatFun, PoleEvaluationError, Poly, residue_at, residue_pair,
+    residue_sum,
 )
 from ypa.young import diagrams_up_to
 
@@ -263,6 +264,32 @@ def test_scaled_residue_at_is_the_reduced_residue(case, m):
     got = residue_at(int(sp), roots[: len(zeros)], roots[len(zeros):], s)
     assert type(got) is F
     assert got == FactoredRatFun.from_roots(zeros, poles).residue_at(p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_and_roots())
+def test_residue_pair_is_the_reduced_residue(case):
+    p, zeros, poles = case
+    num, den = residue_pair(p, zeros, poles)
+    assert den != 0
+    if all(type(v) is int for v in (p, *zeros, *poles)):
+        assert type(num) is int and type(den) is int
+    assert F(num, den) == FactoredRatFun.from_roots(zeros, poles).residue_at(p)
+    if poles.count(p) <= zeros.count(p):
+        assert (num, den) == (0, 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(point_and_roots(), st.integers(1, 6))
+def test_scaled_residue_pair_is_an_int_pair(case, m):
+    # Over roots times a multiple of their lcm, both entries are ints, with
+    # s^(#poles - #zeros - 1) folded in.
+    p, zeros, poles = case
+    s = m * lcm(*(F(v).denominator for v in (p, *zeros, *poles)))
+    sp, *roots = (int(s * F(v)) for v in (p, *zeros, *poles))
+    num, den = residue_pair(sp, roots[: len(zeros)], roots[len(zeros):], s)
+    assert type(num) is int and type(den) is int and den != 0
+    assert F(num, den) == FactoredRatFun.from_roots(zeros, poles).residue_at(p)
 
 
 def test_residue_at_examples():
