@@ -12,10 +12,15 @@ contour integrals: it is closed under substituting a rational for a
 variable, and hence under taking residues at simple poles located at
 rational constants.
 
-``evaluate`` works in integers.  With d the lcm of the values' denominators
-and the terms' constant denominators, d times every factor is one int
-subtraction, and a term is coef * prod b^e / d^(sum e) over those ints b.
-Each term's integer form is built once, on its first evaluation.
+Evaluation works in integers, in two layers.  ``evaluate_pair`` is the one
+body: at values already scaled to ints by a d that clears the terms'
+constant denominators, d times every factor is one int subtraction, a term
+is coef * prod b^e / d^(sum e) over those ints b, and the sum is an
+unreduced int numerator and denominator.  ``evaluate`` checks rational
+values, scales them by the lcm of all denominators and makes that pair one
+``Fraction``; a caller that evaluates many times at one set of points (the
+lemma checks' rotations of F) scales them once and keeps the pairs.  Each
+term's integer form is built once, on its first evaluation.
 
 Residues are computed per term (residue extraction is linear); within one
 term, factors at the same pole location share a dict key, so the pole order
@@ -35,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .young import check_rational
+from .young import check_int, check_rational
 
 # Factor keys:  ("c", i, c)        for  z_i - c
 #               ("d", i, j, c)     for  z_i - z_j - c   (normalized: i < j)
@@ -114,17 +119,31 @@ def term_product(coef: Fraction, factors: list[tuple[int, int | None, Fraction, 
 
 
 def evaluate(terms: TermSum, values: dict[int, Fraction]) -> Fraction:
-    """The term sum at rational values, as one Fraction: with d the lcm of
-    all denominators, each factor times d is an int b, and each term adds
-    coef * prod b^e / d^(sum e) to one integer numerator and denominator.
-    Raises PoleHit at the first zero factor with a negative exponent, in
-    dict order, even in a term that a zero factor already made vanish."""
+    """The term sum at rational values, as one Fraction: d is the lcm of
+    all denominators, and :func:`evaluate_pair` sums the terms at the
+    values times d.  Raises ValueError for a value that is not an int or a
+    Fraction, and PoleHit as :func:`evaluate_pair` does."""
     forms = [t.int_form for t in terms]
     for v in values.values():
         check_rational("value", v)
     d = lcm(*(v.denominator for v in values.values()), *(f[2] for f in forms))
     scaled = {i: v.numerator * (d // v.denominator) for i, v in values.items()}
-    scaled[None] = 0  # the missing z_j of a z_i - c factor
+    return Fraction(*evaluate_pair(terms, scaled, d))
+
+
+def evaluate_pair(terms: TermSum, scaled: dict[int, int], d: int) -> tuple[int, int]:
+    """The term sum where z_i = scaled[i] / d, as an unreduced int numerator
+    and nonzero denominator.  Each factor times d is an int b, and each term
+    adds coef * prod b^e / d^(sum e) to the pair.  d must be a multiple of
+    every term's constant denominators, else ValueError.  Raises PoleHit at
+    the first zero factor with a negative exponent, in dict order, even in
+    a term that a zero factor already made vanish."""
+    forms = [t.int_form for t in terms]
+    check_int("scale", d, 1)
+    for f in forms:
+        if d % f[2]:
+            raise ValueError(f"scale {d} is not a multiple of the constant denominator {f[2]}")
+    scaled = {**scaled, None: 0}  # the missing z_j of a z_i - c factor
     total_num, total_den = 0, 1
     for num, den, cd, e_sum, poles, zeros in forms:
         m = d // cd
@@ -141,7 +160,7 @@ def evaluate(terms: TermSum, values: dict[int, Fraction]) -> Fraction:
         elif e_sum < 0:
             num *= d**-e_sum
         total_num, total_den = total_num * den + num * total_den, total_den * den
-    return Fraction(total_num, total_den)
+    return total_num, total_den
 
 
 def substitute(term: Term, v: int, value: Fraction) -> Term | None:

@@ -20,9 +20,13 @@ shifts are integers, so with d the lcm of a tail's denominators, d times
 every root of both signs' level forms and d times every contour point
 w +- 1, w +- (k+1) are integers, and every residue and value is one
 ``ratfun.residue_pair`` of those roots with ``scale=d``, for a pole of any
-order: an int numerator and denominator.  Each side of a step check adds
-up its pairs by cross-multiplication and folds in the trailing F / 2, so
-it makes one ``Fraction``, and ``sample_points`` makes one per coordinate.
+order: an int numerator and denominator.  The trailing F is an int pair
+too, ``affine.evaluate_pair`` of F's one term at the tail already times d.
+Each side of a step check adds up its pairs by cross-multiplication and
+folds in the trailing F / 2, so it makes one ``Fraction``, and
+``sample_points`` makes one per coordinate.  The lemma checks scale each
+draw once and take F at its rotations and its reversal as int pairs over
+that one d.
 The reduced ``FactoredRatFun`` forms (``h_product``,
 ``satellite_level_form`` and the rest) stay as the tests' reference only.
 Every n, k, entry of sigma, ``sample_count`` and ``seed`` goes through
@@ -151,19 +155,19 @@ def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
     """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0],
     with the tail, the roots and the contour points times d: their int
     pairs summed, times the trailing F / 2, as one Fraction."""
-    trailing = _f_eval(lam, n - k - 1, tail)
     scaled, d = _over_lcm(tail)
+    f_num, f_den = _f_pair(lam, n - k - 1, scaled, d)
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
     points = {scaled[0] + e * d for e in (1, -1, k + 1, -k - 1)}
     num, den = _pair_sum(residue_pair(p, *r, d) for p in points for r in roots)
-    return Fraction(trailing.numerator * num, 2 * trailing.denominator * den)
+    return Fraction(f_num * num, 2 * f_den * den)
 
 
 def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
     """The level-k form at x, the residue at x of the form over (z - x),
     from its roots times d; PoleEvaluationError at a pole of the form."""
-    trailing = _f_eval(lam, n - k - 1, tail)
     (sx, *scaled), d = _over_lcm((x, *tail))
+    f_num, f_den = _f_pair(lam, n - k - 1, scaled, d)
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
     # The form's Laurent coefficients of (z - x)^-j at x, j from 0 to the
     # terms' highest pole order there: each is the residue of the two terms
@@ -173,9 +177,9 @@ def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
         _pair_sum(residue_pair(sx, [*zeros, *[sx] * j], [*poles, sx], d) for zeros, poles in roots)
         for j in range(1 + max(0, *(poles.count(sx) - zeros.count(sx) for zeros, poles in roots)))
     )
-    if trailing and any(a for a, _ in polar):
+    if f_num and any(a for a, _ in polar):
         raise PoleEvaluationError(f"evaluation at pole z = {x}")
-    return Fraction(trailing.numerator * num, 2 * trailing.denominator * den)
+    return Fraction(f_num * num, 2 * f_den * den)
 
 
 def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
@@ -190,7 +194,9 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     the contour points and both signs, with ``scale=d``, whatever the pole
     orders; the right side is the level-(k+1) form's residue pair at w
     over (z - w), or PoleEvaluationError at a pole.  Each side sums its
-    int pairs and is one ``Fraction`` times the trailing F / 2.  On
+    int pairs and is one ``Fraction`` times the trailing F / 2, F's int
+    pair at the tail times d.  Each coordinate goes through
+    ``check_rational`` and is kept as given, an int or a Fraction.  On
     ``sample_points`` tails the coordinates have distinct prime
     denominators, so every contour pole is simple.  Raises ValueError when
     ``samples`` is empty.
@@ -203,7 +209,7 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
     checked = 0
     for tail in samples:
         checked += 1
-        tail = tuple(Fraction(check_rational("sample coordinate", z)) for z in tail)
+        tail = tuple(check_rational("sample coordinate", z) for z in tail)
         if len(tail) != n - k - 1:
             raise ValueError(f"sample needs {n - k - 1} values")
         if _contour_sum(lam, n, k, tail) != _level_value(lam, n, k + 1, tail[1:], tail[0]):
@@ -239,12 +245,13 @@ def f_eval(lam: Diagram, n: int, points) -> Fraction:
     lam, points = as_partition(lam), list(points)
     if len(points) != check_int("n", n, 0):
         raise ValueError(f"need {n} points")
-    return _f_eval(lam, n, points)
+    return affine.evaluate([_f_term(lam, n)], dict(enumerate(points, 1)))
 
 
-def _f_eval(lam: Diagram, n: int, points) -> Fraction:
-    """F at the n points, on a checked lam and n."""
-    return affine.evaluate([_f_term(lam, n)], {i + 1: p for i, p in enumerate(points)})
+def _f_pair(lam: Diagram, n: int, scaled, d: int) -> tuple[int, int]:
+    """F at the points scaled[i] / d, the points already times d (ints), as
+    an unreduced int pair, on a checked lam and n."""
+    return affine.evaluate_pair([_f_term(lam, n)], dict(enumerate(scaled, 1)), d)
 
 
 def radial_I(lam: Diagram, n: int, sigma: tuple[int, ...] | None = None) -> Fraction:
@@ -315,17 +322,22 @@ def lemma_checks(
     lam: Diagram, n: int, sample_count: int = 20, seed: int = 0
 ) -> dict[str, bool]:
     """Exact checks of the cyclic-sum and inversion laws at random rational
-    sample points."""
+    sample points.  Each draw is scaled once to ints over the lcm d of its
+    denominators; F at its n rotations and at its reversal are int pairs
+    over that d, the rotations' pairs are summed by cross-multiplication,
+    and the inversion law compares two pairs cross-multiplied."""
     lam = as_partition(lam)
     check_int("n", n, 2)
     check_int("sample_count", sample_count, 1)
     rng = random.Random(check_int("seed", seed))
     cyclic_ok = inversion_ok = True
     for _ in range(sample_count):
-        pts = sample_points(lam, n, rng)
-        rotated = [_f_eval(lam, n, pts[p:] + pts[:p]) for p in range(n)]
-        if sum(rotated):
+        pts = [check_rational("sample point", z) for z in sample_points(lam, n, rng)]
+        scaled, d = _over_lcm(pts)
+        rotated = [_f_pair(lam, n, scaled[p:] + scaled[:p], d) for p in range(n)]
+        if _pair_sum(rotated)[0]:
             cyclic_ok = False
-        if (-1) ** (n - 1) * rotated[0] != _f_eval(lam, n, pts[::-1]):
+        (num, den), (rev_num, rev_den) = rotated[0], _f_pair(lam, n, scaled[::-1], d)
+        if (-1) ** (n - 1) * num * rev_den != rev_num * den:
             inversion_ok = False
     return {"cyclic_sum": cyclic_ok, "inversion": inversion_ok}

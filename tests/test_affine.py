@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,33 @@ def test_integer_evaluate_equals_the_fraction_product(terms, values):
             affine.evaluate(terms, values)
         return
     assert affine.evaluate(terms, values) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(_terms, st.fixed_dictionaries({i: _small for i in (1, 2, 3)}), st.integers(1, 4))
+def test_the_integer_body_at_any_multiple_of_the_lcm_is_evaluate(terms, values, k):
+    cds = [t.int_form[2] for t in terms]
+    d = k * lcm(*(v.denominator for v in values.values()), *cds)
+    scaled = {i: int(v * d) for i, v in values.items()}
+    try:
+        expected = affine.evaluate(terms, values)
+    except PoleHit as exc:
+        with pytest.raises(PoleHit, match=f"^{re.escape(str(exc))}$"):
+            affine.evaluate_pair(terms, scaled, d)
+    else:
+        num, den = affine.evaluate_pair(terms, scaled, d)
+        assert type(num) is type(den) is int and den != 0
+        assert F(num, den) == expected
+    # d + 1 is a multiple of no denominator above 1.
+    if max(cds) > 1:
+        with pytest.raises(ValueError, match="not a multiple of the constant denominator"):
+            affine.evaluate_pair(terms, scaled, d + 1)
+
+
+@pytest.mark.parametrize("d", [0, -2, True, 2.0])
+def test_the_integer_body_takes_a_positive_int_scale_only(d):
+    with pytest.raises(ValueError, match="scale must be"):
+        affine.evaluate_pair([_term([(1, None, F(0), 1)])], {1: 2}, d)
 
 
 def test_a_pole_after_a_vanishing_factor_is_still_a_pole_hit():

@@ -301,20 +301,70 @@ def test_lemma_checks():
 def test_lemma_checks_evaluate_f_n_plus_one_times_per_draw(monkeypatch):
     # The n rotations of each draw include the unrotated sample, which is
     # also the left side of the inversion law; only the reversal is extra.
-    # They call the unchecked body of f_eval, lambda being checked once.
-    calls = []
-    f_eval = fr._f_eval
+    # They call the integer body of F's evaluation at points scaled once per
+    # draw, over one d, lambda being checked once.
+    calls, scalings = [], []
+    evaluate_pair, over_lcm = affine.evaluate_pair, fr._over_lcm
 
-    def counted(lam, n, pts):
-        calls.append(tuple(pts))
-        return f_eval(lam, n, pts)
+    def counted(terms, scaled, d):
+        calls.append((tuple(scaled.values()), d))
+        return evaluate_pair(terms, scaled, d)
 
-    monkeypatch.setattr(fr, "_f_eval", counted)
+    def counted_lcm(values):
+        scalings.append(tuple(values))
+        return over_lcm(values)
+
+    monkeypatch.setattr(affine, "evaluate_pair", counted)
+    monkeypatch.setattr(fr, "_over_lcm", counted_lcm)
     for n in (2, 3, 4):
         calls.clear()
+        scalings.clear()
         res = fr.lemma_checks((2, 1), n, sample_count=3, seed=4)
         assert res == {"cyclic_sum": True, "inversion": True}
         assert len(calls) == 3 * (n + 1)
+        assert len(scalings) == 3
+        for draw, pts in enumerate(scalings):
+            d = over_lcm(pts)[1]
+            assert {c[1] for c in calls[draw * (n + 1):(draw + 1) * (n + 1)]} == {d}
+
+
+def _without_first_chain_factor(f_term):
+    # F with its chain factor 1/(z_1 - z_2) dropped, for n >= 2: that key
+    # also carries (z_1 - z_2)^2, so its exponent goes from 1 to 2.
+    def corrupted(lam, n):
+        term = f_term(lam, n)
+        if n < 2:
+            return term
+        key = ("d", 1, 2, 0)
+        return affine.Term(term.coef, {**term.factors, key: term.factors[key] + 1})
+
+    return corrupted
+
+
+def test_the_lemma_and_step_checks_fail_on_a_corrupted_f(monkeypatch):
+    # The checks must be able to fail: the intact F passes both laws at
+    # every n, and an F without one chain factor fails both; a step check
+    # whose trailing F (over two variables) is corrupted fails.
+    rng = random.Random(30)
+    tails = [fr.sample_points((2, 1), 2, rng) for _ in range(3)]
+    for n in (2, 3, 4):
+        assert fr.lemma_checks((2, 1), n, sample_count=3, seed=5) == {
+            "cyclic_sum": True, "inversion": True
+        }
+    assert fr.satellite_step_check((2, 1), 3, 0, tails)
+    monkeypatch.setattr(fr, "_f_term", _without_first_chain_factor(fr._f_term))
+    for n in (2, 3, 4):
+        assert fr.lemma_checks((2, 1), n, sample_count=3, seed=5) == {
+            "cyclic_sum": False, "inversion": False
+        }
+    for tail in tails:
+        assert not fr.satellite_step_check((2, 1), 3, 0, [tail])
+
+
+def test_a_float_lemma_draw_raises_value_error(monkeypatch):
+    monkeypatch.setattr(fr, "sample_points", lambda lam, n, rng: (0.5, F(7, 3)))
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        fr.lemma_checks((1,), 2, sample_count=1, seed=0)
 
 
 def test_lemma_checks_with_no_samples_raise():
@@ -598,3 +648,19 @@ def test_f_and_the_step_checks_take_exact_points_only(bad):
 def test_f_takes_int_points_as_their_fractions():
     pts = (5, F(-9, 2), 7)
     assert fr.f_eval((2, 1), 3, pts) == fr.f_eval((2, 1), 3, [F(p) for p in pts])
+
+
+def test_step_checks_take_int_coordinates_as_their_fractions():
+    # A sample coordinate is no longer re-wrapped in a Fraction: an int
+    # tail gives the same values, types, verdicts and exception classes.
+    for lam in [(1,), (2, 1)]:
+        for tail in [(5, 7), (F(9, 2), 7), (2, 3)]:
+            fracs = tuple(map(F, tail))
+            for fn, args, frac_args in [
+                (fr._contour_sum, (lam, 3, 0, tail), (lam, 3, 0, fracs)),
+                (fr._level_value, (lam, 3, 1, tail[1:], tail[0]),
+                 (lam, 3, 1, fracs[1:], fracs[0])),
+                (fr.satellite_step_check, (lam, 3, 0, [tail]), (lam, 3, 0, [fracs])),
+            ]:
+                got, expected = _outcome(fn, *args), _outcome(fn, *frac_args)
+                assert got == expected and type(got) is type(expected)
