@@ -651,8 +651,8 @@ def test_f_takes_int_points_as_their_fractions():
 
 
 def test_step_checks_take_int_coordinates_as_their_fractions():
-    # A sample coordinate is no longer re-wrapped in a Fraction: an int
-    # tail gives the same values, types, verdicts and exception classes.
+    # A checked sample coordinate is kept as given: an int tail gives the
+    # same values, types, verdicts and exception classes as its Fractions.
     for lam in [(1,), (2, 1)]:
         for tail in [(5, 7), (F(9, 2), 7), (2, 3)]:
             fracs = tuple(map(F, tail))
