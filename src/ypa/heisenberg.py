@@ -21,11 +21,13 @@ res_ind need the Plancherel function, which the sweep uses.
 from __future__ import annotations
 
 import os
+from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
+from multiprocessing import get_context
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, sqrt_fraction
@@ -313,8 +315,7 @@ class RelationReport:
         }
 
 
-def _verify_base(args: tuple[str, Diagram]) -> tuple[int, list[tuple[str, str, str]]]:
-    name, base = args
+def _verify_base(name: str, base: Diagram) -> tuple[int, list[tuple[str, str, str]]]:
     sides = RELATIONS[name]
     checked = 0
     failures: list[tuple[str, str, str]] = []
@@ -334,24 +335,47 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_claims = []  # a pool worker's queue of base indices, put here by its initializer
+
+
+def _drain(name: str, bases: list[Diagram], queue=None) -> dict:
+    """{index: _verify_base(name, bases[index])} for each index this process claims."""
+    queue = queue or _claims[0]
+    done = {}
+    try:
+        for index in iter(queue.get, None):
+            done[index] = _verify_base(name, bases[index])
+    except BaseException:
+        for _ in iter(queue.get, None):
+            pass
+        raise
+    return done
+
+
 def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport:
     """Check one relation over every loop of base weight <= max_weight.
 
-    Deterministic regardless of jobs: bases are processed in a fixed order
-    and their per-base results merged in that order.  The pool has at most
-    one worker per base and per usable CPU, since a forking pool starts
-    every worker at once.
+    Results merge in base order, so the report is the same for every jobs.
+    With jobs > 1 the parent and its forks, at most one per base and usable
+    CPU, claim bases from one queue, heaviest first, up to one sentinel None
+    each; a fork copies the parent's memo tables, a raise skips to a sentinel.
     """
     relation_sides(name)  # raises on an unknown name
     check_int("max_weight", max_weight, 1)
     check_int("jobs", jobs, 1)
-    tasks = [(name, base) for base in diagrams_up_to(max_weight)]
-    if jobs > 1:
-        workers = min(jobs, len(tasks), _usable_cpus())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_base, tasks, chunksize=4))
+    bases = diagrams_up_to(max_weight)
+    workers = min(jobs, len(bases), _usable_cpus())
+    if workers > 1:
+        fork = get_context("fork")  # inheriting the parent's tables is the point
+        queue = fork.SimpleQueue()
+        with ProcessPoolExecutor(workers - 1, fork, _claims.append, (queue,)) as pool:
+            futures = [pool.submit(_drain, name, bases) for _ in range(workers - 1)]
+            for index in [*reversed(range(len(bases))), *[None] * workers]:
+                queue.put(index)
+            done = ChainMap(_drain(name, bases, queue), *(f.result() for f in futures))
+        results = [done[index] for index in range(len(bases))]
     else:
-        results = [_verify_base(t) for t in tasks]
+        results = [_verify_base(name, base) for base in bases]
     checked = sum(c for c, _ in results)
     failures = [f for _, fs in results for f in fs]
     return RelationReport(name, max_weight, checked, failures)

@@ -25,7 +25,9 @@ use per-process ``functools.cache`` tables; :func:`profile` and
 per-process dict as well: the integer Laurent expansions of G and H per
 diagram, whose lists grow in place when a larger order is asked for; its
 callers pass the diagram through :func:`as_partition` first.  Under the
-process-pool verifier every worker owns its tables.  Within one process
+process-pool verifier the parent verifies its own share of the bases, so its
+tables persist across calls as in a serial run; each worker is forked per
+call with a copy of them, and what it adds stays its own.  Within one process
 CPython's GIL makes the idempotent cache inserts safe, and no ``ypa`` code
 extends ``_SERIES`` from two threads, so no further locking is needed.
 """
@@ -244,16 +246,31 @@ class LoopPath:
         return len(self.signature)
 
 
+def _built_loop(diagrams: tuple[Diagram, ...], sig: Signature) -> LoopPath:
+    """A LoopPath without :meth:`LoopPath.__post_init__`'s checks, for
+    :func:`enumerate_loops` alone: its steps come from the cover maps."""
+    loop = object.__new__(LoopPath)
+    object.__setattr__(loop, "diagrams", diagrams)
+    object.__setattr__(loop, "signature", sig)
+    return loop
+
+
 def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
-    """All loops with the given base and signature, in lexicographic order."""
+    """All loops with the given base and signature, in lexicographic order.
+
+    A nonempty signature walks the cover maps, which check each diagram, so
+    its loops skip the re-check of every step; the empty one is checked.
+    """
     check_signature(sig, "loop")
+    if not sig:
+        return [LoopPath((base,), sig)]
     out: list[LoopPath] = []
 
     def walk(prefix: list[Diagram]):
         k = len(prefix) - 1
         if k == len(sig):
             if prefix[-1] == base:
-                out.append(LoopPath(tuple(prefix), sig))
+                out.append(_built_loop(tuple(prefix), sig))
             return
         nxt = up_covers(prefix[-1]) if sig[k] > 0 else down_covers(prefix[-1])
         for mu, _ in nxt:

@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +11,7 @@ import ypa.heisenberg as hs
 import ypa.sym_oracle as so
 from ypa.plancherel import PLANCHEREL, boolean_cumulant, f_pl, moment
 from ypa.surd import Surd, sqrt_fraction
-from ypa.tangle import as_element, evaluate
+from ypa.tangle import _box_terms, as_element, evaluate
 from ypa.young import diagrams_up_to, enumerate_loops, format_loop, parse_loop
 
 
@@ -119,13 +122,16 @@ def test_jobs_do_not_change_the_report():
 
 
 def _serial_pool(monkeypatch, cpus):
-    # A serial stand-in for the pool records the worker count it is asked
-    # for; no process is started.  The usable CPU count is patched to cpus.
+    # A serial stand-in for the pool records how many processes it is asked
+    # to fork; none is started.  Each stand-in worker runs the initializer
+    # and its task when its result is read, after the parent's own share.
+    # The usable CPU count is patched to cpus.
     asked = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             asked.append(max_workers)
+            self.start = lambda: initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -133,18 +139,27 @@ def _serial_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            pool = self
+
+            class Later:
+                def result(self):
+                    pool.start()
+                    return fn(*args)
+
+            return Later()
 
     monkeypatch.setattr(hs, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(hs, "_claims", [])
     monkeypatch.setattr(hs, "_usable_cpus", lambda: cpus)
     return asked
 
 
+# The parent is one of the processes: it forks one fewer than it uses.
 def test_pool_has_at_most_one_worker_per_base(monkeypatch):
     asked = _serial_pool(monkeypatch, cpus=64)
     pooled = hs.verify_relation("left_circle", 1, jobs=64).to_json_dict()
-    assert asked == [len(diagrams_up_to(1))] == [2]
+    assert [n + 1 for n in asked] == [len(diagrams_up_to(1))] == [2]
     serial = hs.verify_relation("left_circle", 1).to_json_dict()
     assert pooled == serial
 
@@ -152,9 +167,66 @@ def test_pool_has_at_most_one_worker_per_base(monkeypatch):
 def test_pool_has_at_most_one_worker_per_usable_cpu(monkeypatch):
     asked = _serial_pool(monkeypatch, cpus=3)
     pooled = hs.verify_relation("left_circle", 4, jobs=5000).to_json_dict()
-    assert asked == [3] and len(diagrams_up_to(4)) > 3
+    assert [n + 1 for n in asked] == [3] and len(diagrams_up_to(4)) > 3
     serial = hs.verify_relation("left_circle", 4).to_json_dict()
     assert pooled == serial
+
+
+@pytest.mark.parametrize("name", hs.RELATION_IDS)
+def test_every_relation_reports_the_same_for_every_jobs(monkeypatch, name):
+    # Three usable CPUs, so jobs=3 forks two workers even on a smaller box.
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 3)
+    serial = hs.verify_relation(name, 5).to_json_dict()
+    for jobs in (2, 3):
+        assert hs.verify_relation(name, 5, jobs=jobs).to_json_dict() == serial
+
+
+def test_pooled_failures_merge_in_base_order(monkeypatch):
+    # Every base fails once here, so the failure list shows the merge order.
+    monkeypatch.setattr(hs, "_verify_base", lambda name, base: (1, [(str(base), "", "")]))
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 3)
+    serial = hs.verify_relation("ybe", 6).failures
+    assert serial == [(str(base), "", "") for base in diagrams_up_to(6)]
+    for jobs in (2, 3):
+        assert hs.verify_relation("ybe", 6, jobs=jobs).failures == serial
+
+
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "parent"])
+def test_a_raise_on_either_side_stops_the_other(monkeypatch, in_worker):
+    # One side raises on every base it claims; the other takes 50 ms a base
+    # and writes a byte per base to a pipe that the forked worker inherits.
+    parent, verify_base = os.getpid(), hs._verify_base
+    read, write = os.pipe()
+
+    def raises_on_one_side(name, base):
+        if (os.getpid() != parent) == in_worker:
+            raise LookupError(os.getpid())
+        time.sleep(0.05)
+        os.write(write, b".")
+        return verify_base(name, base)
+
+    monkeypatch.setattr(hs, "_verify_base", raises_on_one_side)
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
+    try:
+        with pytest.raises(LookupError) as raised:
+            hs.verify_relation("ind_ind", 6, jobs=2)
+    finally:
+        os.close(write)
+        verified = len(os.read(read, 1 << 16))
+        os.close(read)
+    assert (raised.value.args[0] != parent) == in_worker
+    assert multiprocessing.active_children() == []
+    # Had it not stopped claiming, it would have verified every base but one.
+    assert verified < len(diagrams_up_to(6)) - 1
+
+
+def test_the_parent_verifies_its_own_share(monkeypatch):
+    # Its tables persist, so the next call's fork starts with them warm.
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
+    _box_terms.cache_clear()
+    report = hs.verify_relation("ind_ind", 5, jobs=2)
+    assert report.verified and _box_terms.cache_info().currsize > 0
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_relation_checks_its_ints_before_any_pool(monkeypatch):

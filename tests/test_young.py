@@ -191,6 +191,22 @@ def test_loop_validation():
         LoopPath(((1,), (1, 1), (1,)), (-1, 1))  # wrong step direction
 
 
+def test_enumerated_loops_equal_checked_loops():
+    # enumerate_loops builds its loops without re-checking their steps; each
+    # must equal, and hash like, the LoopPath that checks them.
+    signatures = {sides.signature for sides in hs.RELATIONS.values()} | {(-1, 1)}
+    loops = [
+        loop
+        for sig in signatures
+        for base in diagrams_up_to(6)
+        for loop in enumerate_loops(base, sig)
+    ]
+    for loop in loops:
+        checked = LoopPath(loop.diagrams, loop.signature)
+        assert loop == checked and hash(loop) == hash(checked)
+    assert len(loops) == 837  # the loops ypa verify --relation all checks at weight 6
+
+
 # A sign is the int 1 or -1; anything else raises and names it.  Before,
 # every other value read as -1, so (1, 0) balanced and gave loops.
 @pytest.mark.parametrize(
