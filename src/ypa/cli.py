@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # invalid parameters rejected by the library
         print(f"ypa: {exc}", file=sys.stderr)
         return 2
+    except hs.VerifyWorkerError as exc:  # a forked worker died: no report to give
+        print(f"ypa: {exc}", file=sys.stderr)
+        return 1
     report = {
         "command": args.command,
         "parameters": params,

@@ -151,11 +151,11 @@ def _pair_sum(pairs) -> tuple[int, int]:
     return num, den
 
 
-def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
+def _contour_sum(lam: Diagram, n: int, k: int, scaled: list[int], d: int) -> Fraction:
     """The level-k form's residues at w +- 1 and w +- (k+1), w = tail[0],
-    with the tail, the roots and the contour points times d: their int
-    pairs summed, times the trailing F / 2, as one Fraction."""
-    scaled, d = _over_lcm(tail)
+    from the tail times d (``_over_lcm``), so the roots and the contour
+    points are ints too: their int pairs summed, times the trailing F / 2,
+    as one Fraction."""
     f_num, f_den = _f_pair(lam, n - k - 1, scaled, d)
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
     points = {scaled[0] + e * d for e in (1, -1, k + 1, -k - 1)}
@@ -163,10 +163,11 @@ def _contour_sum(lam: Diagram, n: int, k: int, tail) -> Fraction:
     return Fraction(f_num * num, 2 * f_den * den)
 
 
-def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
+def _level_value(lam: Diagram, n: int, k: int, scaled: list[int], d: int) -> Fraction:
     """The level-k form at x, the residue at x of the form over (z - x),
-    from its roots times d; PoleEvaluationError at a pole of the form."""
-    (sx, *scaled), d = _over_lcm((x, *tail))
+    from (x, *tail) times d and the roots times d; PoleEvaluationError at a
+    pole of the form."""
+    sx, *scaled = scaled
     f_num, f_den = _f_pair(lam, n - k - 1, scaled, d)
     roots = [_level_roots(lam, k, scaled, sgn, d) for sgn in (1, -1)]
     # The form's Laurent coefficients of (z - x)^-j at x, j from 0 to the
@@ -178,7 +179,7 @@ def _level_value(lam: Diagram, n: int, k: int, tail, x: Fraction) -> Fraction:
         for j in range(1 + max(0, *(poles.count(sx) - zeros.count(sx) for zeros, poles in roots)))
     )
     if f_num and any(a for a, _ in polar):
-        raise PoleEvaluationError(f"evaluation at pole z = {x}")
+        raise PoleEvaluationError(f"evaluation at pole z = {Fraction(sx, d)}")
     return Fraction(f_num * num, 2 * f_den * den)
 
 
@@ -212,7 +213,8 @@ def satellite_step_check(lam: Diagram, n: int, k: int, samples) -> bool:
         tail = tuple(check_rational("sample coordinate", z) for z in tail)
         if len(tail) != n - k - 1:
             raise ValueError(f"sample needs {n - k - 1} values")
-        if _contour_sum(lam, n, k, tail) != _level_value(lam, n, k + 1, tail[1:], tail[0]):
+        scaled, d = _over_lcm(tail)  # both sides read the tail times this one d
+        if _contour_sum(lam, n, k, scaled, d) != _level_value(lam, n, k + 1, scaled, d):
             return False
     if not checked:
         raise ValueError("no samples to check")

@@ -20,14 +20,12 @@ res_ind need the Plancherel function, which the sweep uses.
 
 from __future__ import annotations
 
+import marshal
 import os
-from collections import ChainMap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
-from multiprocessing import get_context
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, sqrt_fraction
@@ -335,20 +333,139 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_claims = []  # a pool worker's queue of base indices, put here by its initializer
+class VerifyWorkerError(RuntimeError):
+    """A forked verify worker ended without reporting the bases it claimed."""
 
 
-def _drain(name: str, bases: list[Diagram], queue=None) -> dict:
-    """{index: _verify_base(name, bases[index])} for each index this process claims."""
-    queue = queue or _claims[0]
-    done = {}
+_RECORD = 4  # bytes of one claim on the claims pipe: a base index, little-endian
+# POSIX's least PIPE_BUF: a non-blocking write this short goes in whole or not at all.
+_CHUNK = 512
+
+
+def _send(feed: int, unsent: memoryview) -> memoryview:
+    """Write claims to the non-blocking feed in whole chunks while the pipe
+    takes them; the claims left unsent."""
     try:
-        for index in iter(queue.get, None):
-            done[index] = _verify_base(name, bases[index])
+        while unsent:
+            os.write(feed, unsent[:_CHUNK])
+            unsent = unsent[_CHUNK:]
+    except BlockingIOError:
+        pass
+    return unsent
+
+
+def _drain(name: str, bases: list[Diagram], claims: int) -> dict:
+    """{index: _verify_base(name, bases[index])} for each index this process
+    reads from the claims pipe, one record a read, up to its end of file."""
+    done = {}
+    while record := os.read(claims, _RECORD):
+        index = int.from_bytes(record, "little")
+        done[index] = _verify_base(name, bases[index])
+    return done
+
+
+def _discard(claims: int) -> None:
+    """Read the claims pipe to its end of file, so that no process claims more."""
+    while os.read(claims, 1 << 16):
+        pass
+
+
+def _worker(name: str, bases: list[Diagram], claims: int, report: int, inherited) -> None:
+    """A forked child's whole life; it never returns.
+
+    It closes the inherited fds, verifies the bases it claims and writes
+    ``marshal.dumps((done, None))`` to its report pipe, or after a raise
+    ``(None, pickled exception)``.  It exits 0 only once the report is written.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            result = (_drain(name, bases, claims), None)
+        except BaseException as exc:
+            _discard(claims)
+            import pickle  # on the error path only
+
+            result = (None, pickle.dumps(exc))
+        data = memoryview(marshal.dumps(result))
+        while data:
+            data = data[os.write(report, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_worker(name: str, bases: list[Diagram], claims: int, inherited) -> tuple[int, int]:
+    """Fork one worker; its pid and the read end of its report pipe."""
+    out, into = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _worker(name, bases, claims, into, (out, *inherited))
     except BaseException:
-        for _ in iter(queue.get, None):
-            pass
+        os.close(out)
         raise
+    finally:
+        os.close(into)
+    return pid, out
+
+
+def _verify_forked(name: str, bases: list[Diagram], workers: int) -> dict:
+    """{index: _verify_base(name, bases[index])} for every base, verified by
+    this process and workers - 1 forks of it.
+
+    The claims pipe holds the base indices, heaviest first, one fixed-size
+    record each, and its end of file ends every process's claims.  The parent
+    writes what the pipe takes before forking; while the pipe stays full it
+    verifies the next unsent base itself and sends more as room frees up, and
+    it closes the write end once every claim is sent or it raises.  A raise
+    on either side reads the pipe empty, so the other side stops claiming.
+    Every child is reaped before this returns or raises, so its CPU time
+    shows in ``RUSAGE_CHILDREN``; one that ends without a report raises
+    VerifyWorkerError, and one that raised passes its exception on.
+    """
+    claims, feed = os.pipe()
+    reports = {}  # pid: the read end of that worker's report pipe
+    try:
+        try:
+            os.set_blocking(feed, False)
+            order = b"".join(i.to_bytes(_RECORD, "little") for i in reversed(range(len(bases))))
+            unsent = _send(feed, memoryview(order))
+            for _ in range(workers - 1):
+                pid, out = _fork_worker(name, bases, claims, (feed, *reports.values()))
+                reports[pid] = out
+            done = {}
+            while unsent := _send(feed, unsent):
+                index = int.from_bytes(unsent[:_RECORD], "little")
+                unsent = unsent[_RECORD:]
+                done[index] = _verify_base(name, bases[index])
+        finally:
+            os.close(feed)
+        done |= _drain(name, bases, claims)
+        data = {}
+        for pid, out in reports.items():
+            with open(out, "rb", closefd=False) as stream:
+                data[pid] = stream.read()
+    except BaseException:
+        _discard(claims)
+        raise
+    finally:
+        os.close(claims)
+        for out in reports.values():
+            os.close(out)  # a worker still writing its report gets EPIPE and exits
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in reports}
+    for pid, report in data.items():
+        if codes[pid]:
+            raise VerifyWorkerError(
+                f"verify worker {pid} ended without a report (exit code {codes[pid]})"
+            )
+        part, error = marshal.loads(report)
+        if error is not None:
+            import pickle
+
+            raise pickle.loads(error)
+        done |= part
     return done
 
 
@@ -357,8 +474,10 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
 
     Results merge in base order, so the report is the same for every jobs.
     With jobs > 1 the parent and its forks, at most one per base and usable
-    CPU, claim bases from one queue, heaviest first, up to one sentinel None
-    each; a fork copies the parent's memo tables, a raise skips to a sentinel.
+    CPU, claim bases, heaviest first, from one pipe (:func:`_verify_forked`);
+    a fork inherits the parent's memo tables as they stand.  The first
+    exception on either side reaches the caller, and a worker that dies
+    without a report raises VerifyWorkerError, never a partial report.
     """
     relation_sides(name)  # raises on an unknown name
     check_int("max_weight", max_weight, 1)
@@ -366,13 +485,7 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     bases = diagrams_up_to(max_weight)
     workers = min(jobs, len(bases), _usable_cpus())
     if workers > 1:
-        fork = get_context("fork")  # inheriting the parent's tables is the point
-        queue = fork.SimpleQueue()
-        with ProcessPoolExecutor(workers - 1, fork, _claims.append, (queue,)) as pool:
-            futures = [pool.submit(_drain, name, bases) for _ in range(workers - 1)]
-            for index in [*reversed(range(len(bases))), *[None] * workers]:
-                queue.put(index)
-            done = ChainMap(_drain(name, bases, queue), *(f.result() for f in futures))
+        done = _verify_forked(name, bases, workers)
         results = [done[index] for index in range(len(bases))]
     else:
         results = [_verify_base(name, base) for base in bases]

@@ -15,7 +15,12 @@ from ypa.cli import (
     main,
     report_json,
 )
-from ypa.heisenberg import BUILTIN_ELEMENTS, character_diagram, relation_sides
+from ypa.heisenberg import (
+    BUILTIN_ELEMENTS,
+    VerifyWorkerError,
+    character_diagram,
+    relation_sides,
+)
 from ypa.plancherel import PLANCHEREL
 from ypa.tangle import evaluate, parse
 from ypa.young import diagrams_up_to, enumerate_loops
@@ -556,6 +561,17 @@ def test_csv_outside_character_is_rejected_before_dispatch(capsys, monkeypatch):
     assert "--format csv is not defined for this command" in err
 
 
+
+def test_a_dead_verify_worker_exits_1_with_its_message(capsys, monkeypatch):
+    def dies(*args, **kwargs):
+        raise VerifyWorkerError("verify worker 7 ended without a report (exit code 1)")
+
+    monkeypatch.setattr("ypa.heisenberg.verify_relation", dies)
+    code, out, err = run(capsys, "verify", "--relation", "ybe", "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err == "ypa: verify worker 7 ended without a report (exit code 1)\n"
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -572,6 +588,16 @@ def _run_python(*argv):
 
 def _run_script(name, *argv):
     return _run_python(str(ROOT / "scripts" / name), *argv)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only verify --jobs forks, through os.fork; pickle is read only when a
+    # worker raised, so none of these belongs to every run's start-up.
+    proc = _run_python("-c", "import sys, ypa.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ypa.heisenberg" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing", "pickle"}
 
 
 def test_python_dash_m_runs_the_cli(capsys):

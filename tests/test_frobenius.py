@@ -435,6 +435,16 @@ def test_h_product_is_the_product_of_shifted_h(lam, shifts):
     assert got == expected and repr(got) == repr(expected)
 
 
+def _contour_sum(lam, n, k, tail):
+    # The step check's left side at one tail, scaled as satellite_step_check scales it.
+    return fr._contour_sum(lam, n, k, *fr._over_lcm(tail))
+
+
+def _level_value(lam, n, k, tail, x):
+    # The level-k form at x, from (x, *tail) scaled as satellite_step_check scales it.
+    return fr._level_value(lam, n, k, *fr._over_lcm((x, *tail)))
+
+
 def _reduced_contour_sum(lam, n, k, tail):
     # The reduced-form algorithm: residues of the summed level-k form.
     w = tail[0]
@@ -478,9 +488,9 @@ def test_pointwise_step_checks_equal_the_reduced_form_algorithm(case):
     lam, n, k, tail = case
     lhs = _outcome(_reduced_contour_sum, lam, n, k, tail)
     rhs = _outcome(_reduced_right_side, lam, n, k, tail)
-    assert _outcome(fr._contour_sum, lam, n, k, tail) == lhs
+    assert _outcome(_contour_sum, lam, n, k, tail) == lhs
     if k + 1 <= n - 2:
-        assert _outcome(fr._level_value, lam, n, k + 1, tail[1:], tail[0]) == rhs
+        assert _outcome(_level_value, lam, n, k + 1, tail[1:], tail[0]) == rhs
     if isinstance(lhs, type) or isinstance(rhs, type):
         expected = lhs if isinstance(lhs, type) else rhs
     else:
@@ -499,7 +509,7 @@ def test_a_double_contour_pole_is_a_root_list_residue(monkeypatch):
     monkeypatch.setattr(
         fr, "satellite_level_form", lambda *a: forms.append(a) or level_form(*a)
     )
-    assert fr._contour_sum(lam, n, k, tail) == expected
+    assert _contour_sum(lam, n, k, tail) == expected
     assert forms == []
 
 
@@ -533,8 +543,8 @@ def test_colliding_tails_equal_the_reduced_form_algorithm(monkeypatch):
 
     monkeypatch.setattr(FactoredRatFun, "__init__", refuse)
     for (lam, n, k, tail), (lhs, rhs, verdict) in zip(cases, expected):
-        assert _outcome(fr._contour_sum, lam, n, k, tail) == lhs
-        assert _outcome(fr._level_value, lam, n, k + 1, tail[1:], tail[0]) == rhs
+        assert _outcome(_contour_sum, lam, n, k, tail) == lhs
+        assert _outcome(_level_value, lam, n, k + 1, tail[1:], tail[0]) == rhs
         assert _outcome(fr.satellite_step_check, lam, n, k, [tail]) == verdict
     seen = {v if isinstance(v, type) else type(v) for e in expected for v in e}
     assert seen == {F, PoleHit, PoleEvaluationError, bool}
@@ -561,9 +571,9 @@ def test_step_checks_sum_residue_pairs_not_fractions(monkeypatch):
     monkeypatch.setattr(fr, "residue_at", refuse, raising=False)
     monkeypatch.setattr(ratfun, "residue_at", refuse)
     for (lam, n, k, tail), (lhs, rhs, verdict) in zip(cases, expected):
-        got = _outcome(fr._contour_sum, lam, n, k, tail)
+        got = _outcome(_contour_sum, lam, n, k, tail)
         assert got == lhs and type(got) is type(lhs)
-        got = _outcome(fr._level_value, lam, n, k + 1, tail[1:], tail[0])
+        got = _outcome(_level_value, lam, n, k + 1, tail[1:], tail[0])
         assert got == rhs and type(got) is type(rhs)
         assert _outcome(fr.satellite_step_check, lam, n, k, [tail]) == verdict
     seen = {v if isinstance(v, type) else type(v) for e in expected for v in e}
@@ -590,8 +600,8 @@ def test_scaled_step_checks_equal_the_reduced_form_on_any_denominator(tail, d):
                 t = tail[: n - k - 1]
                 lhs = _outcome(_reduced_contour_sum, lam, n, k, t)
                 rhs = _outcome(_reduced_right_side, lam, n, k, t)
-                assert _outcome(fr._contour_sum, lam, n, k, t) == lhs
-                assert _outcome(fr._level_value, lam, n, k + 1, t[1:], t[0]) == rhs
+                assert _outcome(_contour_sum, lam, n, k, t) == lhs
+                assert _outcome(_level_value, lam, n, k + 1, t[1:], t[0]) == rhs
                 values += not isinstance(lhs, type) and not isinstance(rhs, type)
     assert values > 0
 
@@ -611,6 +621,19 @@ def test_step_checks_on_sampled_tails_never_use_the_reduced_form(monkeypatch):
                 samples = [fr.sample_points(lam, n - k - 1, rng) for _ in range(3)]
                 assert fr.satellite_step_check(lam, n, k, samples)
     assert calls == []
+
+
+def test_the_step_check_scales_each_tail_once(monkeypatch):
+    # Both sides read the tail times one d, so each sample is scaled once.
+    calls = []
+    over_lcm = fr._over_lcm
+    monkeypatch.setattr(fr, "_over_lcm", lambda values: calls.append(values) or over_lcm(values))
+    rng = random.Random(31)
+    for k in (0, 1):
+        samples = [fr.sample_points((2, 1), 3 - k - 1, rng) for _ in range(3)]
+        calls.clear()
+        assert fr.satellite_step_check((2, 1), 3, k, samples)
+        assert calls == [tuple(s) for s in samples]
 
 
 def test_level_roots_share_the_cached_h_roots_but_not_their_lists():
@@ -657,8 +680,8 @@ def test_step_checks_take_int_coordinates_as_their_fractions():
         for tail in [(5, 7), (F(9, 2), 7), (2, 3)]:
             fracs = tuple(map(F, tail))
             for fn, args, frac_args in [
-                (fr._contour_sum, (lam, 3, 0, tail), (lam, 3, 0, fracs)),
-                (fr._level_value, (lam, 3, 1, tail[1:], tail[0]),
+                (_contour_sum, (lam, 3, 0, tail), (lam, 3, 0, fracs)),
+                (_level_value, (lam, 3, 1, tail[1:], tail[0]),
                  (lam, 3, 1, fracs[1:], fracs[0])),
                 (fr.satellite_step_check, (lam, 3, 0, [tail]), (lam, 3, 0, [fracs])),
             ]:

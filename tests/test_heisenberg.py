@@ -1,8 +1,10 @@
 import hashlib
-import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,53 +123,42 @@ def test_jobs_do_not_change_the_report():
     assert a == b
 
 
-def _serial_pool(monkeypatch, cpus):
-    # A serial stand-in for the pool records how many processes it is asked
-    # to fork; none is started.  Each stand-in worker runs the initializer
-    # and its task when its result is read, after the parent's own share.
-    # The usable CPU count is patched to cpus.
-    asked = []
+def _counted_forks(monkeypatch, cpus):
+    # Records each worker the parent forks, through the one fork point; the
+    # forks are real.  The usable CPU count is patched to cpus.
+    forks = []
+    fork_worker = hs._fork_worker
 
-    class SerialPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            asked.append(max_workers)
-            self.start = lambda: initializer(*initargs)
+    def counted(*args):
+        forks.append(args)
+        return fork_worker(*args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            pool = self
-
-            class Later:
-                def result(self):
-                    pool.start()
-                    return fn(*args)
-
-            return Later()
-
-    monkeypatch.setattr(hs, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(hs, "_claims", [])
+    monkeypatch.setattr(hs, "_fork_worker", counted)
     monkeypatch.setattr(hs, "_usable_cpus", lambda: cpus)
-    return asked
+    return forks
+
+
+def _no_child_left():
+    # waitpid on any child raises when this process has none, running or not reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # The parent is one of the processes: it forks one fewer than it uses.
 def test_pool_has_at_most_one_worker_per_base(monkeypatch):
-    asked = _serial_pool(monkeypatch, cpus=64)
+    forks = _counted_forks(monkeypatch, cpus=64)
     pooled = hs.verify_relation("left_circle", 1, jobs=64).to_json_dict()
-    assert asked == [len(diagrams_up_to(1)) - 1] == [1]
+    assert len(forks) == len(diagrams_up_to(1)) - 1 == 1
+    _no_child_left()
     serial = hs.verify_relation("left_circle", 1).to_json_dict()
     assert pooled == serial
 
 
 def test_pool_has_at_most_one_worker_per_usable_cpu(monkeypatch):
-    asked = _serial_pool(monkeypatch, cpus=3)
+    forks = _counted_forks(monkeypatch, cpus=3)
     pooled = hs.verify_relation("left_circle", 4, jobs=5000).to_json_dict()
-    assert asked == [3 - 1] and len(diagrams_up_to(4)) > 3
+    assert len(forks) == 3 - 1 and len(diagrams_up_to(4)) > 3
+    _no_child_left()
     serial = hs.verify_relation("left_circle", 4).to_json_dict()
     assert pooled == serial
 
@@ -215,7 +206,7 @@ def test_a_raise_on_either_side_stops_the_other(monkeypatch, in_worker):
         verified = len(os.read(read, 1 << 16))
         os.close(read)
     assert (raised.value.args[0] != parent) == in_worker
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     # Had it not stopped claiming, it would have verified every base but one.
     assert verified < len(diagrams_up_to(6)) - 1
 
@@ -226,19 +217,72 @@ def test_the_parent_verifies_its_own_share(monkeypatch):
     _box_terms.cache_clear()
     report = hs.verify_relation("ind_ind", 5, jobs=2)
     assert report.verified and _box_terms.cache_info().currsize > 0
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_verify_relation_checks_its_ints_before_any_pool(monkeypatch):
     # Before, jobs=True ran serially, jobs=2.0 started a pool, and
     # max_weight=True checked the bases of weight <= 1.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool started before the parameters were checked")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker forked before the parameters were checked")
 
-    monkeypatch.setattr(hs, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(hs, "_fork_worker", no_fork)
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
     for args, name in (((3, True), "jobs"), ((3, 2.0), "jobs"), ((True,), "max_weight")):
         with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
             hs.verify_relation("ybe", *args)
+
+
+def test_a_worker_that_dies_without_a_report_raises(monkeypatch):
+    # The forked worker exits at its first base; the parent verifies the
+    # rest, then finds no report and raises instead of counting fewer loops.
+    parent, verify_base = os.getpid(), hs._verify_base
+
+    def dies_in_the_worker(name, base):
+        if os.getpid() != parent:
+            os._exit(1)
+        return verify_base(name, base)
+
+    monkeypatch.setattr(hs, "_verify_base", dies_in_the_worker)
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
+    with pytest.raises(hs.VerifyWorkerError, match="without a report"):
+        hs.verify_relation("ind_ind", 6, jobs=2)
+    _no_child_left()
+
+
+_MANY_CLAIMS = """
+import os
+import ypa.heisenberg as hs
+
+bases = [(i,) for i in range(40_000)]
+hs.diagrams_up_to = lambda max_weight: bases
+hs._verify_base = lambda name, base: (1, [(str(base), "", "")])
+hs._usable_cpus = lambda: 3
+for jobs in (2, 3):
+    report = hs.verify_relation("ybe", 6, jobs)
+    assert report.loops_checked == len(bases)
+    assert report.failures == [(str(base), "", "") for base in bases]
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_more_claims_than_the_pipe_holds_merge_in_base_order():
+    # 40,000 four-byte claims are more than a 64 KiB pipe buffer holds, so
+    # the parent sends them as the pipe frees up.  A fresh interpreter under
+    # a timeout turns a deadlock into a failure.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MANY_CLAIMS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "no child left\n"
 
 
 def test_usable_cpus_is_positive():
