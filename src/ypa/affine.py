@@ -35,12 +35,11 @@ Coefficients, constants and values are ints (not ``bool``) or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .young import check_int, check_rational
+from .young import Record, check_int, check_rational
 
 # Factor keys:  ("c", i, c)        for  z_i - c
 #               ("d", i, j, c)     for  z_i - z_j - c   (normalized: i < j)
@@ -75,13 +74,21 @@ def const_factor(i: int, c) -> FactorKey:
     return ("c", i, _const(c))
 
 
-@dataclass
-class Term:
+class Term(Record):
     """coef * prod over factors of key^e, coef a Fraction.  A term is never
     changed after it is built, so its integer form is cached."""
 
+    __slots__ = ("coef", "factors", "__dict__")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     coef: Fraction
     factors: dict[FactorKey, int]
+
+    def __init__(self, coef: Fraction, factors: dict[FactorKey, int]):
+        # By hand, not Record's: a contours pass builds thousands of terms.
+        self.coef = coef
+        self.factors = factors
 
     @cached_property
     def int_form(self) -> tuple:

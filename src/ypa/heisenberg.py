@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import marshal
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
@@ -34,6 +33,7 @@ from .tangle import Element, TangleProgram, evaluate, parse
 from .young import (
     Diagram,
     LoopPath,
+    Record,
     Signature,
     as_partition,
     box_content,
@@ -237,13 +237,13 @@ YBE_RHS = _prog(
 )
 
 
-@dataclass(frozen=True)
-class RelationSides:
+class RelationSides(Record):
     """lhs and rhs of a relation as signed combinations of programs.
 
     Each coefficient is a sign, 1 or -1.
     """
 
+    __slots__ = ("name", "lhs", "rhs")
     name: str
     lhs: tuple[tuple[int, TangleProgram], ...]
     rhs: tuple[tuple[int, TangleProgram], ...]
@@ -292,8 +292,13 @@ def relation_sides(name: str) -> RelationSides:
     return RELATIONS[name]
 
 
-@dataclass
-class RelationReport:
+class RelationReport(Record):
+    """What one relation's sweep checked and which loops failed; assignable."""
+
+    __slots__ = ("relation", "max_weight", "loops_checked", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     relation: str
     max_weight: int
     loops_checked: int

@@ -26,25 +26,27 @@ table lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import Callable
 
 from .ratfun import FactoredRatFun, extend_series, monic_coeffs, residue_at
 from .young import (
-    Diagram, as_partition, box_content, check_int, dim, down_covers, profile,
+    Diagram, Record, as_partition, box_content, check_int, dim, down_covers, profile,
     up_covers, weight,
 )
 
 
-@dataclass(frozen=True)
-class HarmonicFunction:
+class HarmonicFunction(Record):
     """A positive rational-valued harmonic function on the Young graph."""
 
+    __slots__ = ("name", "value")
     name: str
     value: Callable[[Diagram], Fraction]
+
+    def __hash__(self) -> int:  # direct: the state sum hashes it per box state
+        return hash((self.name, self.value))
 
     def __call__(self, lam: Diagram) -> Fraction:
         return self.value(lam)

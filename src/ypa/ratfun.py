@@ -37,10 +37,11 @@ cancellation of ``FactoredRatFun.make`` (one division per cancelled root).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from operator import mul
+
+from .young import Record
 
 
 class PoleEvaluationError(ZeroDivisionError):
@@ -170,10 +171,10 @@ class Poly:
 ONE_POLY = Poly([1])
 
 
-@dataclass(frozen=True)
-class FactoredRatFun:
+class FactoredRatFun(Record):
     """numer(z) / prod_r (z - r)^m, reduced (no denominator root of numer)."""
 
+    __slots__ = ("numer", "denom")
     numer: Poly
     denom: tuple[tuple[Fraction, int], ...]  # sorted ((root, multiplicity), ...)
 

@@ -61,16 +61,16 @@ harmonic function ``f`` passed to :func:`evaluate`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Callable
 
 from .plancherel import HarmonicFunction
 from .surd import Surd, sqrt_fraction, squarefree_split
 from .young import (
-    Diagram, LoopPath, Signature, box_content, check_signature, down_covers, up_covers,
+    Diagram, LoopPath, Record, Signature, box_content, check_signature, down_covers,
+    up_covers,
 )
 
 UP, DOWN = 1, -1
@@ -90,8 +90,7 @@ class TangleError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A function of loops of a fixed signature; the value of a filled box.
 
     ``fn`` must be a pure function of (loop, f): the state sum computes a
@@ -99,12 +98,17 @@ class Element:
     The signature is a tuple of signs, each the int 1 or -1, summing to 0.
     """
 
+    __slots__ = ("name", "signature", "fn")
     name: str
     signature: Signature
     fn: Callable[[LoopPath, HarmonicFunction], Surd]
 
-    def __post_init__(self):
-        check_signature(self.signature, f"element {self.name}")
+    def __init__(self, name: str, signature: Signature, fn):
+        check_signature(signature, f"element {name}")
+        Record.__init__(self, name, signature, fn)
+
+    def __hash__(self) -> int:  # direct: the state sum hashes it per box state
+        return hash((self.name, self.signature, self.fn))
 
     def legs(self) -> tuple[int, ...]:
         """Strand orientations left-to-right that the box window must show."""
@@ -116,8 +120,7 @@ class Element:
 Step = tuple[str, int, object]  # (kind, position, (cup kind, pin) or element)
 
 
-@dataclass(frozen=True)
-class TangleProgram:
+class TangleProgram(Record):
     """A validated tangle as the steps of its state sum, in order.
 
     Per row: its cups ``("cup", gap, (kind, src))`` at pre-row gaps, right
@@ -144,6 +147,7 @@ class TangleProgram:
     that raises there (no builtin element raises on a valid window).
     """
 
+    __slots__ = ("name", "signature", "steps")
     name: str
     signature: Signature
     steps: tuple[Step, ...]
@@ -408,7 +412,7 @@ def _sqrt_ratio(
     """``sqrt(f(inner)/f(outer))`` as one term, the weight of a cup or cap.
 
     Keyed on ``f.value``, not ``f``: the weight reads nothing else, and a
-    function hashes faster than the dataclass around it.
+    function hashes faster than the record around it.
     """
     ((d, c),) = sqrt_fraction(fval(inner) / fval(outer)).terms.items()
     return d, c.numerator, c.denominator

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import factorial, prod
 from operator import ge
 from types import MappingProxyType
@@ -50,6 +50,7 @@ EMPTY: Diagram = ()
 
 
 _INT = frozenset((int,))
+_TUPLE = frozenset((tuple,))
 
 
 def is_diagram(parts: tuple) -> bool:
@@ -218,25 +219,94 @@ def hook_lengths(lam: Diagram) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class LoopPath:
-    """A loop in the Young graph together with its signature."""
+class Record:
+    """A record of the fields named in its class's ``__slots__``.
 
+    Records of one class compare, hash and show field-wise, and are frozen:
+    assigning or deleting a field raises ``AttributeError``.  The base
+    ``__init__`` takes the fields positionally; a class writes its own where
+    it checks them.  A mutable record sets ``__setattr__``, ``__delattr__``
+    and ``__hash__`` back to ``object``'s; a ``"__dict__"`` slot is not a
+    field.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LoopPath(Record):
+    """A loop in the Young graph together with its signature.
+
+    ``diagrams`` must be a tuple, and each diagram in it a partition: one
+    that is not a tuple of ints goes through :func:`as_partition`, so a
+    list of parts is stored as its tuple.
+    """
+
+    __slots__ = ("diagrams", "signature")
     diagrams: tuple[Diagram, ...]
     signature: Signature
 
-    def __post_init__(self):
-        n = len(check_signature(self.signature, "loop"))
-        if len(self.diagrams) != n + 1:
+    def __init__(self, diagrams: tuple[Diagram, ...], signature: Signature):
+        n = len(check_signature(signature, "loop"))
+        if type(diagrams) is not tuple:
+            raise ValueError("loop diagrams must be a tuple")
+        if len(diagrams) != n + 1:
             raise ValueError("loop needs one more diagram than signs")
-        if not n:
-            as_partition(self.diagrams[0])
-        elif self.diagrams[0] != self.diagrams[-1]:
+        # With steps, tuples of ints skip as_partition, which would cost the
+        # state sum's box windows more than their step checks: each step's
+        # box_content looks its smaller diagram up among the larger one's
+        # down covers, and the cover maps hold partitions only (on a tuple of
+        # ints their cache hits only an equal partition), so every diagram
+        # of the loop is a partition or raises ValueError.
+        if not n or not (
+            _TUPLE.issuperset(map(type, diagrams))
+            and _INT.issuperset(map(type, chain.from_iterable(diagrams)))
+        ):
+            diagrams = tuple(map(as_partition, diagrams))
+        if diagrams[0] != diagrams[-1]:
             raise ValueError("loop must end where it starts")
-        for i, s in enumerate(self.signature):
-            a, b = self.diagrams[i], self.diagrams[i + 1]
+        for i, s in enumerate(signature):
+            a, b = diagrams[i], diagrams[i + 1]
             big, small = (b, a) if s > 0 else (a, b)
             box_content(big, small)  # raises if not a cover
+        object.__setattr__(self, "diagrams", diagrams)
+        object.__setattr__(self, "signature", signature)
 
     @property
     def base(self) -> Diagram:
@@ -247,7 +317,7 @@ class LoopPath:
 
 
 def _built_loop(diagrams: tuple[Diagram, ...], sig: Signature) -> LoopPath:
-    """A LoopPath without :meth:`LoopPath.__post_init__`'s checks, for
+    """A LoopPath without the checks of its ``__init__``, for
     :func:`enumerate_loops` alone: its steps come from the cover maps."""
     loop = object.__new__(LoopPath)
     object.__setattr__(loop, "diagrams", diagrams)

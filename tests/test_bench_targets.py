@@ -56,3 +56,30 @@ def test_workload_passes_at_tiny_size(name):
     attempted, failed, notes = workloads.run_pass(name, 3, workloads.TINY)
     assert attempted > 0
     assert (failed, notes) == (0, [])
+
+
+def test_the_tracer_installs_and_uninstalls_around_a_pass():
+    # install rebinds the fn and value fields of the frozen records that
+    # hold a traced function (through object.__setattr__) and the methods in
+    # FactoredRatFun's own dict; uninstall puts every one back.
+    import ypa.heisenberg as hs
+    import ypa.plancherel as pl
+    from ypa.ratfun import FactoredRatFun
+
+    cross, f_pl, mul = hs.cross, pl.f_pl, vars(FactoredRatFun)["__mul__"]
+    cross_hash = hash(hs.CROSS)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert hs.CROSS.fn is not cross and hs.CROSS.fn.__wrapped__ is cross
+        assert pl.PLANCHEREL.value is not f_pl and pl.PLANCHEREL.value.__wrapped__ is f_pl
+        assert vars(FactoredRatFun)["__mul__"] is not mul
+        attempted, failed, notes = workloads.run_pass("relations", 3, workloads.TINY)
+    finally:
+        traced.uninstall()
+    assert attempted > 0 and (failed, notes) == (0, [])
+    seen = {traced.names[i] for i in set(traced.span_name)}
+    assert {"tangle.evaluate", "heisenberg.cross", "plancherel.f_pl"} <= seen
+    assert hs.cross is cross and hs.CROSS.fn is cross and hash(hs.CROSS) == cross_hash
+    assert pl.f_pl is f_pl and pl.PLANCHEREL.value is f_pl
+    assert vars(FactoredRatFun)["__mul__"] is mul and vars(FactoredRatFun)["__rmul__"] is mul

@@ -600,6 +600,16 @@ def test_importing_the_cli_loads_no_process_pool():
     assert not loaded & {"concurrent.futures", "multiprocessing", "pickle"}
 
 
+def test_importing_the_cli_loads_no_dataclasses_or_typing():
+    # The records are plain slotted classes.  -S keeps site's .pth files,
+    # which may import typing themselves, out of the start-up.
+    proc = _run_python("-S", "-c", "import sys, ypa.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ypa.heisenberg" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["character", "--lambda", "[2,1]", "--pi", "[2]", "--format", "json"]
     proc = _run_python("-m", "ypa", *argv)

@@ -10,6 +10,7 @@ import ypa.frobenius as fr
 import ypa.heisenberg as hs
 import ypa.plancherel as pl
 import ypa.young as yg
+from ypa.tangle import evaluate
 from ypa.young import (
     LiteralError,
     LoopPath,
@@ -189,6 +190,46 @@ def test_loop_validation():
         LoopPath(((), (1,)), (1,))  # open path, not a loop
     with pytest.raises(ValueError):
         LoopPath(((1,), (1, 1), (1,)), (-1, 1))  # wrong step direction
+
+
+def test_a_loop_stores_each_diagram_as_a_tuple():
+    # A list diagram was once stored as given, and hashing the loop or
+    # evaluating a tangle on it raised TypeError; a list step did too.
+    loop = LoopPath(([1],), ())
+    assert loop.diagrams == ((1,),) and loop == LoopPath(((1,),), ())
+    assert hash(loop) == hash(LoopPath(((1,),), ()))
+    assert evaluate(hs.LEFT_CIRCLE, loop, pl.PLANCHEREL) == evaluate(
+        hs.LEFT_CIRCLE, LoopPath(((1,),), ()), pl.PLANCHEREL
+    )
+    step = LoopPath(((1,), [2], (1,)), (1, -1))
+    assert step.diagrams == ((1,), (2,), (1,))
+    assert type(step.diagrams[1]) is tuple
+    with pytest.raises(ValueError, match="not a partition"):
+        LoopPath(((1,), [1, 2], (1,)), (1, -1))
+
+
+@pytest.mark.parametrize(
+    "diagrams, sig",
+    [
+        # (True, 1) equals the cover (1, 1) of (2, 1); it once made a loop.
+        (((2, 1), (True, 1), (2, 1)), (-1, 1)),
+        (((True, 1), (1,), (True, 1)), (-1, 1)),
+        (((2, 1), (2, 1.0), (2, 1)), (1, -1)),
+        (((2, 1), (1, 2), (2, 1)), (-1, 1)),
+        (((1, 0),), ()),
+    ],
+)
+def test_every_loop_diagram_is_a_partition(diagrams, sig):
+    down_covers((1, 1))  # a cached (1, 1) must not answer for (True, 1)
+    with pytest.raises(ValueError, match="not a partition|does not cover"):
+        LoopPath(diagrams, sig)
+
+
+@pytest.mark.parametrize("diagrams", [[(1,)], [(1,), (2,), (1,)], "x"])
+def test_loop_diagrams_must_be_a_tuple(diagrams):
+    sig = (1, -1) if len(diagrams) == 3 else ()
+    with pytest.raises(ValueError, match="loop diagrams must be a tuple"):
+        LoopPath(diagrams, sig)
 
 
 def test_enumerated_loops_equal_checked_loops():
