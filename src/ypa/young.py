@@ -288,12 +288,12 @@ class LoopPath(Record):
             raise ValueError("loop diagrams must be a tuple")
         if len(diagrams) != n + 1:
             raise ValueError("loop needs one more diagram than signs")
-        # With steps, tuples of ints skip as_partition, which would cost the
-        # state sum's box windows more than their step checks: each step's
-        # box_content looks its smaller diagram up among the larger one's
-        # down covers, and the cover maps hold partitions only (on a tuple of
-        # ints their cache hits only an equal partition), so every diagram
-        # of the loop is a partition or raises ValueError.
+        # The state sum checks a loop per box window, so a loop with steps
+        # whose diagrams are tuples of ints skips as_partition: each step's
+        # box_content finds its smaller diagram among the larger one's down
+        # covers, and the cover maps hold partitions only (a tuple of ints
+        # hits their cache only at an equal partition), so every diagram is
+        # a partition or the step raises ValueError.
         if not n or not (
             _TUPLE.issuperset(map(type, diagrams))
             and _INT.issuperset(map(type, chain.from_iterable(diagrams)))
