@@ -34,7 +34,8 @@ removes its own block of boxes and weights only its own steps, so the sum
 factors block by block: one table per (diagram, block length) of the
 diagrams that block reaches and their summed weights, and one value per
 (diagram, tail of pi).  Both are cached, so a table or a tail built for
-one character serves every later one.  A table holds int numerators over
+one character serves every later one, and so is each checked (lam, pi), so
+a repeated character walks no table.  A table holds int numerators over
 one common denominator, so each tail value is an int, with one exact
 division per block.
 
@@ -278,9 +279,10 @@ def path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
     return Fraction(_path_sum_character(lam, pi))
 
 
+@cache
 def _path_sum_character(lam: Diagram, pi: tuple[int, ...]) -> int:
     """:func:`path_sum_character` as an int, for checked lam and pi with
-    |pi| <= |lam|."""
+    |pi| <= |lam|; cached, so a repeated pair walks no block table."""
     # Fill the tail sums shortest first, over the diagrams each block boundary
     # reaches, so that no call nests more than one block deep: pi may have as
     # many parts as lam has boxes.

@@ -36,23 +36,26 @@ Steps
 against the current strand orientations the moment it reads it, so a source
 with several errors reports the first one in reading order, and it turns
 each row into primitive steps at the row's ``;``.  :func:`evaluate` is one
-loop over the steps.  A state is a region tuple and a squarefree radicand
-``d``, with the amplitude ``n/m sqrt(d)`` kept as an integer pair; each
-step multiplies it by the integer terms ``(radicand, n, m)`` of its weight.
-States with equal regions and radicands merge, and their pairs are reduced,
-after caps and boxes only: cups and dots are injective on states, so they
-never make two equal.  A row's cups lie above its other atoms, so they come
-first.  The cups, and then the dots, caps and boxes, each run right to
-left: inserting or deleting regions moves only the regions east of it, so
-every step still to come keeps its compiled position.  As the parser reads
-each cap or box it pins a cup where it can: a region keeps its diagram from
-the step that creates it to the step that closes it, so when a later cap or
-box equates a cup's summed region with an earlier region, the cup takes
-that region's diagram alone instead of every cover, and builds no state
-the flank check would kill.  A box's value depends only on its window, the
-regions around it, so its terms are computed once per (element, f, window)
-per process and reused: an element's ``fn`` must be a pure function of
-(loop, f).
+loop over the steps.  A state is one tuple ``(regions, d, n, m)``: a region
+tuple, a squarefree radicand ``d`` and the amplitude ``n/m sqrt(d)`` as an
+integer pair; each step multiplies it by the integer terms ``(radicand, n,
+m)`` of its weight.  The frontier between steps is a list of states.  States
+with equal regions and radicands merge, and their pairs are reduced, after
+caps and boxes only, in one dict per step: cups and dots are injective on
+states, so they never make two equal, append to the next list and hash no
+region tuple.  A cup reads its covers and their weights from one table per
+(f, cup kind, region), so a pinned cup is one lookup in it.  A row's cups
+lie above its other atoms, so they come first.  The cups, and then the dots,
+caps and boxes, each run right to left: inserting or deleting regions moves
+only the regions east of it, so every step still to come keeps its compiled
+position.  As the parser reads each cap or box it pins a cup where it can: a
+region keeps its diagram from the step that creates it to the step that
+closes it, so when a later cap or box equates a cup's summed region with an
+earlier region, the cup takes that region's diagram alone instead of every
+cover, and builds no state the flank check would kill.  A box's value
+depends only on its window, the regions around it, so its terms are computed
+once per (element, f, window) per process and reused: an element's ``fn``
+must be a pure function of (loop, f).
 
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
@@ -419,6 +422,21 @@ def _sqrt_ratio(
 
 
 @cache
+def _cup_table(
+    fval: Callable[[Diagram], Fraction], cup: str, region: Diagram
+) -> dict[Diagram, Term]:
+    """Each diagram a cup of kind ``cup`` may sum over above ``region``,
+    with its weight: ``{cover: sqrt(f(cover)/f(region))}``.
+
+    ``"du"`` reads the up covers, ``"ud"`` the down covers, in their order.
+    Keyed on ``f.value`` as :func:`_sqrt_ratio` is.  The dict is shared:
+    read it, never change it.
+    """
+    covers = up_covers(region) if cup == "du" else down_covers(region)
+    return {s: _sqrt_ratio(fval, s, region) for s, _ in covers}
+
+
+@cache
 def _box_terms(
     x: Element, f: HarmonicFunction, window: tuple[Diagram, ...]
 ) -> tuple[Term, ...]:
@@ -437,20 +455,25 @@ def _box_terms(
 def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:
     """Exact state-sum value of the program on the loop.
 
-    A state is a tuple of regions and a squarefree radicand ``d``; its
-    amplitude is ``n/m sqrt(d)``, a pair of integers.  Each step multiplies
-    every state by each term of its weight: a radicand 1 leaves the other
-    one, and two others multiply, with the square part of their product
-    folded into the numerator.  Openings (cups and dots) are injective on
-    states and never weigh zero: a cup's output holds its input's regions
-    and its cover, the squarefree part of ``d1 * d2`` determines ``d1`` for
-    a fixed ``d2``, and a dot keeps its state's key.  So their outputs are
-    written as they come, unreduced, and states merge after caps and boxes
-    only: equal regions and radicands add, zero amplitudes drop and each
-    pair is reduced.  The paths into one region tuple share a radicand on
-    every relation and character tangle; a box whose value has several
-    terms fans out into several states.  The ``Surd`` is built once, at the
-    end, from one ``Fraction`` per radicand.
+    A state is one tuple ``(regions, d, n, m)``: a tuple of regions, a
+    squarefree radicand ``d`` and the amplitude ``n/m sqrt(d)`` as a pair
+    of integers; the frontier between steps is a list of states.  Each step
+    multiplies every state by each term of its weight: a radicand 1 leaves
+    the other one, and two others multiply, with the square part of their
+    product folded into the numerator.  Openings (cups and dots) are
+    injective on states and never weigh zero: a cup's output holds its
+    input's regions and its cover, the squarefree part of ``d1 * d2``
+    determines ``d1`` for a fixed ``d2``, and a dot keeps its state's
+    regions and radicand.  So they append their outputs to the next list
+    as they come, unreduced, and hash no region tuple.  A cup reads its
+    weights from :func:`_cup_table`; a pinned cup is one lookup there, of
+    the diagram its pin forces.  Only caps and boxes merge, in one dict
+    keyed by ``(regions, d)`` whose values are ``[n, m]`` accumulators:
+    equal keys add, zero amplitudes drop and each pair is reduced as it is
+    emitted to the next list.  The paths into one region tuple share a
+    radicand on every relation and character tangle; a box whose value has
+    several terms fans out into several states.  The ``Surd`` is built
+    once, at the end, from one ``Fraction`` per radicand.
     """
     if loop.signature != program.signature:
         raise TangleError(
@@ -458,65 +481,76 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
             f"signature {program.signature}"
         )
     fval = f.value
-    states: dict[tuple[tuple[Diagram, ...], int], tuple[int, int]] = {
-        (tuple(reversed(loop.diagrams)), 1): (1, 1)
-    }
+    states: list[tuple[tuple[Diagram, ...], int, int, int]] = [
+        (tuple(reversed(loop.diagrams)), 1, 1, 1)
+    ]
     for kind, p, x in program.steps:
-        new_states: dict[tuple[tuple[Diagram, ...], int], tuple[int, int]] = {}
+        nxt: list[tuple[tuple[Diagram, ...], int, int, int]] = []
         if kind == "dot":
-            for (regs, d), (n, m) in states.items():
+            for regs, d, n, m in states:
                 w, e = regs[p - 1], regs[p]
                 c = box_content(e, w) if sum(w) < sum(e) else box_content(w, e)
                 if c:  # content 0 annihilates the state
-                    new_states[regs, d] = n * c, m
-            states = new_states
-            continue
-        if kind == "cup":
+                    nxt.append((regs, d, n * c, m))
+        elif kind == "cup":
             cup, src = x
-            for (regs, d1), (n1, m1) in states.items():
+            for regs, d1, n1, m1 in states:
                 region = regs[p]
-                for s, _c in up_covers(region) if cup == "du" else down_covers(region):
-                    if src is None or s == regs[src]:
-                        out = regs[: p + 1] + (s, region) + regs[p + 1 :]
-                        d2, n2, m2 = _sqrt_ratio(fval, s, region)
-                        if d1 == 1 or d2 == 1:
-                            new_states[out, d1 * d2] = n1 * n2, m1 * m2
-                        else:
-                            sq, d = squarefree_split(d1 * d2)
-                            new_states[out, d] = n1 * n2 * sq, m1 * m2
-            states = new_states
-            continue
-        w = 2 if kind == "cap" else len(x.signature)  # strands closed
-        for (regs, d1), (n1, m1) in states.items():
-            if regs[p - 1] != regs[p + w - 1]:
-                continue  # the flanking regions must agree
-            out = regs[:p] + regs[p + w :]
-            if kind == "cap":
-                weights = (_sqrt_ratio(fval, regs[p], regs[p - 1]),)
-            else:
-                weights = _box_terms(x, f, regs[p - 1 : p + w])
-            for d2, n2, m2 in weights:
-                n, m = n1 * n2, m1 * m2
-                if d1 == 1 or d2 == 1:
-                    d = d1 * d2
+                table = _cup_table(fval, cup, region)
+                if src is not None:
+                    s = regs[src]
+                    term = table.get(s)
+                    if term is None:
+                        continue  # the pin's diagram is not a cover of this kind
+                    d2, n2, m2 = term
+                    out = regs[: p + 1] + (s, region) + regs[p + 1 :]
+                    if d1 == 1 or d2 == 1:
+                        nxt.append((out, d1 * d2, n1 * n2, m1 * m2))
+                    else:
+                        sq, d = squarefree_split(d1 * d2)
+                        nxt.append((out, d, n1 * n2 * sq, m1 * m2))
+                    continue
+                head, tail = regs[: p + 1], (region,) + regs[p + 1 :]
+                for s, (d2, n2, m2) in table.items():
+                    if d1 == 1 or d2 == 1:
+                        nxt.append((head + (s,) + tail, d1 * d2, n1 * n2, m1 * m2))
+                    else:
+                        sq, d = squarefree_split(d1 * d2)
+                        nxt.append((head + (s,) + tail, d, n1 * n2 * sq, m1 * m2))
+        else:
+            w = 2 if kind == "cap" else len(x.signature)  # strands closed
+            merged: dict[tuple[tuple[Diagram, ...], int], list[int]] = {}
+            for regs, d1, n1, m1 in states:
+                if regs[p - 1] != regs[p + w - 1]:
+                    continue  # the flanking regions must agree
+                out = regs[:p] + regs[p + w :]
+                if kind == "cap":
+                    weights = (_sqrt_ratio(fval, regs[p], regs[p - 1]),)
                 else:
-                    s, d = squarefree_split(d1 * d2)
-                    n *= s
-                key = (out, d)
-                acc = new_states.get(key)
-                if acc is None:
-                    new_states[key] = n, m
-                elif acc[1] == m:
-                    new_states[key] = acc[0] + n, m
-                else:
-                    new_states[key] = acc[0] * m + n * acc[1], acc[1] * m
-        states = {}
-        for key, (n, m) in new_states.items():
-            if n:
-                g = gcd(n, m)
-                states[key] = n // g, m // g
+                    weights = _box_terms(x, f, regs[p - 1 : p + w])
+                for d2, n2, m2 in weights:
+                    n, m = n1 * n2, m1 * m2
+                    if d1 == 1 or d2 == 1:
+                        d = d1 * d2
+                    else:
+                        s, d = squarefree_split(d1 * d2)
+                        n *= s
+                    pair = [n, m]
+                    acc = merged.setdefault((out, d), pair)  # one hash per output
+                    if acc is pair:
+                        continue
+                    if acc[1] == m:
+                        acc[0] += n
+                    else:
+                        acc[0] = acc[0] * m + n * acc[1]
+                        acc[1] *= m
+            for (out, d), (n, m) in merged.items():
+                if n:
+                    g = gcd(n, m)
+                    nxt.append((out, d, n // g, m // g))
+        states = nxt
     terms: dict[int, Fraction] = {}
-    for (regions, d), (n, m) in states.items():
+    for regions, d, n, m in states:
         if len(regions) != 1 or regions[0] != loop.base:
             raise TangleError(
                 f"program {program.name!r} ends in state {regions}, "

@@ -328,19 +328,27 @@ def _built_loop(diagrams: tuple[Diagram, ...], sig: Signature) -> LoopPath:
 def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
     """All loops with the given base and signature, in lexicographic order.
 
-    A nonempty signature walks the cover maps, which check each diagram, so
-    its loops skip the re-check of every step; the empty one is checked.
+    The base goes through :func:`as_partition` first, so a list is read as
+    its tuple and ``(True, 1)`` raises whatever the cover caches hold.  The
+    walk follows the cover maps, which hold partitions only, so its loops
+    skip the re-check of every step.  It stops one step short: a prefix
+    closes into a loop when its last diagram is one of the base's covers in
+    the last sign's direction.
     """
     check_signature(sig, "loop")
+    base = as_partition(base)
     if not sig:
         return [LoopPath((base,), sig)]
+    # The last step adds a box when its sign is +1, so it comes from below.
+    closers = {mu for mu, _ in (down_covers(base) if sig[-1] > 0 else up_covers(base))}
+    last = len(sig) - 1
     out: list[LoopPath] = []
 
     def walk(prefix: list[Diagram]):
         k = len(prefix) - 1
-        if k == len(sig):
-            if prefix[-1] == base:
-                out.append(_built_loop(tuple(prefix), sig))
+        if k == last:
+            if prefix[-1] in closers:
+                out.append(_built_loop((*prefix, base), sig))
             return
         nxt = up_covers(prefix[-1]) if sig[k] > 0 else down_covers(prefix[-1])
         for mu, _ in nxt:

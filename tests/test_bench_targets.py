@@ -65,6 +65,7 @@ def test_the_tracer_installs_and_uninstalls_around_a_pass():
     import ypa.heisenberg as hs
     import ypa.plancherel as pl
     from ypa.ratfun import FactoredRatFun
+    from ypa.young import diagrams_up_to, enumerate_loops
 
     cross, f_pl, mul = hs.cross, pl.f_pl, vars(FactoredRatFun)["__mul__"]
     cross_hash = hash(hs.CROSS)
@@ -80,6 +81,16 @@ def test_the_tracer_installs_and_uninstalls_around_a_pass():
     assert attempted > 0 and (failed, notes) == (0, [])
     seen = {traced.names[i] for i in set(traced.span_name)}
     assert {"tangle.evaluate", "heisenberg.cross", "plancherel.f_pl"} <= seen
+    # Every side program of every loop is one evaluate span: a relation
+    # check that went round evaluate would empty the tracer's tangle layer.
+    evaluated = traced.names.index("tangle.evaluate")
+    programs = sum(
+        len(sides.lhs) + len(sides.rhs)
+        for sides in hs.RELATIONS.values()
+        for base in diagrams_up_to(workloads.TINY.relation_weight)
+        for _ in enumerate_loops(base, sides.signature)
+    )
+    assert list(traced.span_name).count(evaluated) == programs == 187
     assert hs.cross is cross and hs.CROSS.fn is cross and hash(hs.CROSS) == cross_hash
     assert pl.f_pl is f_pl and pl.PLANCHEREL.value is f_pl
     assert vars(FactoredRatFun)["__mul__"] is mul and vars(FactoredRatFun)["__rmul__"] is mul

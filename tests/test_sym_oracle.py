@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, perm
 
 import pytest
 
@@ -346,13 +346,26 @@ def test_path_sum_is_independent_of_cache_order():
     ]
     so._block_sums.cache_clear()
     so._path_sum.cache_clear()
+    so._path_sum_character.cache_clear()
     first = {item: so.path_sum_character(*item) for item in items}
     so._block_sums.cache_clear()
     so._path_sum.cache_clear()
+    so._path_sum_character.cache_clear()
     for lam, pi in items:
         if pi[1:]:
             so.path_sum_character(lam, pi[1:])
     assert {item: so.path_sum_character(*item) for item in reversed(items)} == first
+
+
+def test_a_repeated_path_sum_walks_no_block_table():
+    # A repeated (lam, pi), as the Kerov samples of a characters pass ask,
+    # is answered from its own cache and reads no block table.
+    lam, pi = (5, 3, 2), (3, 2, 1)
+    first = so.path_sum_character(lam, pi)
+    blocks = so._block_sums.cache_info()
+    assert so.path_sum_character(list(lam), pi) == first
+    assert hs.character_diagram(lam, pi) == F(perm(10, 6) * first, dim(lam))
+    assert so._block_sums.cache_info() == blocks
 
 
 def test_path_sum_of_many_one_cycles_needs_no_recursion():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ypa.heisenberg as hs
 from ypa import tangle
 from ypa.heisenberg import BUILTIN_ELEMENTS, CROSS, IND_IND_LHS, RELATIONS, cross
 from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
@@ -752,6 +753,21 @@ def test_merging_at_closings_equals_merging_after_every_step(source):
 )
 def test_relation_programs_merge_as_after_every_step(prog):
     _assert_merge_order_keeps_every_value(prog, 4)
+
+
+# The closed programs that merge the most, and the right turn: the character
+# cycles for every |pi| <= 4, the dotted circles both ways for k <= 4.
+_MERGING_PROGRAMS = (
+    [hs._character_program(pi) for pi in diagrams_up_to(4)[1:]]
+    + [hs._circle_with_dots(kind, k) for kind in ("ccw", "cw") for k in range(5)]
+    + [hs.RIGHT_TURN]
+)
+
+
+def test_merging_programs_merge_as_after_every_step():
+    assert len(_MERGING_PROGRAMS) == 22
+    for prog in _MERGING_PROGRAMS:
+        _assert_merge_order_keeps_every_value(prog, 6)
 
 
 def test_two_radicands_of_one_region_tuple_enter_a_cup():

@@ -1,6 +1,7 @@
 import ast
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,51 @@ def test_enumerate_loops_examples():
         LoopPath(((), (1,), ()), (1, -1))
     ]
     assert enumerate_loops((), (-1, 1)) == []
+
+
+def test_enumerate_loops_reads_a_list_base_as_its_tuple():
+    # A list base once raised TypeError: unhashable type: 'list'.
+    assert enumerate_loops([2, 1], (-1, 1)) == enumerate_loops((2, 1), (-1, 1))
+    assert enumerate_loops([], ()) == [LoopPath(((),), ())]
+
+
+def test_enumerate_loops_rejects_a_true_part_after_warm_covers():
+    # (True, 1) equals and hashes as (1, 1); with the covers of (1, 1)
+    # cached, it once gave the loop ((True, 1), (1,), (1, 1)).
+    up_covers((1, 1)), down_covers((1, 1))
+    for sig in ((-1, 1), (1, -1), ()):
+        with pytest.raises(ValueError, match="not a partition"):
+            enumerate_loops((True, 1), sig)
+
+
+def _walked_loops(base, sig):
+    """Every loop of the signature at the base, walking the cover maps to
+    the full length and keeping the walks that end at the base."""
+    walks = [(base,)]
+    for s in sig:
+        walks = [
+            walk + (mu,)
+            for walk in walks
+            for mu, _ in (up_covers(walk[-1]) if s > 0 else down_covers(walk[-1]))
+        ]
+    return [LoopPath(walk, sig) for walk in sorted(walks) if walk[-1] == base]
+
+
+def test_enumerate_loops_equals_a_full_walk():
+    # Every sign vector of length <= 4, balanced or not, and the relations'.
+    sign_vectors = {signs for n in range(5) for signs in product((1, -1), repeat=n)}
+    signatures = sign_vectors | {sides.signature for sides in hs.RELATIONS.values()}
+    loops = 0
+    for sig in sorted(signatures):
+        for base in diagrams_up_to(6):
+            if sum(sig):
+                with pytest.raises(ValueError, match="does not sum to 0"):
+                    enumerate_loops(base, sig)
+                continue
+            got = enumerate_loops(base, sig)
+            assert got == _walked_loops(base, sig), (base, sig)
+            loops += len(got)
+    assert len(signatures) == 32 and loops == 1638
 
 
 def test_loop_validation():
