@@ -406,6 +406,7 @@ def parse(text: str, bindings: dict[str, Element] | None = None) -> TangleProgra
 # -- evaluation ----------------------------------------------------------------
 
 Term = tuple[int, int, int]  # (radicand, numerator, denominator): n/m sqrt(d)
+State = tuple[tuple[Diagram, ...], int, int, int]  # (regions, d, n, m)
 
 
 @cache
@@ -481,11 +482,9 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
             f"signature {program.signature}"
         )
     fval = f.value
-    states: list[tuple[tuple[Diagram, ...], int, int, int]] = [
-        (tuple(reversed(loop.diagrams)), 1, 1, 1)
-    ]
+    states: list[State] = [(tuple(reversed(loop.diagrams)), 1, 1, 1)]
     for kind, p, x in program.steps:
-        nxt: list[tuple[tuple[Diagram, ...], int, int, int]] = []
+        nxt: list[State] = []
         if kind == "dot":
             for regs, d, n, m in states:
                 w, e = regs[p - 1], regs[p]
