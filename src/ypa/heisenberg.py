@@ -35,6 +35,7 @@ from .young import (
     LoopPath,
     Record,
     Signature,
+    _built_loop,
     as_partition,
     box_content,
     check_int,
@@ -524,7 +525,7 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
 
 
 def _closed_value(program: TangleProgram, lam: Diagram) -> Fraction:
-    return evaluate(program, LoopPath((as_partition(lam),), ()), PLANCHEREL).as_fraction()
+    return evaluate(program, _built_loop((as_partition(lam),), ()), PLANCHEREL).as_fraction()
 
 
 @lru_cache(maxsize=None)
@@ -612,7 +613,7 @@ def kerov_boolean_expansion(
     elimination of :func:`_solve_exact`.
     """
     check_int("sample_weight", sample_weight, 0)
-    pi = tuple(pi)
+    pi = as_partition(pi)
     n, ell = sum(pi), len(pi)
     ks = list(range(2, n - ell + 3))
     mons = _monomials(ks, n + ell, (n - ell) % 2)
@@ -688,7 +689,7 @@ def kerov_p_polynomial(
     pi: tuple[int, ...], expansion: dict[Monomial, Fraction]
 ) -> dict[Monomial, Fraction]:
     """Coefficients of P_pi, where (-1)^len(pi) Sigma_pi = P_pi(-B_2, ...)."""
-    ell = len(pi)
+    ell = len(as_partition(pi))
     out = {}
     for mon, coef in expansion.items():
         if not coef:

@@ -43,19 +43,24 @@ m)`` of its weight.  The frontier between steps is a list of states.  States
 with equal regions and radicands merge, and their pairs are reduced, after
 caps and boxes only, in one dict per step: cups and dots are injective on
 states, so they never make two equal, append to the next list and hash no
-region tuple.  A cup reads its covers and their weights from one table per
-(f, cup kind, region), so a pinned cup is one lookup in it.  A row's cups
-lie above its other atoms, so they come first.  The cups, and then the dots,
-caps and boxes, each run right to left: inserting or deleting regions moves
-only the regions east of it, so every step still to come keeps its compiled
-position.  As the parser reads each cap or box it pins a cup where it can: a
-region keeps its diagram from the step that creates it to the step that
-closes it, so when a later cap or box equates a cup's summed region with an
-earlier region, the cup takes that region's diagram alone instead of every
-cover, and builds no state the flank check would kill.  A box's value
-depends only on its window, the regions around it, so its terms are computed
-once per (element, f, window) per process and reused: an element's ``fn``
-must be a pure function of (loop, f).
+region tuple.  Cups and caps read their weights from one table per (f, cup
+kind, outer region), ``{cover: sqrt(f(cover)/f(region))}``: a cup sums over
+it, a pinned cup is one lookup in it, and so is a cap, of its inner region
+in the table of the kind the parser compiled into it, ``"du"`` when its
+first strand points down, ``"ud"`` when it points up.  A dot carries its
+strand's orientation, which says which of its regions covers the other.  A
+row's cups lie above its other atoms, so they come first.  The cups, and
+then the dots, caps and boxes, each run right to left: inserting or deleting
+regions moves only the regions east of it, so every step still to come
+keeps its compiled position.  As the parser reads each cap or box it pins a
+cup where it can: a region keeps its diagram from the step that creates it
+to the step that closes it, so when a later cap or box equates a cup's
+summed region with an earlier region, the cup takes that region's diagram
+alone instead of every cover, and builds no state the flank check would
+kill.  A box's value depends only on its window, the regions around it, so
+its terms are computed once per (element, f, window) per process, on a loop
+built unchecked, and reused: an element's ``fn`` must be a pure function of
+(loop, f).
 
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
@@ -72,8 +77,8 @@ from math import gcd
 from .plancherel import HarmonicFunction
 from .surd import Surd, sqrt_fraction, squarefree_split
 from .young import (
-    Diagram, LoopPath, Record, Signature, box_content, check_signature, down_covers,
-    up_covers,
+    Diagram, LoopPath, Record, Signature, _built_loop, box_content, check_signature,
+    down_covers, up_covers,
 )
 
 UP, DOWN = 1, -1
@@ -120,7 +125,7 @@ class Element(Record):
 
 # -- DSL parser ----------------------------------------------------------------
 
-Step = tuple[str, int, object]  # (kind, position, (cup kind, pin) or element)
+Step = tuple[str, int, object]  # (kind, position, operand): see TangleProgram
 
 
 class TangleProgram(Record):
@@ -128,9 +133,12 @@ class TangleProgram(Record):
 
     Per row: its cups ``("cup", gap, (kind, src))`` at pre-row gaps, right
     to left, and on equal gaps the later-listed cup first, so the listed
-    order reads west to east; then its dots, caps and boxes ``(kind,
+    order reads west to east; then its dots ``("dot", position, UP or
+    DOWN)``, caps ``("cap", position, "du" or "ud")`` and boxes ``("box",
     position, element)`` at 1-based positions after the cups are inserted,
-    right to left.  A cap or box deletes the regions it closes.
+    right to left: a dot carries its strand's orientation, a cap the cup
+    kind whose table holds its weight.  A cap or box deletes the regions it
+    closes.
 
     ``src`` is the cup's pin: the index, in the state before the cup, of the
     region whose diagram a later cap or box flank check forces on the cup's
@@ -333,6 +341,9 @@ class _Parser:
             orient[gap:gap] = [DOWN, UP] if kind == "du" else [UP, DOWN]
         for kind, start, end, elem in reversed(spans):
             p = start + 2 * sum(1 for g, _, _ in cups if g < start)
+            if kind != "box":  # a dot's orientation, a cap's cup kind
+                o = orient[p - 1]
+                elem = o if kind == "dot" else "du" if o == DOWN else "ud"
             steps.append((kind, p, elem))
             if kind == "dot":
                 continue
@@ -410,31 +421,23 @@ State = tuple[tuple[Diagram, ...], int, int, int]  # (regions, d, n, m)
 
 
 @cache
-def _sqrt_ratio(
-    fval: Callable[[Diagram], Fraction], inner: Diagram, outer: Diagram
-) -> Term:
-    """``sqrt(f(inner)/f(outer))`` as one term, the weight of a cup or cap.
-
-    Keyed on ``f.value``, not ``f``: the weight reads nothing else, and a
-    function hashes faster than the record around it.
-    """
-    ((d, c),) = sqrt_fraction(fval(inner) / fval(outer)).terms.items()
-    return d, c.numerator, c.denominator
-
-
-@cache
 def _cup_table(
     fval: Callable[[Diagram], Fraction], cup: str, region: Diagram
 ) -> dict[Diagram, Term]:
-    """Each diagram a cup of kind ``cup`` may sum over above ``region``,
-    with its weight: ``{cover: sqrt(f(cover)/f(region))}``.
+    """``{cover: sqrt(f(cover)/f(region))}`` over the diagrams a cup of kind
+    ``cup`` may sum over above ``region``: the weights of cups and caps.
 
     ``"du"`` reads the up covers, ``"ud"`` the down covers, in their order.
-    Keyed on ``f.value`` as :func:`_sqrt_ratio` is.  The dict is shared:
+    Keyed on ``f.value``, not ``f``: the weights read nothing else, and a
+    function hashes faster than the record around it.  The dict is shared:
     read it, never change it.
     """
     covers = up_covers(region) if cup == "du" else down_covers(region)
-    return {s: _sqrt_ratio(fval, s, region) for s, _ in covers}
+    table = {}
+    for s, _ in covers:
+        ((d, c),) = sqrt_fraction(fval(s) / fval(region)).terms.items()
+        table[s] = d, c.numerator, c.denominator
+    return table
 
 
 @cache
@@ -445,36 +448,36 @@ def _box_terms(
     the regions around a box from its west flank to its east flank.
 
     A box's value is a function of the labels around it, so it is computed
-    once per (element, f, window).  Keyed on ``f`` itself, not ``f.value``
-    as :func:`_sqrt_ratio` is: the element's ``fn`` receives the whole
-    ``f``.  A call that raises caches nothing.
+    once per (element, f, window), on a loop built unchecked by
+    :func:`young._built_loop`.  Keyed on ``f`` itself, not ``f.value`` as
+    :func:`_cup_table` is: the element's ``fn`` receives the whole ``f``.
+    A call that raises caches nothing.
     """
-    value = x.fn(LoopPath(tuple(reversed(window)), x.signature), f)
+    value = x.fn(_built_loop(tuple(reversed(window)), x.signature), f)
     return tuple((d, c.numerator, c.denominator) for d, c in value.terms.items())
 
 
 def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:
     """Exact state-sum value of the program on the loop.
 
-    A state is one tuple ``(regions, d, n, m)``: a tuple of regions, a
-    squarefree radicand ``d`` and the amplitude ``n/m sqrt(d)`` as a pair
-    of integers; the frontier between steps is a list of states.  Each step
-    multiplies every state by each term of its weight: a radicand 1 leaves
-    the other one, and two others multiply, with the square part of their
-    product folded into the numerator.  Openings (cups and dots) are
-    injective on states and never weigh zero: a cup's output holds its
-    input's regions and its cover, the squarefree part of ``d1 * d2``
-    determines ``d1`` for a fixed ``d2``, and a dot keeps its state's
-    regions and radicand.  So they append their outputs to the next list
-    as they come, unreduced, and hash no region tuple.  A cup reads its
-    weights from :func:`_cup_table`; a pinned cup is one lookup there, of
-    the diagram its pin forces.  Only caps and boxes merge, in one dict
-    keyed by ``(regions, d)`` whose values are ``[n, m]`` accumulators:
-    equal keys add, zero amplitudes drop and each pair is reduced as it is
-    emitted to the next list.  The paths into one region tuple share a
-    radicand on every relation and character tangle; a box whose value has
-    several terms fans out into several states.  The ``Surd`` is built
-    once, at the end, from one ``Fraction`` per radicand.
+    A state is one tuple ``(regions, d, n, m)`` (see the module docstring).
+    Each step multiplies every state by each term of its weight: a radicand
+    1 leaves the other one, and two others multiply, with the square part
+    of their product folded into the numerator.  Openings (cups and dots)
+    are injective on states: a cup's output holds its input's regions and
+    its cover, the squarefree part of ``d1 * d2`` determines ``d1`` for a
+    fixed ``d2``, and a dot keeps its state's regions and radicand.  So they
+    append their outputs to the next list as they come, unreduced, and hash
+    no region tuple.  Cups and caps read :func:`_cup_table`, a pinned cup
+    or a cap in one lookup, of the kind compiled into the cap's step; a dot
+    reads its regions in the order its compiled orientation gives.  Only
+    caps and boxes merge, in one dict keyed by ``(regions, d)`` whose
+    values are ``[n, m]`` accumulators: equal keys add, zero amplitudes
+    drop and each pair is reduced as it is emitted to the next list.  The
+    paths into one region tuple share a radicand on every relation and
+    character tangle; a box whose value has several terms fans out into
+    several states.  The ``Surd`` is built once, at the end, from one
+    ``Fraction`` per radicand.
     """
     if loop.signature != program.signature:
         raise TangleError(
@@ -486,9 +489,9 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
     for kind, p, x in program.steps:
         nxt: list[State] = []
         if kind == "dot":
+            big, small = (p, p - 1) if x == DOWN else (p - 1, p)
             for regs, d, n, m in states:
-                w, e = regs[p - 1], regs[p]
-                c = box_content(e, w) if sum(w) < sum(e) else box_content(w, e)
+                c = box_content(regs[big], regs[small])
                 if c:  # content 0 annihilates the state
                     nxt.append((regs, d, n * c, m))
         elif kind == "cup":
@@ -524,7 +527,7 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
                     continue  # the flanking regions must agree
                 out = regs[:p] + regs[p + w :]
                 if kind == "cap":
-                    weights = (_sqrt_ratio(fval, regs[p], regs[p - 1]),)
+                    weights = (_cup_table(fval, x, regs[p - 1])[regs[p]],)
                 else:
                     weights = _box_terms(x, f, regs[p - 1 : p + w])
                 for d2, n2, m2 in weights:

@@ -38,7 +38,6 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import factorial, prod
 from operator import ge
 from types import MappingProxyType
@@ -50,7 +49,6 @@ EMPTY: Diagram = ()
 
 
 _INT = frozenset((int,))
-_TUPLE = frozenset((tuple,))
 
 
 def is_diagram(parts: tuple) -> bool:
@@ -273,9 +271,10 @@ class Record:
 class LoopPath(Record):
     """A loop in the Young graph together with its signature.
 
-    ``diagrams`` must be a tuple, and each diagram in it a partition: one
-    that is not a tuple of ints goes through :func:`as_partition`, so a
-    list of parts is stored as its tuple.
+    ``diagrams`` must be a tuple; every diagram goes through
+    :func:`as_partition`, so a list of parts is stored as its tuple, and
+    every step must be a cover.  Loops the engine builds from the cover
+    maps skip these checks: see :func:`_built_loop`.
     """
 
     __slots__ = ("diagrams", "signature")
@@ -288,17 +287,7 @@ class LoopPath(Record):
             raise ValueError("loop diagrams must be a tuple")
         if len(diagrams) != n + 1:
             raise ValueError("loop needs one more diagram than signs")
-        # The state sum checks a loop per box window, so a loop with steps
-        # whose diagrams are tuples of ints skips as_partition: each step's
-        # box_content finds its smaller diagram among the larger one's down
-        # covers, and the cover maps hold partitions only (a tuple of ints
-        # hits their cache only at an equal partition), so every diagram is
-        # a partition or the step raises ValueError.
-        if not n or not (
-            _TUPLE.issuperset(map(type, diagrams))
-            and _INT.issuperset(map(type, chain.from_iterable(diagrams)))
-        ):
-            diagrams = tuple(map(as_partition, diagrams))
+        diagrams = tuple(map(as_partition, diagrams))
         if diagrams[0] != diagrams[-1]:
             raise ValueError("loop must end where it starts")
         for i, s in enumerate(signature):
@@ -317,8 +306,10 @@ class LoopPath(Record):
 
 
 def _built_loop(diagrams: tuple[Diagram, ...], sig: Signature) -> LoopPath:
-    """A LoopPath without the checks of its ``__init__``, for
-    :func:`enumerate_loops` alone: its steps come from the cover maps."""
+    """A LoopPath without the checks of its ``__init__``, for the loops the
+    engine builds from the cover maps or one checked partition: the walk of
+    :func:`enumerate_loops`, a state sum's box windows and a closed
+    diagram's one-diagram loop."""
     loop = object.__new__(LoopPath)
     object.__setattr__(loop, "diagrams", diagrams)
     object.__setattr__(loop, "signature", sig)
@@ -338,7 +329,7 @@ def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
     check_signature(sig, "loop")
     base = as_partition(base)
     if not sig:
-        return [LoopPath((base,), sig)]
+        return [_built_loop((base,), sig)]
     # The last step adds a box when its sign is +1, so it comes from below.
     closers = {mu for mu, _ in (down_covers(base) if sig[-1] > 0 else up_covers(base))}
     last = len(sig) - 1

@@ -369,6 +369,29 @@ def test_kerov_underdetermined():
         hs.kerov_boolean_expansion((3,), 1)
 
 
+def test_kerov_rejects_a_float_part_as_not_a_partition():
+    with pytest.raises(ValueError, match="not a partition"):
+        hs.kerov_boolean_expansion((2.0,), 4)
+
+
+def test_kerov_checks_pi_before_any_monomial_or_sample(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("pi was not checked first")
+
+    monkeypatch.setattr(hs, "_monomials", unreachable)
+    monkeypatch.setattr(hs, "boolean_cumulant", unreachable)
+    with pytest.raises(ValueError, match="not a partition"):
+        hs.kerov_boolean_expansion((1, 2), 4)
+
+
+def test_kerov_p_polynomial_checks_pi():
+    with pytest.raises(ValueError, match="not a partition"):
+        hs.kerov_p_polynomial((True,), {})
+    exp2 = hs.kerov_boolean_expansion([2], 6)  # a list reads as its tuple
+    assert exp2 == {((3, 1),): F(1)}
+    assert hs.kerov_p_polynomial([2], exp2) == {((3, 1),): F(1)}
+
+
 def _fraction_gauss_jordan(rows, m):
     """Gauss-Jordan over Fractions, the reference for the fraction-free solve."""
     mat = [[F(x) for x in r] + [F(v)] for r, v in rows]

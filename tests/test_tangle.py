@@ -648,18 +648,24 @@ def test_no_state_dies_at_a_box():
     assert checks and all(checks)
 
 
+def _oracle_weight(f, inner, outer):
+    """``sqrt(f(inner)/f(outer))`` as one ``(radicand, numerator,
+    denominator)`` term, the weight of a cup or cap."""
+    ((d, c),) = sqrt_fraction(f(inner) / f(outer)).terms.items()
+    return d, c.numerator, c.denominator
+
+
 def _oracle_moves(step, regs, f):
     """The states one step takes ``regs`` to, one ``(regions, radicand,
     numerator, denominator)`` per non-zero term of the step's weight."""
     kind, p, x = step
-    fval = f.value
     if kind == "cup":
         cup, src = x
         region = regs[p]
         for s, _c in up_covers(region) if cup == "du" else down_covers(region):
             if src is None or s == regs[src]:
                 out = regs[: p + 1] + (s, region) + regs[p + 1 :]
-                yield (out, *tangle._sqrt_ratio(fval, s, region))
+                yield (out, *_oracle_weight(f, s, region))
     elif kind == "dot":
         w, e = regs[p - 1], regs[p]
         big, small = (e, w) if sum(w) < sum(e) else (w, e)
@@ -668,7 +674,7 @@ def _oracle_moves(step, regs, f):
             yield regs, 1, c, 1
     elif kind == "cap":
         if regs[p - 1] == regs[p + 1]:
-            yield (regs[:p] + regs[p + 2 :], *tangle._sqrt_ratio(fval, regs[p], regs[p - 1]))
+            yield (regs[:p] + regs[p + 2 :], *_oracle_weight(f, regs[p], regs[p - 1]))
     else:  # box
         q2 = len(x.signature)
         if regs[p - 1] == regs[p + q2 - 1]:
@@ -781,6 +787,55 @@ def test_two_radicands_of_one_region_tuple_enter_a_cup():
     _assert_merge_order_keeps_every_value(prog, 3)
     loop = enumerate_loops((2, 1), prog.signature)[0]
     assert evaluate(prog, loop, PLANCHEREL) == Surd({1: Fraction(1), 2: Fraction(1)})
+
+
+def _recording(x, received):
+    """``x`` under its own name, recording every loop its ``fn`` receives."""
+
+    def fn(loop, f):
+        received.append(loop)
+        return x.fn(loop, f)
+
+    return Element(x.name, x.signature, fn)
+
+
+_BOXED_SOURCES = """
+tangle dot_on_loop : (-,+) { row box dot; }
+tangle dot_in_cup : (+,-) { row | cup_ud |; row | box dot |; row cap; }
+tangle dot_in_cups : (-,+) { row cup_du@0; row cup_ud@1; row | box dot | | |; row cap cap; }
+tangle cross_on_loop : (-,-,+,+) { row box cross; }
+tangle cross_in_cups : (+,+,-,-) {
+  row cup_ud@2; row cup_ud@3; row | | box cross | |; row | cap |; row cap;
+}
+"""
+
+
+def test_a_box_receives_the_loop_the_checked_constructor_builds():
+    # The state sum builds each box window's loop without LoopPath's checks;
+    # every one must equal the loop the checked constructor makes of it.
+    received = []
+    recorders = {x.name: _recording(x, received) for x in (hs.CROSS, hs.DOT)}
+    progs = list(parse_programs(_BOXED_SOURCES, recorders).values())
+    progs += [
+        TangleProgram(
+            prog.name,
+            prog.signature,
+            tuple((k, p, recorders["cross"] if k == "box" else x) for k, p, x in prog.steps),
+        )
+        for prog in [hs.RIGHT_TURN, hs.LEFT_TURN_LHS, hs.IND_RES_LHS, hs.RES_IND_LHS, hs.YBE_LHS]
+    ]
+    legs = set()
+    for prog in progs:
+        for base in diagrams_up_to(5):
+            for loop in enumerate_loops(base, prog.signature):
+                evaluate(prog, loop, PLANCHEREL)
+        legs |= {x.legs() for kind, _, x in prog.steps if kind == "box"}
+    assert legs == {hs.CROSS.legs(), hs.DOT.legs()}
+    assert {loop.signature for loop in received} == {hs.CROSS_SIGNATURE, hs.DOT.signature}
+    for loop in received:
+        checked = LoopPath(loop.diagrams, loop.signature)
+        assert type(loop) is LoopPath and loop == checked, loop
+        assert all(type(d) is tuple for d in loop.diagrams), loop
 
 
 _CUP_PINS = {
