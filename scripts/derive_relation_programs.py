@@ -8,7 +8,8 @@ crossing box row, cap rows) for one whose values agree with a target
 function on all loops up to a weight bound.  Each candidate is written as
 ``.tng`` rows and read by ``ypa.tangle.parse``, so a match prints the very
 rows that were checked.  Run it to re-derive the presentations pinned in
-ypa.heisenberg.
+the one ``.tng`` source of ypa.heisenberg, whose sides it reads through
+``relation_sides``.
 """
 
 from __future__ import annotations

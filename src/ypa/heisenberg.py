@@ -11,11 +11,14 @@ where ``f`` is the harmonic function the tangle is evaluated under.
 Stripped of the sqrt(f/f) part these are exactly the Gelfand-Tsetlin matrix
 entries of an adjacent transposition, which is why chaining crossing boxes
 lifts permutations.  The five local relations are verified by evaluating
-both sides as layered tangle programs over every loop up to a weight bound;
-the layered presentations below were derived from the state-sum shape of
-each side and re-derivable by scripts/derive_relation_programs.py.  ind_ind,
-ybe and left_circle hold for every harmonic ``f``; left_turn, ind_res and
-res_ind need the Plancherel function, which the sweep uses.
+both sides as layered tangle programs over every loop up to a weight bound.
+All thirteen programs, the relation sides and the right turn, are one ``.tng``
+source, parsed on first use by :func:`programs`; a table names each
+relation's signed sides.  The presentations were derived from the state-sum
+shape of each side and are re-derivable by
+scripts/derive_relation_programs.py.  ind_ind, ybe and left_circle hold for
+every harmonic ``f``; left_turn, ind_res and res_ind need the Plancherel
+function, which the sweep uses.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from __future__ import annotations
 import marshal
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm, perm
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, sqrt_fraction
 from .sym_oracle import _path_sum_character
-from .tangle import Element, TangleProgram, evaluate, parse
+from .tangle import Element, TangleProgram, evaluate, parse, parse_programs
 from .young import (
     Diagram,
     LoopPath,
@@ -108,21 +111,6 @@ def _prog(text: str) -> TangleProgram:
     return parse(text, BUILTIN_ELEMENTS)
 
 
-# Right turn as a composed tangle: the crossing closed by a turn-back.
-RIGHT_TURN = _prog(
-    """
-    tangle right_turn : (-,+) {
-      row cup_ud@1;
-      row box cross;
-    }
-    """
-)
-
-LEFT_CIRCLE = _prog("tangle left_circle : () { row cup_du; row cap; }")
-# The zero-row tangle: the constant function 1.
-EMPTY_TANGLE = _prog("tangle empty : () { }")
-
-
 def _x_gadget(p: int, n: int) -> str:
     """Rows crossing the up-up strand pair (p, p+1) of an n-strand slice."""
     passes_before = "| " * (p - 1)
@@ -151,91 +139,90 @@ def _cycle_rows(k: int, pad: int) -> str:
     return "\n".join(body)
 
 
-LEFT_TURN_LHS = _prog(
-    """
-    tangle left_turn_lhs : (-,+) {
-      row cup_du@0;
-      row cup_du@4;
-      row | box cross |;
-      row cap;
-    }
-    """
-)
+# Every relation side and the right turn, one tangle per name; read by
+# programs().  The ybe sides are composed from crossing gadgets.
+_RELATION_SOURCE = """
+# Right turn as a composed tangle: the crossing closed by a turn-back.
+tangle right_turn : (-,+) {
+  row cup_ud@1;
+  row box cross;
+}
 
-IND_IND_LHS = _prog(
-    """
-    tangle ind_ind_lhs : (-,-,+,+) {
-      row cup_du@2;
-      row cup_du@3;
-      row box cross | | | |;
-      row box cross;
-    }
-    """
-)
+tangle left_circle : () { row cup_du; row cap; }
+# The zero-row tangle: the constant function 1.
+tangle empty : () { }
 
-IND_IND_RHS = _prog(
-    "tangle ind_ind_rhs : (-,-,+,+) { row | cap |; row cap; }"
-)
+tangle left_turn_lhs : (-,+) {
+  row cup_du@0;
+  row cup_du@4;
+  row | box cross |;
+  row cap;
+}
 
-IND_RES_LHS = _prog(
-    """
-    tangle ind_res_lhs : (-,+,-,+) {
-      row cup_du@2;
-      row cup_du@6;
-      row | | | box cross |;
-      row cup_du@0;
-      row | box cross |;
-      row cap;
-    }
-    """
-)
+tangle ind_ind_lhs : (-,-,+,+) {
+  row cup_du@2;
+  row cup_du@3;
+  row box cross | | | |;
+  row box cross;
+}
 
-IND_RES_RHS = _prog(
-    "tangle ind_res_rhs : (-,+,-,+) { row | cap |; row cap; }"
-)
+tangle ind_ind_rhs : (-,-,+,+) { row | cap |; row cap; }
+
+tangle ind_res_lhs : (-,+,-,+) {
+  row cup_du@2;
+  row cup_du@6;
+  row | | | box cross |;
+  row cup_du@0;
+  row | box cross |;
+  row cap;
+}
+
+tangle ind_res_rhs : (-,+,-,+) { row | cap |; row cap; }
 
 # The res-ind double crossing; presentation found by the program search in
 # scripts/derive_relation_programs.py and pinned by the weight-6 sweep.
-RES_IND_LHS = _prog(
-    """
-    tangle res_ind_lhs : (+,-,+,-) {
-      row cup_du@0;
-      row cup_ud@4;
-      row cup_du@5;
-      row cup_du@6;
-      row | | | box cross | | | | |;
-      row | | cap | | | |;
-      row | box cross |;
-      row cap;
-    }
-    """
-)
+tangle res_ind_lhs : (+,-,+,-) {
+  row cup_du@0;
+  row cup_ud@4;
+  row cup_du@5;
+  row cup_du@6;
+  row | | | box cross | | | | |;
+  row | | cap | | | |;
+  row | box cross |;
+  row cap;
+}
 
-RES_IND_STRAIGHT = _prog(
-    "tangle res_ind_straight : (+,-,+,-) { row | cap |; row cap; }"
-)
+tangle res_ind_straight : (+,-,+,-) { row | cap |; row cap; }
 
-RES_IND_CUPS = _prog(
-    "tangle res_ind_cups : (+,-,+,-) { row cap cap; }"
-)
-
-YBE_LHS = _prog(
-    "tangle ybe_lhs : (-,-,-,+,+,+) {\n"
-    + _x_gadget(2, 6)
-    + _x_gadget(1, 6)
-    + _x_gadget(2, 6)
+tangle res_ind_cups : (+,-,+,-) { row cap cap; }
+""" + "".join(
+    f"tangle {name} : (-,-,-,+,+,+) {{\n"
+    + "".join(_x_gadget(p, 6) for p in order)
     + _nested_caps(3)
-    + "\n}"
+    + "\n}\n"
+    for name, order in (("ybe_lhs", (2, 1, 2)), ("ybe_rhs", (1, 2, 1)))
 )
 
-YBE_RHS = _prog(
-    "tangle ybe_rhs : (-,-,-,+,+,+) {\n"
-    + _x_gadget(1, 6)
-    + _x_gadget(2, 6)
-    + _x_gadget(1, 6)
-    + _nested_caps(3)
-    + "\n}"
-)
+# Each relation's lhs and rhs as signed tangle names of _RELATION_SOURCE.
+_RELATION_TABLE = {
+    "left_turn": (((1, "left_turn_lhs"),), ()),
+    "ind_ind": (((1, "ind_ind_lhs"),), ((1, "ind_ind_rhs"),)),
+    "ind_res": (((1, "ind_res_lhs"),), ((1, "ind_res_rhs"),)),
+    "res_ind": (((1, "res_ind_lhs"),), ((1, "res_ind_straight"), (-1, "res_ind_cups"))),
+    "ybe": (((1, "ybe_lhs"),), ((1, "ybe_rhs"),)),
+    "left_circle": (((1, "left_circle"),), ((1, "empty"),)),
+}
+
+RELATION_IDS = tuple(_RELATION_TABLE)
+
+
+@cache
+def programs() -> dict[str, TangleProgram]:
+    """The programs of _RELATION_SOURCE by tangle name, parsed on first use.
+
+    The dict is shared: read it, never change it.
+    """
+    return parse_programs(_RELATION_SOURCE, BUILTIN_ELEMENTS)
 
 
 class RelationSides(Record):
@@ -271,26 +258,23 @@ def _side_value(side: tuple[tuple[int, TangleProgram], ...], loop: LoopPath) -> 
     return Surd() if total is None else total  # an empty side is zero
 
 
-RELATIONS: dict[str, RelationSides] = {
-    "left_turn": RelationSides("left_turn", ((1, LEFT_TURN_LHS),), ()),
-    "ind_ind": RelationSides("ind_ind", ((1, IND_IND_LHS),), ((1, IND_IND_RHS),)),
-    "ind_res": RelationSides("ind_res", ((1, IND_RES_LHS),), ((1, IND_RES_RHS),)),
-    "res_ind": RelationSides(
-        "res_ind", ((1, RES_IND_LHS),), ((1, RES_IND_STRAIGHT), (-1, RES_IND_CUPS))
-    ),
-    "ybe": RelationSides("ybe", ((1, YBE_LHS),), ((1, YBE_RHS),)),
-    "left_circle": RelationSides(
-        "left_circle", ((1, LEFT_CIRCLE),), ((1, EMPTY_TANGLE),)
-    ),
-}
-
-RELATION_IDS = tuple(RELATIONS)
-
-
 def relation_sides(name: str) -> RelationSides:
-    if name not in RELATIONS:
+    """The named relation's sides, built on first use; raises ValueError on
+    anything but one of RELATION_IDS."""
+    if not isinstance(name, str) or name not in _RELATION_TABLE:
         raise ValueError(f"unknown relation {name!r}; known: {RELATION_IDS}")
-    return RELATIONS[name]
+    return _built_sides(name)
+
+
+@cache
+def _built_sides(name: str) -> RelationSides:
+    progs = programs()
+    lhs, rhs = _RELATION_TABLE[name]
+    return RelationSides(
+        name,
+        tuple((coef, progs[prog]) for coef, prog in lhs),
+        tuple((coef, progs[prog]) for coef, prog in rhs),
+    )
 
 
 class RelationReport(Record):
@@ -320,7 +304,7 @@ class RelationReport(Record):
 
 
 def _verify_base(name: str, base: Diagram) -> tuple[int, list[tuple[str, str, str]]]:
-    sides = RELATIONS[name]
+    sides = relation_sides(name)
     checked = 0
     failures: list[tuple[str, str, str]] = []
     for loop in enumerate_loops(base, sides.signature):

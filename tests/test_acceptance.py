@@ -43,7 +43,7 @@ def _report(n: int, description: str, ok: bool, started: float):
 def test_criterion_1_left_circle():
     t0 = time.monotonic()
     ok = all(
-        evaluate(hs.LEFT_CIRCLE, LoopPath((lam,), ()), PLANCHEREL) == ONE
+        evaluate(hs.programs()["left_circle"], LoopPath((lam,), ()), PLANCHEREL) == ONE
         for lam in diagrams_up_to(8)
     )
     elapsed = time.monotonic() - t0
@@ -73,7 +73,7 @@ def test_criterion_3_dot():
     for lam in diagrams_up_to(8):
         for mu, _ in down_covers(lam):
             loop = LoopPath((lam, mu, lam), (-1, 1))
-            right_turn = evaluate(hs.RIGHT_TURN, loop, PLANCHEREL)
+            right_turn = evaluate(hs.programs()["right_turn"], loop, PLANCHEREL)
             ok &= hs.dot_value(loop, PLANCHEREL) == right_turn
     _report(
         3, "dot closed form equals the composed tangle on all edges, |lam| <= 8", ok, t0

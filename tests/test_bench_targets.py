@@ -86,7 +86,7 @@ def test_the_tracer_installs_and_uninstalls_around_a_pass():
     evaluated = traced.names.index("tangle.evaluate")
     programs = sum(
         len(sides.lhs) + len(sides.rhs)
-        for sides in hs.RELATIONS.values()
+        for sides in map(hs.relation_sides, hs.RELATION_IDS)
         for base in diagrams_up_to(workloads.TINY.relation_weight)
         for _ in enumerate_loops(base, sides.signature)
     )

@@ -600,14 +600,29 @@ def test_importing_the_cli_loads_no_process_pool():
     assert not loaded & {"concurrent.futures", "multiprocessing", "pickle"}
 
 
+_COUNTED_IMPORT = """
+import sys, ypa.tangle as tangle
+
+calls = []
+parse_programs = tangle.parse_programs
+tangle.parse_programs = lambda *args: calls.append(args) or parse_programs(*args)
+import ypa.cli
+
+print(len(calls), *sys.modules)
+"""
+
+
 def test_importing_the_cli_loads_no_dataclasses_or_typing():
-    # The records are plain slotted classes.  -S keeps site's .pth files,
-    # which may import typing themselves, out of the start-up.
-    proc = _run_python("-S", "-c", "import sys, ypa.cli; print(*sys.modules)")
+    # The records are plain slotted classes, and the relation programs are
+    # parsed on first use, not at import.  -S keeps site's .pth files, which
+    # may import typing themselves, out of the start-up.
+    proc = _run_python("-S", "-c", _COUNTED_IMPORT)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    parses, *modules = proc.stdout.split()
+    loaded = set(modules)
     assert "ypa.heisenberg" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert parses == "0"
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -69,7 +69,7 @@ def test_dot_examples():
 def test_dot_equals_composed_tangle():
     for base in diagrams_up_to(6):
         for loop in enumerate_loops(base, (-1, 1)):
-            right_turn = evaluate(hs.RIGHT_TURN, loop, PLANCHEREL)
+            right_turn = evaluate(hs.programs()["right_turn"], loop, PLANCHEREL)
             assert hs.dot_value(loop, PLANCHEREL) == right_turn
 
 
@@ -83,21 +83,22 @@ def test_relations_weight_4(name):
 def test_relation_spot_values():
     # ind_ind on an equal-middle loop equals sqrt(f(l2)/f(l0)).
     loop = parse_loop("[2,1] v [1,1] v [1] ^ [1,1] ^ [2,1]")
-    lhs = evaluate(hs.IND_IND_LHS, loop, PLANCHEREL)
+    lhs = evaluate(hs.programs()["ind_ind_lhs"], loop, PLANCHEREL)
     assert lhs == sqrt_fraction(f_pl((1,)) / f_pl((2, 1)))
     # res_ind on loops with l0 = l2, l1 = l3 equals 1 - f(l1)/f(l0).
     for loop in enumerate_loops((2, 1), (1, -1, 1, -1)):
         l0, l1, l2, l3, _ = loop.diagrams
         if l0 == l2 and l1 == l3:
-            lhs = evaluate(hs.RES_IND_LHS, loop, PLANCHEREL)
+            lhs = evaluate(hs.programs()["res_ind_lhs"], loop, PLANCHEREL)
             assert lhs == Surd.from_rational(1) - Surd.from_rational(
                 f_pl(l1) / f_pl(l0)
             )
 
 
 def test_verify_relation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        hs.verify_relation("nosuch", 4)
+    for name in ("nosuch", "YBE", b"ybe", None, ["ybe"]):
+        with pytest.raises(ValueError, match="unknown relation"):
+            hs.verify_relation(name, 4)
     with pytest.raises(ValueError):
         hs.verify_relation("ybe", 0)
     with pytest.raises(ValueError, match="jobs"):
@@ -283,6 +284,37 @@ def test_more_claims_than_the_pipe_holds_merge_in_base_order():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "no child left\n"
+
+
+_COUNTED_PARSES = """
+import ypa.tangle as tangle
+
+calls = []
+parse_programs = tangle.parse_programs
+tangle.parse_programs = lambda *args: calls.append(args) or parse_programs(*args)
+import ypa.heisenberg as hs
+
+counts = [len(calls)]
+for name in ("ind_ind", "ybe"):
+    hs.verify_relation(name, 3)
+    counts.append(len(calls))
+print(*counts)
+"""
+
+
+def test_the_relation_source_is_parsed_once_on_first_use():
+    # Import parses nothing; the first relation parses the one source of
+    # every program, and a later relation reads what it parsed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNTED_PARSES],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 1 1\n"
 
 
 def test_usable_cpus_is_positive():
@@ -474,7 +506,7 @@ def test_every_relation_side_value_is_pinned():
     # alike; this digest does not.
     digest, lines = hashlib.sha256(), 0
     for name in hs.RELATION_IDS:
-        sides = hs.RELATIONS[name]
+        sides = hs.relation_sides(name)
         for base in diagrams_up_to(6):
             for loop in enumerate_loops(base, sides.signature):
                 for _coef, prog in sides.lhs + sides.rhs:

@@ -22,7 +22,8 @@ from ypa.young import LoopPath
 
 
 def _sides(rhs_sign):
-    return hs.RelationSides("r", ((1, hs.LEFT_CIRCLE),), ((rhs_sign, hs.EMPTY_TANGLE),))
+    progs = hs.programs()
+    return hs.RelationSides("r", ((1, progs["left_circle"]),), ((rhs_sign, progs["empty"]),))
 
 
 # (name, fields, a factory of equal records, a record that differs from them)
@@ -87,7 +88,7 @@ def test_frozen_records_are_values(name, fields, make, other):
         LoopPath(((), (1,), ()), (1, -1)),
         hs.CROSS,
         PLANCHEREL,
-        hs.RELATIONS["ybe"],
+        hs.relation_sides("ybe"),
         FactoredRatFun(Poly([1, 2]), ((Fraction(1, 3), 2),)),
     ],
     ids=lambda r: type(r).__name__,

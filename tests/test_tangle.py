@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ypa.heisenberg as hs
 from ypa import tangle
-from ypa.heisenberg import BUILTIN_ELEMENTS, CROSS, IND_IND_LHS, RELATIONS, cross
+from ypa.heisenberg import BUILTIN_ELEMENTS, CROSS, RELATION_IDS, cross, programs, relation_sides
 from ypa.plancherel import PLANCHEREL, HarmonicFunction, f_pl
 from ypa.surd import Surd, sqrt_fraction, squarefree_split
 from ypa.tangle import (
@@ -124,7 +124,8 @@ def test_every_weight_reads_the_evaluated_f():
             total = total + evaluate(prog, loop, ONE_ROW_MIX) * Fraction(coef)
         return total
 
-    for name, sides in RELATIONS.items():
+    for name in RELATION_IDS:
+        sides = relation_sides(name)
         differ = [
             loop
             for base in diagrams_up_to(5)
@@ -340,7 +341,7 @@ def test_the_crossing_runs_once_per_distinct_window():
     ]
     for _ in range(2):
         for loop in loops:
-            want = evaluate(IND_IND_LHS, loop, PLANCHEREL)
+            want = evaluate(programs()["ind_ind_lhs"], loop, PLANCHEREL)
             assert evaluate(prog, loop, PLANCHEREL) == want
     assert len(windows) == len(set(windows)) > 0
 
@@ -639,7 +640,7 @@ def test_no_state_dies_at_a_box():
     # check on every relation program.
     checks = [
         ok
-        for sides in RELATIONS.values()
+        for sides in map(relation_sides, RELATION_IDS)
         for _, prog in sides.lhs + sides.rhs
         for base in diagrams_up_to(6)
         for loop in enumerate_loops(base, prog.signature)
@@ -754,7 +755,7 @@ def test_merging_at_closings_equals_merging_after_every_step(source):
 
 @pytest.mark.parametrize(
     "prog",
-    [prog for sides in RELATIONS.values() for _, prog in sides.lhs + sides.rhs],
+    [prog for sides in map(relation_sides, RELATION_IDS) for _, prog in sides.lhs + sides.rhs],
     ids=lambda prog: prog.name,
 )
 def test_relation_programs_merge_as_after_every_step(prog):
@@ -766,7 +767,7 @@ def test_relation_programs_merge_as_after_every_step(prog):
 _MERGING_PROGRAMS = (
     [hs._character_program(pi) for pi in diagrams_up_to(4)[1:]]
     + [hs._circle_with_dots(kind, k) for kind in ("ccw", "cw") for k in range(5)]
-    + [hs.RIGHT_TURN]
+    + [programs()["right_turn"]]
 )
 
 
@@ -816,13 +817,14 @@ def test_a_box_receives_the_loop_the_checked_constructor_builds():
     received = []
     recorders = {x.name: _recording(x, received) for x in (hs.CROSS, hs.DOT)}
     progs = list(parse_programs(_BOXED_SOURCES, recorders).values())
+    crossed = ("right_turn", "left_turn_lhs", "ind_res_lhs", "res_ind_lhs", "ybe_lhs")
     progs += [
         TangleProgram(
             prog.name,
             prog.signature,
             tuple((k, p, recorders["cross"] if k == "box" else x) for k, p, x in prog.steps),
         )
-        for prog in [hs.RIGHT_TURN, hs.LEFT_TURN_LHS, hs.IND_RES_LHS, hs.RES_IND_LHS, hs.YBE_LHS]
+        for prog in map(programs().get, crossed)
     ]
     legs = set()
     for prog in progs:
@@ -859,7 +861,7 @@ def test_every_relation_cup_pin():
     # the 24 cups sum over one diagram only.
     pins = {
         prog.name: [x[1] for kind, _, x in prog.steps if kind == "cup"]
-        for sides in RELATIONS.values()
+        for sides in map(relation_sides, RELATION_IDS)
         for _, prog in sides.lhs + sides.rhs
     }
     assert pins == _CUP_PINS

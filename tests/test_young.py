@@ -217,7 +217,7 @@ def _walked_loops(base, sig):
 def test_enumerate_loops_equals_a_full_walk():
     # Every sign vector of length <= 4, balanced or not, and the relations'.
     sign_vectors = {signs for n in range(5) for signs in product((1, -1), repeat=n)}
-    signatures = sign_vectors | {sides.signature for sides in hs.RELATIONS.values()}
+    signatures = sign_vectors | {sides.signature for sides in map(hs.relation_sides, hs.RELATION_IDS)}
     loops = 0
     for sig in sorted(signatures):
         for base in diagrams_up_to(6):
@@ -244,8 +244,8 @@ def test_a_loop_stores_each_diagram_as_a_tuple():
     loop = LoopPath(([1],), ())
     assert loop.diagrams == ((1,),) and loop == LoopPath(((1,),), ())
     assert hash(loop) == hash(LoopPath(((1,),), ()))
-    assert evaluate(hs.LEFT_CIRCLE, loop, pl.PLANCHEREL) == evaluate(
-        hs.LEFT_CIRCLE, LoopPath(((1,),), ()), pl.PLANCHEREL
+    assert evaluate(hs.programs()["left_circle"], loop, pl.PLANCHEREL) == evaluate(
+        hs.programs()["left_circle"], LoopPath(((1,),), ()), pl.PLANCHEREL
     )
     step = LoopPath(((1,), [2], (1,)), (1, -1))
     assert step.diagrams == ((1,), (2,), (1,))
@@ -281,7 +281,7 @@ def test_loop_diagrams_must_be_a_tuple(diagrams):
 def test_enumerated_loops_equal_checked_loops():
     # enumerate_loops builds its loops without re-checking their steps; each
     # must equal, and hash like, the LoopPath that checks them.
-    signatures = {sides.signature for sides in hs.RELATIONS.values()} | {(-1, 1)}
+    signatures = {sides.signature for sides in map(hs.relation_sides, hs.RELATION_IDS)} | {(-1, 1)}
     loops = [
         loop
         for sig in signatures
