@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import marshal
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm, perm
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
-from .surd import Surd, sqrt_fraction
+from .surd import Surd, signed_sum, sqrt_fraction
 from .sym_oracle import _path_sum_character
 from .tangle import Element, TangleProgram, evaluate, parse, parse_programs
 from .young import (
@@ -328,20 +329,8 @@ class VerifyWorkerError(RuntimeError):
 
 
 _RECORD = 4  # bytes of one claim on the claims pipe: a base index, little-endian
-# POSIX's least PIPE_BUF: a non-blocking write this short goes in whole or not at all.
-_CHUNK = 512
-
-
-def _send(feed: int, unsent: memoryview) -> memoryview:
-    """Write claims to the non-blocking feed in whole chunks while the pipe
-    takes them; the claims left unsent."""
-    try:
-        while unsent:
-            os.write(feed, unsent[:_CHUNK])
-            unsent = unsent[_CHUNK:]
-    except BlockingIOError:
-        pass
-    return unsent
+# The claims written before any fork fill 512 bytes, POSIX's least PIPE_BUF:
+_CLAIMS = 512 // _RECORD  # one write of them into the empty pipe goes in whole
 
 
 def _drain(name: str, bases: list[Diagram], claims: int) -> dict:
@@ -363,9 +352,10 @@ def _discard(claims: int) -> None:
 def _worker(name: str, bases: list[Diagram], claims: int, report: int, inherited) -> None:
     """A forked child's whole life; it never returns.
 
-    It closes the inherited fds, verifies the bases it claims and writes
-    ``marshal.dumps((done, None))`` to its report pipe, or after a raise
-    ``(None, pickled exception)``.  It exits 0 only once the report is written.
+    It closes the inherited report fds (no claims write end is open), claims
+    bases up to the pipe's end of file and writes ``marshal.dumps((done,
+    None))`` to its report pipe, or after a raise ``(None, pickled
+    exception)``.  It exits 0 only once the report is written.
     """
     code = 1
     try:
@@ -401,37 +391,31 @@ def _fork_worker(name: str, bases: list[Diagram], claims: int, inherited) -> tup
     return pid, out
 
 
-def _verify_forked(name: str, bases: list[Diagram], workers: int) -> dict:
+def _verify_claimed(name: str, bases: list[Diagram], workers: int) -> dict:
     """{index: _verify_base(name, bases[index])} for every base, verified by
     this process and workers - 1 forks of it.
 
-    The claims pipe holds the base indices, heaviest first, one fixed-size
-    record each, and its end of file ends every process's claims.  The parent
-    writes what the pipe takes before forking; while the pipe stays full it
-    verifies the next unsent base itself and sends more as room frees up, and
-    it closes the write end once every claim is sent or it raises.  A raise
-    on either side reads the pipe empty, so the other side stops claiming.
-    Every child is reaped before this returns or raises, so its CPU time
-    shows in ``RUSAGE_CHILDREN``; one that ends without a report raises
-    VerifyWorkerError, and one that raised passes its exception on.
+    Before any fork the parent writes the _CLAIMS heaviest base indices,
+    heaviest first, to the claims pipe in one write and closes its write end.
+    It then forks, verifies the lighter bases itself and drains the pipe with
+    the children.  A raise on either side reads the pipe empty, so the other
+    side stops claiming.  Every child is reaped before this returns or raises
+    (its CPU time shows in ``RUSAGE_CHILDREN``); one that ends without a
+    report raises VerifyWorkerError, and one that raised passes it on.
     """
+    light = max(len(bases) - _CLAIMS, 0)  # the bases the parent keeps
+    heaviest_first = reversed(range(light, len(bases)))
     claims, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(i.to_bytes(_RECORD, "little") for i in heaviest_first))
+    finally:
+        os.close(feed)
     reports = {}  # pid: the read end of that worker's report pipe
     try:
-        try:
-            os.set_blocking(feed, False)
-            order = b"".join(i.to_bytes(_RECORD, "little") for i in reversed(range(len(bases))))
-            unsent = _send(feed, memoryview(order))
-            for _ in range(workers - 1):
-                pid, out = _fork_worker(name, bases, claims, (feed, *reports.values()))
-                reports[pid] = out
-            done = {}
-            while unsent := _send(feed, unsent):
-                index = int.from_bytes(unsent[:_RECORD], "little")
-                unsent = unsent[_RECORD:]
-                done[index] = _verify_base(name, bases[index])
-        finally:
-            os.close(feed)
+        for _ in range(workers - 1):
+            pid, out = _fork_worker(name, bases, claims, tuple(reports.values()))
+            reports[pid] = out
+        done = {index: _verify_base(name, bases[index]) for index in range(light)}
         done |= _drain(name, bases, claims)
         data = {}
         for pid, out in reports.items():
@@ -463,22 +447,18 @@ def verify_relation(name: str, max_weight: int, jobs: int = 1) -> RelationReport
     """Check one relation over every loop of base weight <= max_weight.
 
     Results merge in base order, so the report is the same for every jobs.
-    With jobs > 1 the parent and its forks, at most one per base and usable
-    CPU, claim bases, heaviest first, from one pipe (:func:`_verify_forked`);
-    a fork inherits the parent's memo tables as they stand.  The first
-    exception on either side reaches the caller, and a worker that dies
-    without a report raises VerifyWorkerError, never a partial report.
+    Every jobs runs :func:`_verify_claimed` with at most one process per base
+    and usable CPU, the parent included; jobs=1 forks nothing.  A fork
+    inherits the parent's memo tables as they stand.  The first exception on
+    either side reaches the caller, and a worker that dies without a report
+    raises VerifyWorkerError, never a partial report.
     """
     relation_sides(name)  # raises on an unknown name
     check_int("max_weight", max_weight, 1)
     check_int("jobs", jobs, 1)
     bases = diagrams_up_to(max_weight)
-    workers = min(jobs, len(bases), _usable_cpus())
-    if workers > 1:
-        done = _verify_forked(name, bases, workers)
-        results = [done[index] for index in range(len(bases))]
-    else:
-        results = [_verify_base(name, base) for base in bases]
+    done = _verify_claimed(name, bases, min(jobs, len(bases), _usable_cpus()))
+    results = [done[index] for index in range(len(bases))]
     checked = sum(c for c, _ in results)
     failures = [f for _, fs in results for f in fs]
     return RelationReport(name, max_weight, checked, failures)
@@ -566,23 +546,13 @@ Monomial = tuple[tuple[int, int], ...]  # ((k, exponent), ...) sorted by k
 
 
 def _monomials(ks: list[int], max_weight: int, parity: int) -> list[Monomial]:
-    out: list[Monomial] = []
-
-    def build(idx: int, remaining: int, acc: list[tuple[int, int]]):
-        if idx == len(ks):
-            w = max_weight - remaining
-            if w % 2 == parity:
-                out.append(tuple(acc))
-            return
-        k = ks[idx]
-        e = 0
-        while e * k <= remaining:
-            build(idx + 1, remaining - e * k, acc + ([(k, e)] if e else []))
-            e += 1
-
-    build(0, max_weight, [])
-    out.sort()
-    return out
+    """Sorted monomials in B_k, k in the range ks, of weighted degree <= max_weight
+    and the given parity: the (part, multiplicity) pairs of partitions."""
+    return sorted(
+        tuple(sorted(Counter(mu).items()))
+        for mu in diagrams_up_to(max_weight)
+        if weight(mu) % 2 == parity and all(ks[0] <= part <= ks[-1] for part in mu)
+    )
 
 
 def kerov_boolean_expansion(
@@ -692,7 +662,7 @@ def render_monomial(m: Monomial, var: str = "B") -> str:
 
 
 def render_expansion(expansion: dict[Monomial, Fraction], var: str = "B") -> str:
-    parts = []
+    terms = []
     for mon in sorted(expansion):
         c = expansion[mon]
         if not c:
@@ -704,8 +674,5 @@ def render_expansion(expansion: dict[Monomial, Fraction], var: str = "B") -> str
             term = body
         else:
             term = f"{abs(c)}*{body}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"
+        terms.append((term, c > 0))
+    return signed_sum(terms)

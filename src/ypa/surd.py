@@ -44,6 +44,18 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
+def signed_sum(terms) -> str:
+    """Text of a sum of (magnitude text, positive) terms: the first takes a
+    bare ``-`` when negative, the rest ``+ `` or ``- ``; ``"0"`` for none."""
+    parts = []
+    for body, positive in terms:
+        if not parts:
+            parts.append(body if positive else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if positive else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
 class Surd:
     """An element of Q(sqrt(d) : d squarefree), in canonical form."""
 
@@ -151,9 +163,7 @@ class Surd:
 
     def render(self) -> str:
         """Canonical text: rational part first, radicands ascending."""
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for d in sorted(self.terms):
             c = self.terms[d]
             if d == 1:
@@ -162,11 +172,8 @@ class Surd:
                 body = f"sqrt({d})"
             else:
                 body = f"{c if c > 0 else -c}*sqrt({d})"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((body, c > 0))
+        return signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"Surd({self.render()})"

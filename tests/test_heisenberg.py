@@ -164,6 +164,16 @@ def test_pool_has_at_most_one_worker_per_usable_cpu(monkeypatch):
     assert pooled == serial
 
 
+def test_one_job_forks_nothing_and_reports_as_two(monkeypatch):
+    # jobs=1 runs the same claims path as jobs=2, with no fork.
+    forks = _counted_forks(monkeypatch, cpus=3)
+    serial = hs.verify_relation("ind_res", 5, jobs=1).to_json_dict()
+    assert forks == []
+    pooled = hs.verify_relation("ind_res", 5, jobs=2).to_json_dict()
+    assert len(forks) == 1 and pooled == serial
+    _no_child_left()
+
+
 @pytest.mark.parametrize("name", hs.RELATION_IDS)
 def test_every_relation_reports_the_same_for_every_jobs(monkeypatch, name):
     # Three usable CPUs, so jobs=3 forks two workers even on a smaller box.
@@ -257,12 +267,16 @@ import ypa.heisenberg as hs
 
 bases = [(i,) for i in range(40_000)]
 hs.diagrams_up_to = lambda max_weight: bases
-hs._verify_base = lambda name, base: (1, [(str(base), "", "")])
+# Each base fails once, naming the process that verified it.
+hs._verify_base = lambda name, base: (1, [(str(base), str(os.getpid()), "")])
 hs._usable_cpus = lambda: 3
+light = len(bases) - hs._CLAIMS
 for jobs in (2, 3):
     report = hs.verify_relation("ybe", 6, jobs)
     assert report.loops_checked == len(bases)
-    assert report.failures == [(str(base), "", "") for base in bases]
+    assert [loop for loop, _, _ in report.failures] == [str(base) for base in bases]
+    verifiers = [pid for _, pid, _ in report.failures]
+    assert verifiers[:light] == [str(os.getpid())] * light
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
@@ -272,8 +286,9 @@ except ChildProcessError:
 
 def test_more_claims_than_the_pipe_holds_merge_in_base_order():
     # 40,000 four-byte claims are more than a 64 KiB pipe buffer holds, so
-    # the parent sends them as the pipe frees up.  A fresh interpreter under
-    # a timeout turns a deadlock into a failure.
+    # only the _CLAIMS heaviest go into the pipe, written before any fork,
+    # and the parent verifies every lighter base itself.  A fresh
+    # interpreter under a timeout turns a deadlock into a failure.
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _MANY_CLAIMS],
