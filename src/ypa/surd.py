@@ -44,7 +44,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-def signed_sum(terms) -> str:
+def signed_sum(terms: list[tuple[str, bool]]) -> str:
     """Text of a sum of (magnitude text, positive) terms: the first takes a
     bare ``-`` when negative, the rest ``+ `` or ``- ``; ``"0"`` for none."""
     parts = []
