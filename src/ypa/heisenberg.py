@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import marshal
 import os
+import select
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -329,8 +330,7 @@ class VerifyWorkerError(RuntimeError):
 
 
 _RECORD = 4  # bytes of one claim on the claims pipe: a base index, little-endian
-# The claims written before any fork fill 512 bytes, POSIX's least PIPE_BUF:
-_CLAIMS = 512 // _RECORD  # one write of them into the empty pipe goes in whole
+_CLAIMS = getattr(select, "PIPE_BUF", 512) // _RECORD  # the most one atomic write holds
 
 
 def _drain(name: str, bases: list[Diagram], claims: int) -> dict:
@@ -396,22 +396,22 @@ def _verify_claimed(name: str, bases: list[Diagram], workers: int) -> dict:
     this process and workers - 1 forks of it.
 
     Before any fork the parent writes the _CLAIMS heaviest base indices,
-    heaviest first, to the claims pipe in one write and closes its write end.
-    It then forks, verifies the lighter bases itself and drains the pipe with
-    the children.  A raise on either side reads the pipe empty, so the other
-    side stops claiming.  Every child is reaped before this returns or raises
+    heaviest first, to the claims pipe in one write, which goes in whole, and
+    closes its write end.  It then forks, verifies the lighter bases itself
+    (none up to 1,024 bases on Linux) and drains the pipe with the children.
+    A raise on either side reads the pipe empty, so the other side stops
+    claiming; a child's raise reaches the caller once the parent's lighter
+    bases are done.  Every child is reaped before this returns or raises
     (its CPU time shows in ``RUSAGE_CHILDREN``); one that ends without a
     report raises VerifyWorkerError, and one that raised passes it on.
     """
     light = max(len(bases) - _CLAIMS, 0)  # the bases the parent keeps
     heaviest_first = reversed(range(light, len(bases)))
     claims, feed = os.pipe()
-    try:
-        os.write(feed, b"".join(i.to_bytes(_RECORD, "little") for i in heaviest_first))
-    finally:
-        os.close(feed)
     reports = {}  # pid: the read end of that worker's report pipe
     try:
+        with open(feed, "wb", buffering=0) as writer:  # one os.write, then closed
+            writer.write(b"".join(i.to_bytes(_RECORD, "little") for i in heaviest_first))
         for _ in range(workers - 1):
             pid, out = _fork_worker(name, bases, claims, tuple(reports.values()))
             reports[pid] = out

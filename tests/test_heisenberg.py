@@ -222,6 +222,33 @@ def test_a_raise_on_either_side_stops_the_other(monkeypatch, in_worker):
     assert verified < len(diagrams_up_to(6)) - 1
 
 
+def test_a_raise_in_a_worker_waits_for_the_parents_lighter_bases(monkeypatch):
+    # More bases than the pipe takes, so the parent keeps the lighter ones.
+    # The worker raises on its first claim and discards the rest; the parent
+    # waits for it to exit (unreaped), then verifies every lighter base and
+    # no claim before the raise reaches it.
+    parent, light = os.getpid(), 5
+    bases = [(i,) for i in range(hs._CLAIMS + light)]
+    verified = []
+
+    def raises_in_the_worker(name, base):
+        if os.getpid() != parent:
+            raise LookupError(os.getpid())
+        if not verified:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        verified.append(base[0])
+        return 1, []
+
+    monkeypatch.setattr(hs, "diagrams_up_to", lambda max_weight: bases)
+    monkeypatch.setattr(hs, "_verify_base", raises_in_the_worker)
+    monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
+    with pytest.raises(LookupError) as raised:
+        hs.verify_relation("ybe", 6, jobs=2)
+    assert raised.value.args[0] != parent
+    assert verified == list(range(light))
+    _no_child_left()
+
+
 def test_the_parent_verifies_its_own_share(monkeypatch):
     # Its tables persist, so the next call's fork starts with them warm.
     monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
@@ -285,8 +312,8 @@ except ChildProcessError:
 
 
 def test_more_claims_than_the_pipe_holds_merge_in_base_order():
-    # 40,000 four-byte claims are more than a 64 KiB pipe buffer holds, so
-    # only the _CLAIMS heaviest go into the pipe, written before any fork,
+    # 40,000 bases are more than one atomic write of four-byte claims holds,
+    # so only the _CLAIMS heaviest go into the pipe, written before any fork,
     # and the parent verifies every lighter base itself.  A fresh
     # interpreter under a timeout turns a deadlock into a failure.
     src = str(Path(__file__).resolve().parents[1] / "src")
