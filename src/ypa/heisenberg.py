@@ -29,7 +29,7 @@ import select
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, lcm, perm
+from math import gcd, lcm, perm, prod
 
 from .plancherel import PLANCHEREL, HarmonicFunction, boolean_cumulant
 from .surd import Surd, signed_sum, sqrt_fraction
@@ -574,20 +574,11 @@ def kerov_boolean_expansion(
     samples = diagrams_up_to(sample_weight)
     rows = []
     for lam in samples:
-        b = {k: boolean_cumulant(lam, k) for k in ks}
-        row = [
-            _eval_monomial(m, b) for m in mons
-        ]
+        b = {k: boolean_cumulant(lam, k).numerator for k in ks}  # each an int
+        row = [prod(b[k] ** e for k, e in m) for m in mons]
         rows.append((row, character_diagram(lam, pi)))
     solution = _solve_exact(rows, len(mons))
     return {m: c for m, c in zip(mons, solution) if c}
-
-
-def _eval_monomial(m: Monomial, b: dict[int, Fraction]) -> Fraction:
-    acc = Fraction(1)
-    for k, e in m:
-        acc *= b[k] ** e
-    return acc
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
+from itertools import zip_longest
 from math import gcd, lcm, perm, prod
 from types import MappingProxyType
 
@@ -60,7 +61,6 @@ from .young import (
     check_int,
     dim,
     down_covers,
-    up_covers,
     weight,
 )
 
@@ -84,12 +84,12 @@ def _standard_tableaux(lam: Diagram) -> tuple[TableauPath, ...]:
     return tuple(paths)
 
 
-def _alternative_middle(prev: Diagram, mid: Diagram, nxt: Diagram) -> Diagram | None:
-    """The other diagram between prev and nxt, when the boxes commute."""
-    for mu, _ in up_covers(prev):
-        if mu != mid and any(nu == nxt for nu, _ in up_covers(mu)):
-            return mu
-    return None
+def _alternative_middle(prev: Diagram, mid: Diagram, nxt: Diagram) -> Diagram:
+    """The other diagram between prev and nxt, which adds the same two boxes
+    in the other order: prev + nxt - mid, part by part, zero (trailing) parts
+    dropped.  It is a diagram when the two boxes share no row or column."""
+    parts = (a + c - b for a, b, c in zip_longest(prev, mid, nxt, fillvalue=0))
+    return tuple(p for p in parts if p)
 
 
 def seminormal_matrix(lam: Diagram, i: int) -> tuple[SparseMatrix, int]:

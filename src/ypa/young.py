@@ -5,10 +5,12 @@ zeros); the empty tuple is the empty diagram.  An edge ``mu -> lam`` of
 the Young graph adds one box; a loop's sign per step is 1 (adds) or -1.
 
 The cover maps are the one edge table: :func:`profile` and
-:func:`box_content` read the contents of the boxes off them, and
+:func:`box_content` read the contents of the boxes off them,
 :func:`skew_dims` counts paths along them (:func:`dim` is the hook-length
-formula).  They reject a tuple that is not a partition, so everything that
-reads the Young graph checks each diagram once, on its first visit.
+formula), :func:`diagrams_up_to` lists them level by level and
+:func:`enumerate_loops` walks them the same way, one level per sign, so no
+walk recurses.  They reject a tuple that is not a partition, so everything
+that reads the Young graph checks each diagram once, on its first visit.
 
 The input rules live here, one each: :func:`as_partition` for a diagram,
 :func:`check_int` for an int parameter (``True`` and ``2.0`` are not ints),
@@ -321,10 +323,11 @@ def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
 
     The base goes through :func:`as_partition` first, so a list is read as
     its tuple and ``(True, 1)`` raises whatever the cover caches hold.  The
-    walk follows the cover maps, which hold partitions only, so its loops
-    skip the re-check of every step.  It stops one step short: a prefix
-    closes into a loop when its last diagram is one of the base's covers in
-    the last sign's direction.
+    walk goes level by level along the cover maps, one sign per level, as
+    :func:`diagrams_up_to` does, so a long signature costs no recursion
+    depth; the maps hold partitions only, so its loops skip the re-check of
+    every step.  It stops one step short: a walk closes into a loop when its
+    last diagram is one of the base's covers in the last sign's direction.
     """
     check_signature(sig, "loop")
     base = as_partition(base)
@@ -332,24 +335,12 @@ def enumerate_loops(base: Diagram, sig: Signature) -> list[LoopPath]:
         return [_built_loop((base,), sig)]
     # The last step adds a box when its sign is +1, so it comes from below.
     closers = {mu for mu, _ in (down_covers(base) if sig[-1] > 0 else up_covers(base))}
-    last = len(sig) - 1
-    out: list[LoopPath] = []
-
-    def walk(prefix: list[Diagram]):
-        k = len(prefix) - 1
-        if k == last:
-            if prefix[-1] in closers:
-                out.append(_built_loop((*prefix, base), sig))
-            return
-        nxt = up_covers(prefix[-1]) if sig[k] > 0 else down_covers(prefix[-1])
-        for mu, _ in nxt:
-            prefix.append(mu)
-            walk(prefix)
-            prefix.pop()
-
-    walk([base])
-    out.sort(key=lambda lp: lp.diagrams)
-    return out
+    walks: list[tuple[Diagram, ...]] = [(base,)]
+    for s in sig[:-1]:
+        covers = up_covers if s > 0 else down_covers
+        walks = [(*w, mu) for w in walks for mu, _ in covers(w[-1])]
+    loops = sorted(w for w in walks if w[-1] in closers)
+    return [_built_loop((*w, base), sig) for w in loops]
 
 
 # -- literals -----------------------------------------------------------------
@@ -413,27 +404,19 @@ def format_loop(loop: LoopPath) -> str:
 
 
 def diagrams_of_weight(n: int) -> list[Diagram]:
-    """All diagrams of weight exactly n, lexicographically decreasing parts."""
+    """All diagrams of weight exactly n: level n of :func:`diagrams_up_to`."""
     check_int("n", n, 0)
-    out: list[Diagram] = []
-
-    def build(remaining: int, maxpart: int, prefix: list[int]):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            prefix.append(p)
-            build(remaining - p, p, prefix)
-            prefix.pop()
-
-    build(n, n if n else 1, [])
-    return out
+    return [lam for lam in diagrams_up_to(n) if weight(lam) == n]
 
 
 def diagrams_up_to(n: int) -> list[Diagram]:
-    """All diagrams of weight <= n; none for a negative n."""
-    check_int("n", n)
-    out: list[Diagram] = []
-    for k in range(n + 1):
-        out.extend(diagrams_of_weight(k))
+    """All diagrams of weight <= n, level by level up the cover maps from the
+    empty diagram, each level in lexicographically decreasing order; none for
+    a negative n.  No level is built past n."""
+    if check_int("n", n) < 0:
+        return []
+    out, level = [EMPTY], [EMPTY]
+    for _ in range(n):
+        level = sorted({mu for lam in level for mu, _ in up_covers(lam)}, reverse=True)
+        out += level
     return out

@@ -201,6 +201,13 @@ def test_enumerate_loops_rejects_a_true_part_after_warm_covers():
             enumerate_loops((True, 1), sig)
 
 
+
+def test_enumerate_loops_of_a_long_signature_need_no_recursion():
+    # 1,200 signs once walked one Python frame each and raised RecursionError.
+    (loop,) = enumerate_loops((), (1, -1) * 600)
+    assert len(loop.diagrams) == 1201
+    assert loop.diagrams == ((), (1,)) * 600 + ((),)
+
 def _walked_loops(base, sig):
     """Every loop of the signature at the base, walking the cover maps to
     the full length and keeping the walks that end at the base."""
@@ -395,8 +402,23 @@ def test_transpose_involution_random(parts):
     assert transpose(transpose(lam)) == lam
 
 
+# The partition numbers p(0), ..., p(20) (OEIS A000041).
+_PARTITION_NUMBERS = [
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627
+]
+
+
 def test_diagram_counts():
     assert [len(diagrams_up_to(n)) for n in range(6)] == [1, 2, 4, 7, 12, 19]
+    assert [len(diagrams_of_weight(n)) for n in range(21)] == _PARTITION_NUMBERS
+    listed = diagrams_up_to(20)
+    assert len(listed) == sum(_PARTITION_NUMBERS) == len(set(listed))
+    assert all(map(is_diagram, listed))
+    # Weight by weight, each block strictly decreasing.
+    blocks = [[lam for lam in listed if sum(lam) == n] for n in range(21)]
+    assert listed == [lam for block in blocks for lam in block]
+    for block in blocks:
+        assert all(a > b for a, b in zip(block, block[1:]))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=6), max_size=5))
