@@ -81,20 +81,15 @@ def loops_up_to(signature, max_weight):
 
 def search(sides, quick, confirm):
     """Programs matching the right side on the quick loops, then on confirm."""
-    target = {loop.diagrams: sides.rhs_value(loop) for loop in quick}
+    target = sides.rhs_values(quick)
     found = []
     for n_cups, n_boxes, n_caps in [(2, 2, 0), (3, 2, 1), (4, 2, 2)]:
         print(f"-- structure: {n_cups} cups, {n_boxes} boxes, {n_caps} caps")
         count = 0
         for rows, prog in candidates(sides.signature, n_cups, n_boxes, n_caps):
             count += 1
-            if all(
-                evaluate(prog, lp, PLANCHEREL) == target[lp.diagrams] for lp in quick
-            ):
-                if all(
-                    evaluate(prog, lp, PLANCHEREL) == sides.rhs_value(lp)
-                    for lp in confirm
-                ):
+            if evaluate(prog, quick, PLANCHEREL) == target:
+                if evaluate(prog, confirm, PLANCHEREL) == sides.rhs_values(confirm):
                     print("   MATCH:")
                     for row in rows:
                         print("     ", row)

@@ -162,7 +162,7 @@ def cmd_eval(args):
             f"loop signature {loop.signature} does not match the signature "
             f"{program.signature} of tangle {args.name!r}"
         )
-    return {"value": evaluate(program, loop, PLANCHEREL).render()}, "ok"
+    return {"value": evaluate(program, [loop], PLANCHEREL)[0].render()}, "ok"
 
 
 def cmd_frobenius(args):

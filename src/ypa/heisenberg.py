@@ -243,21 +243,24 @@ class RelationSides(Record):
         """The loop signature, read off the first program."""
         return self.lhs[0][1].signature
 
-    def lhs_value(self, loop: LoopPath) -> Surd:
-        return _side_value(self.lhs, loop)
+    def lhs_values(self, loops: list[LoopPath]) -> list[Surd]:
+        return _side_values(self.lhs, loops)
 
-    def rhs_value(self, loop: LoopPath) -> Surd:
-        return _side_value(self.rhs, loop)
+    def rhs_values(self, loops: list[LoopPath]) -> list[Surd]:
+        return _side_values(self.rhs, loops)
 
 
-def _side_value(side: tuple[tuple[int, TangleProgram], ...], loop: LoopPath) -> Surd:
-    total = None  # a one-program side is its program's value, with no sum
+def _side_values(
+    side: tuple[tuple[int, TangleProgram], ...], loops: list[LoopPath]
+) -> list[Surd]:
+    """The side's value on each loop; each program runs once, on every loop."""
+    totals = None  # a one-program side is its program's values, with no sum
     for coef, prog in side:
-        value = evaluate(prog, loop, PLANCHEREL)
+        values = evaluate(prog, loops, PLANCHEREL)
         if coef < 0:
-            value = -value
-        total = value if total is None else total + value
-    return Surd() if total is None else total  # an empty side is zero
+            values = [-value for value in values]
+        totals = values if totals is None else [a + b for a, b in zip(totals, values)]
+    return [Surd() for _ in loops] if totals is None else totals  # an empty side is zero
 
 
 def relation_sides(name: str) -> RelationSides:
@@ -307,15 +310,13 @@ class RelationReport(Record):
 
 def _verify_base(name: str, base: Diagram) -> tuple[int, list[tuple[str, str, str]]]:
     sides = relation_sides(name)
-    checked = 0
-    failures: list[tuple[str, str, str]] = []
-    for loop in enumerate_loops(base, sides.signature):
-        checked += 1
-        lhs = sides.lhs_value(loop)
-        rhs = sides.rhs_value(loop)
-        if lhs != rhs:
-            failures.append((format_loop(loop), lhs.render(), rhs.render()))
-    return checked, failures
+    loops = enumerate_loops(base, sides.signature)
+    failures = [
+        (format_loop(loop), lhs.render(), rhs.render())
+        for loop, lhs, rhs in zip(loops, sides.lhs_values(loops), sides.rhs_values(loops))
+        if lhs != rhs
+    ]
+    return len(loops), failures
 
 
 def _usable_cpus() -> int:
@@ -489,7 +490,8 @@ def character_diagram(lam: Diagram, pi: tuple[int, ...]) -> Fraction:
 
 
 def _closed_value(program: TangleProgram, lam: Diagram) -> Fraction:
-    return evaluate(program, _built_loop((as_partition(lam),), ()), PLANCHEREL).as_fraction()
+    loop = _built_loop((as_partition(lam),), ())
+    return evaluate(program, [loop], PLANCHEREL)[0].as_fraction()
 
 
 @lru_cache(maxsize=None)

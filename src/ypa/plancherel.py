@@ -45,9 +45,6 @@ class HarmonicFunction(Record):
     name: str
     value: Callable[[Diagram], Fraction]
 
-    def __hash__(self) -> int:  # direct: the state sum hashes it per box state
-        return hash((self.name, self.value))
-
     def __call__(self, lam: Diagram) -> Fraction:
         return self.value(lam)
 

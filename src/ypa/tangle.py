@@ -36,31 +36,33 @@ Steps
 against the current strand orientations the moment it reads it, so a source
 with several errors reports the first one in reading order, and it turns
 each row into primitive steps at the row's ``;``.  :func:`evaluate` is one
-loop over the steps.  A state is one tuple ``(regions, d, n, m)``: a region
-tuple, a squarefree radicand ``d`` and the amplitude ``n/m sqrt(d)`` as an
-integer pair; each step multiplies it by the integer terms ``(radicand, n,
-m)`` of its weight.  The frontier between steps is a list of states.  States
-with equal regions and radicands merge, and their pairs are reduced, after
-caps and boxes only, in one dict per step: cups and dots are injective on
-states, so they never make two equal, append to the next list and hash no
-region tuple.  Cups and caps read their weights from one table per (f, cup
-kind, outer region), ``{cover: sqrt(f(cover)/f(region))}``: a cup sums over
-it, a pinned cup is one lookup in it, and so is a cap, of its inner region
-in the table of the kind the parser compiled into it, ``"du"`` when its
-first strand points down, ``"ud"`` when it points up.  A dot carries its
-strand's orientation, which says which of its regions covers the other.  A
-row's cups lie above its other atoms, so they come first.  The cups, and
-then the dots, caps and boxes, each run right to left: inserting or deleting
-regions moves only the regions east of it, so every step still to come
-keeps its compiled position.  As the parser reads each cap or box it pins a
-cup where it can: a region keeps its diagram from the step that creates it
-to the step that closes it, so when a later cap or box equates a cup's
-summed region with an earlier region, the cup takes that region's diagram
-alone instead of every cover, and builds no state the flank check would
-kill.  A box's value depends only on its window, the regions around it, so
-its terms are computed once per (element, f, window) per process, on a loop
-built unchecked, and reused: an element's ``fn`` must be a pure function of
-(loop, f).
+loop over the steps, for a list of loops at once.  A state is one tuple
+``(i, regions, d, n, m)``: the index ``i`` of its loop, a region tuple, a
+squarefree radicand ``d`` and the amplitude ``n/m sqrt(d)`` as an integer
+pair; each step multiplies it by the integer terms ``(radicand, n, m)`` of
+its weight.  The frontier between steps is one list of the states of every
+loop.  States of one loop with equal regions and radicands merge, and their
+pairs are reduced, after caps and boxes only, in one dict per step: cups
+and dots are injective on states, so they never make two equal, append to
+the next list and hash no region tuple.  Cups and caps read their weights
+from one table per (f, cup kind, outer region), ``{cover:
+sqrt(f(cover)/f(region))}``: a cup sums over it, a pinned cup is one lookup
+in it, and so is a cap, of its inner region in the table of the kind the
+parser compiled into it, ``"du"`` when its first strand points down,
+``"ud"`` when it points up.  A dot carries its strand's orientation, which
+says which of its regions covers the other.  A row's cups lie above its
+other atoms, so they come first.  The cups, and then the dots, caps and
+boxes, each run right to left: inserting or deleting regions moves only the
+regions east of it, so every step still to come keeps its compiled
+position.  As the parser reads each cap or box it pins a cup where it can:
+a region keeps its diagram from the step that creates it to the step that
+closes it, so when a later cap or box equates a cup's summed region with an
+earlier region, the cup takes that region's diagram alone instead of every
+cover, and builds no state the flank check would kill.  A box's value
+depends only on its window, the regions around it, so its terms are
+computed once per (element, f, window) per process, on a loop built
+unchecked, and kept in one table per (element, f) that a box step looks up
+once: an element's ``fn`` must be a pure function of (loop, f).
 
 Every weight -- cups, caps, builtin boxes and boxed tangles -- reads the one
 harmonic function ``f`` passed to :func:`evaluate`.
@@ -114,9 +116,6 @@ class Element(Record):
     def __init__(self, name: str, signature: Signature, fn):
         check_signature(signature, f"element {name}")
         Record.__init__(self, name, signature, fn)
-
-    def __hash__(self) -> int:  # direct: the state sum hashes it per box state
-        return hash((self.name, self.signature, self.fn))
 
     def legs(self) -> tuple[int, ...]:
         """Strand orientations left-to-right that the box window must show."""
@@ -417,7 +416,7 @@ def parse(text: str, bindings: dict[str, Element] | None = None) -> TangleProgra
 # -- evaluation ----------------------------------------------------------------
 
 Term = tuple[int, int, int]  # (radicand, numerator, denominator): n/m sqrt(d)
-State = tuple[tuple[Diagram, ...], int, int, int]  # (regions, d, n, m)
+State = tuple[int, tuple[Diagram, ...], int, int, int]  # (i, regions, d, n, m)
 
 
 @cache
@@ -440,27 +439,35 @@ def _cup_table(
     return table
 
 
-@cache
 def _box_terms(
     x: Element, f: HarmonicFunction, window: tuple[Diagram, ...]
 ) -> tuple[Term, ...]:
-    """The terms of ``x`` on the loop read right to left across ``window``,
-    the regions around a box from its west flank to its east flank.
-
-    A box's value is a function of the labels around it, so it is computed
-    once per (element, f, window), on a loop built unchecked by
-    :func:`young._built_loop`.  Keyed on ``f`` itself, not ``f.value`` as
-    :func:`_cup_table` is: the element's ``fn`` receives the whole ``f``.
-    A call that raises caches nothing.
-    """
+    """The terms of ``x`` on the loop, built unchecked by
+    :func:`young._built_loop`, read right to left across ``window``, the
+    regions around a box from its west flank to its east flank."""
     value = x.fn(_built_loop(tuple(reversed(window)), x.signature), f)
     return tuple((d, c.numerator, c.denominator) for d, c in value.terms.items())
 
 
-def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Surd:
-    """Exact state-sum value of the program on the loop.
+@cache
+def _box_table(x: Element, f: HarmonicFunction) -> dict[tuple, tuple[Term, ...]]:
+    """``{window: terms}`` of ``x`` under ``f``, which the state sum fills
+    from :func:`_box_terms` on a miss: a box's value is a function of the
+    labels around it, so it is computed once per (element, f, window) per
+    process, and a box step looks its table up once.  Keyed on ``f``, not
+    ``f.value`` as :func:`_cup_table` is: the element's ``fn`` receives the
+    whole ``f``.  A call that raises stores nothing."""
+    return {}
 
-    A state is one tuple ``(regions, d, n, m)`` (see the module docstring).
+
+def evaluate(
+    program: TangleProgram, loops: list[LoopPath], f: HarmonicFunction
+) -> list[Surd]:
+    """Exact state-sum values of the program on the loops, one per loop.
+
+    Every loop's signature is checked before any state is built; then all
+    the loops go through the steps together, a state ``(i, regions, d, n,
+    m)`` carrying the index ``i`` of its loop (see the module docstring).
     Each step multiplies every state by each term of its weight: a radicand
     1 leaves the other one, and two others multiply, with the square part
     of their product folded into the numerator.  Openings (cups and dots)
@@ -471,32 +478,36 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
     no region tuple.  Cups and caps read :func:`_cup_table`, a pinned cup
     or a cap in one lookup, of the kind compiled into the cap's step; a dot
     reads its regions in the order its compiled orientation gives.  Only
-    caps and boxes merge, in one dict keyed by ``(regions, d)`` whose
-    values are ``[n, m]`` accumulators: equal keys add, zero amplitudes
-    drop and each pair is reduced as it is emitted to the next list.  The
-    paths into one region tuple share a radicand on every relation and
-    character tangle; a box whose value has several terms fans out into
-    several states.  The ``Surd`` is built once, at the end, from one
-    ``Fraction`` per radicand.
+    caps and boxes merge, in one dict keyed by ``(i, regions, d)`` whose
+    values are ``[n, m]`` accumulators, so states of different loops never
+    meet and each loop's states keep the order they have alone: equal keys
+    add, zero amplitudes drop and each pair is reduced as it is emitted to
+    the next list.  The paths into one region tuple share a radicand on
+    every relation and character tangle; a box whose value has several
+    terms fans out into several states.  Each ``Surd`` is built once, at
+    the end, from one ``Fraction`` per radicand.
     """
-    if loop.signature != program.signature:
-        raise TangleError(
-            f"loop signature {loop.signature} does not match program "
-            f"signature {program.signature}"
-        )
+    for loop in loops:  # a bare LoopPath is not iterable: TypeError
+        if loop.signature != program.signature:
+            raise TangleError(
+                f"loop signature {loop.signature} does not match program "
+                f"signature {program.signature}"
+            )
     fval = f.value
-    states: list[State] = [(tuple(reversed(loop.diagrams)), 1, 1, 1)]
+    states: list[State] = [
+        (i, tuple(reversed(loop.diagrams)), 1, 1, 1) for i, loop in enumerate(loops)
+    ]
     for kind, p, x in program.steps:
         nxt: list[State] = []
         if kind == "dot":
             big, small = (p, p - 1) if x == DOWN else (p - 1, p)
-            for regs, d, n, m in states:
+            for i, regs, d, n, m in states:
                 c = box_content(regs[big], regs[small])
                 if c:  # content 0 annihilates the state
-                    nxt.append((regs, d, n * c, m))
+                    nxt.append((i, regs, d, n * c, m))
         elif kind == "cup":
             cup, src = x
-            for regs, d1, n1, m1 in states:
+            for i, regs, d1, n1, m1 in states:
                 region = regs[p]
                 table = _cup_table(fval, cup, region)
                 if src is not None:
@@ -507,29 +518,32 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
                     d2, n2, m2 = term
                     out = regs[: p + 1] + (s, region) + regs[p + 1 :]
                     if d1 == 1 or d2 == 1:
-                        nxt.append((out, d1 * d2, n1 * n2, m1 * m2))
+                        nxt.append((i, out, d1 * d2, n1 * n2, m1 * m2))
                     else:
                         sq, d = squarefree_split(d1 * d2)
-                        nxt.append((out, d, n1 * n2 * sq, m1 * m2))
+                        nxt.append((i, out, d, n1 * n2 * sq, m1 * m2))
                     continue
                 head, tail = regs[: p + 1], (region,) + regs[p + 1 :]
                 for s, (d2, n2, m2) in table.items():
                     if d1 == 1 or d2 == 1:
-                        nxt.append((head + (s,) + tail, d1 * d2, n1 * n2, m1 * m2))
+                        nxt.append((i, head + (s,) + tail, d1 * d2, n1 * n2, m1 * m2))
                     else:
                         sq, d = squarefree_split(d1 * d2)
-                        nxt.append((head + (s,) + tail, d, n1 * n2 * sq, m1 * m2))
+                        nxt.append((i, head + (s,) + tail, d, n1 * n2 * sq, m1 * m2))
         else:
             w = 2 if kind == "cap" else len(x.signature)  # strands closed
-            merged: dict[tuple[tuple[Diagram, ...], int], list[int]] = {}
-            for regs, d1, n1, m1 in states:
+            box = None if kind == "cap" else _box_table(x, f)
+            merged: dict[tuple[int, tuple[Diagram, ...], int], list[int]] = {}
+            for i, regs, d1, n1, m1 in states:
                 if regs[p - 1] != regs[p + w - 1]:
                     continue  # the flanking regions must agree
                 out = regs[:p] + regs[p + w :]
-                if kind == "cap":
+                if box is None:
                     weights = (_cup_table(fval, x, regs[p - 1])[regs[p]],)
                 else:
-                    weights = _box_terms(x, f, regs[p - 1 : p + w])
+                    weights = box.get(window := regs[p - 1 : p + w])
+                    if weights is None:
+                        weights = box[window] = _box_terms(x, f, window)
                 for d2, n2, m2 in weights:
                     n, m = n1 * n2, m1 * m2
                     if d1 == 1 or d2 == 1:
@@ -538,7 +552,7 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
                         s, d = squarefree_split(d1 * d2)
                         n *= s
                     pair = [n, m]
-                    acc = merged.setdefault((out, d), pair)  # one hash per output
+                    acc = merged.setdefault((i, out, d), pair)  # one hash per output
                     if acc is pair:
                         continue
                     if acc[1] == m:
@@ -546,24 +560,24 @@ def evaluate(program: TangleProgram, loop: LoopPath, f: HarmonicFunction) -> Sur
                     else:
                         acc[0] = acc[0] * m + n * acc[1]
                         acc[1] *= m
-            for (out, d), (n, m) in merged.items():
+            for (i, out, d), (n, m) in merged.items():
                 if n:
                     g = gcd(n, m)
-                    nxt.append((out, d, n // g, m // g))
+                    nxt.append((i, out, d, n // g, m // g))
         states = nxt
-    terms: dict[int, Fraction] = {}
-    for regions, d, n, m in states:
-        if len(regions) != 1 or regions[0] != loop.base:
+    terms: list[dict[int, Fraction]] = [{} for _ in loops]
+    for i, regions, d, n, m in states:
+        if len(regions) != 1 or regions[0] != loops[i].base:
             raise TangleError(
                 f"program {program.name!r} ends in state {regions}, "
-                f"not the loop base {loop.base}"
+                f"not the loop base {loops[i].base}"
             )
-        terms[d] = Fraction(n, m)  # one state per radicand: the base is fixed
-    return Surd(terms)
+        terms[i][d] = Fraction(n, m)  # one state per radicand: the base is fixed
+    return [Surd(t) for t in terms]
 
 
 def as_element(program: TangleProgram) -> Element:
     """Wrap the program as an element usable inside boxes of other tangles."""
     return Element(
-        program.name, program.signature, lambda loop, f: evaluate(program, loop, f)
+        program.name, program.signature, lambda loop, f: evaluate(program, [loop], f)[0]
     )

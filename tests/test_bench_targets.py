@@ -65,7 +65,7 @@ def test_the_tracer_installs_and_uninstalls_around_a_pass():
     import ypa.heisenberg as hs
     import ypa.plancherel as pl
     from ypa.ratfun import FactoredRatFun
-    from ypa.young import diagrams_up_to, enumerate_loops
+    from ypa.young import diagrams_up_to
 
     cross, f_pl, mul = hs.cross, pl.f_pl, vars(FactoredRatFun)["__mul__"]
     cross_hash = hash(hs.CROSS)
@@ -81,16 +81,16 @@ def test_the_tracer_installs_and_uninstalls_around_a_pass():
     assert attempted > 0 and (failed, notes) == (0, [])
     seen = {traced.names[i] for i in set(traced.span_name)}
     assert {"tangle.evaluate", "heisenberg.cross", "plancherel.f_pl"} <= seen
-    # Every side program of every loop is one evaluate span: a relation
-    # check that went round evaluate would empty the tracer's tangle layer.
+    # Every side program of every base is one evaluate span, on all the
+    # base's loops at once: a relation check that went round evaluate would
+    # empty the tracer's tangle layer.
     evaluated = traced.names.index("tangle.evaluate")
     programs = sum(
         len(sides.lhs) + len(sides.rhs)
         for sides in map(hs.relation_sides, hs.RELATION_IDS)
-        for base in diagrams_up_to(workloads.TINY.relation_weight)
-        for _ in enumerate_loops(base, sides.signature)
+        for _ in diagrams_up_to(workloads.TINY.relation_weight)
     )
-    assert list(traced.span_name).count(evaluated) == programs == 187
+    assert list(traced.span_name).count(evaluated) == programs == 84
     assert hs.cross is cross and hs.CROSS.fn is cross and hash(hs.CROSS) == cross_hash
     assert pl.f_pl is f_pl and pl.PLANCHEREL.value is f_pl
     assert vars(FactoredRatFun)["__mul__"] is mul and vars(FactoredRatFun)["__rmul__"] is mul

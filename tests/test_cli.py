@@ -691,5 +691,4 @@ def test_derive_relation_programs_script_smoke():
     for block in blocks:
         rows = [ln.strip() for ln in block.splitlines() if ln.strip().startswith("row ")]
         prog = parse(f"{header} {{ {' '.join(rows)} }}", BUILTIN_ELEMENTS)
-        for loop in loops:
-            assert evaluate(prog, loop, PLANCHEREL) == sides.rhs_value(loop)
+        assert evaluate(prog, loops, PLANCHEREL) == sides.rhs_values(loops)

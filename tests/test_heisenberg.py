@@ -13,7 +13,7 @@ import ypa.heisenberg as hs
 import ypa.sym_oracle as so
 from ypa.plancherel import PLANCHEREL, boolean_cumulant, f_pl, moment
 from ypa.surd import Surd, sqrt_fraction
-from ypa.tangle import _box_terms, as_element, evaluate
+from ypa.tangle import _box_table, as_element, evaluate
 from ypa.young import diagrams_up_to, enumerate_loops, format_loop, parse_loop
 
 
@@ -69,7 +69,7 @@ def test_dot_examples():
 def test_dot_equals_composed_tangle():
     for base in diagrams_up_to(6):
         for loop in enumerate_loops(base, (-1, 1)):
-            right_turn = evaluate(hs.programs()["right_turn"], loop, PLANCHEREL)
+            right_turn = evaluate(hs.programs()["right_turn"], [loop], PLANCHEREL)[0]
             assert hs.dot_value(loop, PLANCHEREL) == right_turn
 
 
@@ -83,13 +83,13 @@ def test_relations_weight_4(name):
 def test_relation_spot_values():
     # ind_ind on an equal-middle loop equals sqrt(f(l2)/f(l0)).
     loop = parse_loop("[2,1] v [1,1] v [1] ^ [1,1] ^ [2,1]")
-    lhs = evaluate(hs.programs()["ind_ind_lhs"], loop, PLANCHEREL)
+    lhs = evaluate(hs.programs()["ind_ind_lhs"], [loop], PLANCHEREL)[0]
     assert lhs == sqrt_fraction(f_pl((1,)) / f_pl((2, 1)))
     # res_ind on loops with l0 = l2, l1 = l3 equals 1 - f(l1)/f(l0).
     for loop in enumerate_loops((2, 1), (1, -1, 1, -1)):
         l0, l1, l2, l3, _ = loop.diagrams
         if l0 == l2 and l1 == l3:
-            lhs = evaluate(hs.programs()["res_ind_lhs"], loop, PLANCHEREL)
+            lhs = evaluate(hs.programs()["res_ind_lhs"], [loop], PLANCHEREL)[0]
             assert lhs == Surd.from_rational(1) - Surd.from_rational(
                 f_pl(l1) / f_pl(l0)
             )
@@ -252,9 +252,10 @@ def test_a_raise_in_a_worker_waits_for_the_parents_lighter_bases(monkeypatch):
 def test_the_parent_verifies_its_own_share(monkeypatch):
     # Its tables persist, so the next call's fork starts with them warm.
     monkeypatch.setattr(hs, "_usable_cpus", lambda: 2)
-    _box_terms.cache_clear()
+    _box_table.cache_clear()
     report = hs.verify_relation("ind_ind", 5, jobs=2)
-    assert report.verified and _box_terms.cache_info().currsize > 0
+    assert report.verified and _box_table.cache_info().currsize > 0
+    assert _box_table(hs.CROSS, PLANCHEREL)
     _no_child_left()
 
 
@@ -539,20 +540,22 @@ def test_fraction_free_solve_equals_the_fraction_reference(system):
 def test_relation_sides_zero_rhs():
     sides = hs.relation_sides("left_turn")
     loop = parse_loop("[2] v [1] ^ [2]")
-    assert sides.rhs_value(loop).is_zero()
+    assert sides.rhs_values([loop]) == [Surd()] and sides.rhs_values([]) == []
 
 
 def test_every_relation_side_value_is_pinned():
     # One line per program on every loop of base weight <= 6.  The sweep
     # compares the two sides only, so it misses a change that scales both
-    # alike; this digest does not.
+    # alike; this digest does not.  Each program runs once per base.
     digest, lines = hashlib.sha256(), 0
     for name in hs.RELATION_IDS:
         sides = hs.relation_sides(name)
+        progs = [prog for _coef, prog in sides.lhs + sides.rhs]
         for base in diagrams_up_to(6):
-            for loop in enumerate_loops(base, sides.signature):
-                for _coef, prog in sides.lhs + sides.rhs:
-                    value = evaluate(prog, loop, PLANCHEREL)
+            loops = enumerate_loops(base, sides.signature)
+            values = [evaluate(prog, loops, PLANCHEREL) for prog in progs]
+            for i, loop in enumerate(loops):
+                for prog, value in zip(progs, (v[i] for v in values)):
                     line = f"{prog.name} {format_loop(loop)} {value.render()}\n"
                     digest.update(line.encode())
                     lines += 1

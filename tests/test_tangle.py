@@ -100,8 +100,8 @@ def test_parse_comments_and_multiple_programs():
 
 def test_left_circle_is_one_everywhere():
     prog = parse("tangle c : () { row cup_du; row cap; }")
-    for lam in diagrams_up_to(8):
-        assert evaluate(prog, _base_loop(lam), PLANCHEREL) == ONE
+    loops = [_base_loop(lam) for lam in diagrams_up_to(8)]
+    assert evaluate(prog, loops, PLANCHEREL) == [ONE] * len(loops)
 
 
 def test_left_circle_for_another_harmonic_function():
@@ -111,72 +111,88 @@ def test_left_circle_for_another_harmonic_function():
         assert f(lam) == sum(f(mu) for mu, _ in up_covers(lam))
     prog = parse("tangle c : () { row cup_du; row cap; }")
     for lam in diagrams_up_to(7):
-        assert evaluate(prog, _base_loop(lam), f) == ONE
+        assert evaluate(prog, [_base_loop(lam)], f)[0] == ONE
 
 
 def test_every_weight_reads_the_evaluated_f():
     # Cups, caps and the crossing boxes all read the f given to evaluate, so
     # the relations that hold for any harmonic function hold under a second
-    # one; the others need Plancherel and must fail somewhere.
-    def side(terms, loop):
-        total = Surd()
+    # one; the others need Plancherel and must fail somewhere.  Each program
+    # runs once on the loops of several bases together, and gives each loop
+    # the value it has alone.
+    def side(terms, loops, f):
+        totals = [Surd()] * len(loops)
         for coef, prog in terms:
-            total = total + evaluate(prog, loop, ONE_ROW_MIX) * Fraction(coef)
-        return total
+            values = evaluate(prog, loops, f)
+            assert values == [evaluate(prog, [loop], f)[0] for loop in loops]
+            totals = [t + v * Fraction(coef) for t, v in zip(totals, values)]
+        return totals
 
     for name in RELATION_IDS:
         sides = relation_sides(name)
-        differ = [
+        loops = [
             loop
             for base in diagrams_up_to(5)
             for loop in enumerate_loops(base, sides.signature)
-            if side(sides.lhs, loop) != side(sides.rhs, loop)
         ]
-        if name in ("ind_ind", "ybe", "left_circle"):
-            assert not differ, (name, differ[:3])
-        else:
-            assert differ, name
+        assert len({loop.base for loop in loops}) > 1
+        for f in (PLANCHEREL, ONE_ROW_MIX):
+            lhs, rhs = side(sides.lhs, loops, f), side(sides.rhs, loops, f)
+            differ = [loop for loop, a, b in zip(loops, lhs, rhs) if a != b]
+            if f == PLANCHEREL or name in ("ind_ind", "ybe", "left_circle"):
+                assert not differ, (name, f.name, differ[:3])
+            else:
+                assert differ, name
 
 
 def test_clockwise_circle_is_weight():
     prog = parse("tangle c : () { row cup_ud; row cap; }")
-    v = evaluate(prog, _base_loop((2, 1)), PLANCHEREL)
+    v = evaluate(prog, [_base_loop((2, 1))], PLANCHEREL)[0]
     assert v == Surd.from_rational(3)
     for lam in diagrams_up_to(6):
-        assert evaluate(prog, _base_loop(lam), PLANCHEREL) == Surd.from_rational(
+        assert evaluate(prog, [_base_loop(lam)], PLANCHEREL)[0] == Surd.from_rational(
             sum(lam)
         )
 
 
 def test_dotted_circle_first_moment_vanishes():
     prog = parse("tangle c : () { row cup_du; row * |; row cap; }")
-    assert evaluate(prog, _base_loop(()), PLANCHEREL).is_zero()
+    assert evaluate(prog, [_base_loop(())], PLANCHEREL)[0].is_zero()
     for lam in diagrams_up_to(6):
-        assert evaluate(prog, _base_loop(lam), PLANCHEREL).is_zero()
+        assert evaluate(prog, [_base_loop(lam)], PLANCHEREL)[0].is_zero()
 
 
 def test_empty_signature_program_loop_mismatch():
     prog = parse("tangle c : () { row cup_du; row cap; }")
     loop = parse_loop("[1] v [] ^ [1]")
     with pytest.raises(TangleError, match="signature"):
-        evaluate(prog, loop, PLANCHEREL)
+        evaluate(prog, [loop], PLANCHEREL)
+    # Every loop is checked before any state is built, so no box runs on
+    # the loops ahead of one that does not match; a bare loop is no list.
+    calls = []
+    counted = Element("X", (-1, 1), lambda loop, f: calls.append(loop) or ONE)
+    boxed = parse("tangle t : (-,+) { row box X; }", {"X": counted})
+    with pytest.raises(TangleError, match="signature"):
+        evaluate(boxed, [loop, _base_loop(())], PLANCHEREL)
+    assert calls == [] and evaluate(boxed, [], PLANCHEREL) == []
+    with pytest.raises(TypeError):
+        evaluate(boxed, loop, PLANCHEREL)
+    assert evaluate(boxed, [loop], PLANCHEREL) == [ONE] and len(calls) == 1
 
 
 def test_bent_strand_equals_straight():
     straight = parse("tangle s : (-,+) { row cap; }")
     bent = parse("tangle b : (-,+) { row cup_du@1; row cap | |; row cap; }")
     for base in diagrams_up_to(6):
-        for loop in enumerate_loops(base, (-1, 1)):
-            assert evaluate(bent, loop, PLANCHEREL) == evaluate(
-                straight, loop, PLANCHEREL
-            )
+        loops = enumerate_loops(base, (-1, 1))
+        assert evaluate(bent, loops, PLANCHEREL) == evaluate(straight, loops, PLANCHEREL)
 
 
 def test_arc_element_value():
     # The single arc carries the weight sqrt(f(inner)/f(outer)).
     arc = parse("tangle arc : (-,+) { row cap; }")
     loop = parse_loop("[2] v [1] ^ [2]")
-    assert evaluate(arc, loop, PLANCHEREL) == sqrt_fraction(
+    assert evaluate(arc, [loop], PLANCHEREL)[0] == sqrt_fraction(
         f_pl((1,)) / f_pl((2,))
     )
 
@@ -187,10 +203,8 @@ def test_composition_consistency_two_legs():
     sub_elem = as_element(sub)
     outer = parse("tangle o : () { row cup_ud; row box sub; }", {"sub": sub_elem})
     flat = parse("tangle f : () { row cup_ud; row cap; }")
-    for lam in diagrams_up_to(5):
-        assert evaluate(outer, _base_loop(lam), PLANCHEREL) == evaluate(
-            flat, _base_loop(lam), PLANCHEREL
-        )
+    loops = [_base_loop(lam) for lam in diagrams_up_to(5)]
+    assert evaluate(outer, loops, PLANCHEREL) == evaluate(flat, loops, PLANCHEREL)
 
 
 def test_composition_consistency_four_legs():
@@ -201,10 +215,8 @@ def test_composition_consistency_four_legs():
     )
     flat = parse("tangle f : (-,+) { row cup_ud@1; row | cap |; row cap; }")
     for base in diagrams_up_to(5):
-        for loop in enumerate_loops(base, (-1, 1)):
-            assert evaluate(outer, loop, PLANCHEREL) == evaluate(
-                flat, loop, PLANCHEREL
-            )
+        loops = enumerate_loops(base, (-1, 1))
+        assert evaluate(outer, loops, PLANCHEREL) == evaluate(flat, loops, PLANCHEREL)
 
 
 def test_closed_dot_diagrams_are_rational():
@@ -213,7 +225,7 @@ def test_closed_dot_diagrams_are_rational():
             rows = [f"row {kind};"] + ["row * |;"] * dots + ["row cap;"]
             prog = parse(f"tangle c : () {{ {' '.join(rows)} }}")
             for lam in diagrams_up_to(5):
-                assert evaluate(prog, _base_loop(lam), PLANCHEREL).is_rational()
+                assert evaluate(prog, [_base_loop(lam)], PLANCHEREL)[0].is_rational()
 
 
 def test_cups_at_one_gap_compile_in_the_order_they_evaluate():
@@ -231,7 +243,7 @@ def test_cups_at_one_gap_compile_in_the_order_they_evaluate():
     f = PLANCHEREL.value
     ups = sum((sqrt_fraction(f(t) / f(lam)) for t, _ in up_covers(lam)), Surd())
     downs = sum((sqrt_fraction(f(s) / f(lam)) for s, _ in down_covers(lam)), Surd())
-    assert evaluate(prog, _base_loop(lam), PLANCHEREL) == ups * downs
+    assert evaluate(prog, [_base_loop(lam)], PLANCHEREL)[0] == ups * downs
     assert {(d[1], d[3]) for d in seen} == {
         (s, t) for s, _ in down_covers(lam) for t, _ in up_covers(lam)
     }
@@ -249,7 +261,7 @@ def test_a_box_with_several_radicands_fans_out():
     f = PLANCHEREL.value
     for lam in diagrams_up_to(5):
         downs = sum((sqrt_fraction(f(s) / f(lam)) for s, _ in down_covers(lam)), Surd())
-        got = evaluate(prog, _base_loop(lam), PLANCHEREL)
+        got = evaluate(prog, [_base_loop(lam)], PLANCHEREL)[0]
         assert got == downs * value * downs * value
         assert len(got.terms) > 1 or not lam
 
@@ -274,18 +286,18 @@ def test_a_radicand_whose_paths_cancel_drops(lam):
     src = "tangle t : () { row cup_ud; row box X; }"
 
     half = _signed_box(lam, lambda sign: ONE + root2 * sign)
-    got = evaluate(parse(src, {"X": half}), _base_loop(lam), PLANCHEREL)
+    got = evaluate(parse(src, {"X": half}), [_base_loop(lam)], PLANCHEREL)[0]
     assert got == Surd.from_rational(2) and got.terms == {1: 2}
 
     whole = _signed_box(lam, lambda sign: (ONE + root2) * sign)
-    got = evaluate(parse(src, {"X": whole}), _base_loop(lam), PLANCHEREL)
+    got = evaluate(parse(src, {"X": whole}), [_base_loop(lam)], PLANCHEREL)[0]
     assert got == Surd() and got.is_zero()
 
 
 def test_empty_program_is_constant_one():
     prog = parse("tangle e : () { }")
     assert prog.steps == ()
-    assert evaluate(prog, _base_loop((3, 1)), PLANCHEREL) == ONE
+    assert evaluate(prog, [_base_loop((3, 1))], PLANCHEREL)[0] == ONE
 
 
 def test_unclosed_final_state_is_a_tangle_error():
@@ -293,7 +305,7 @@ def test_unclosed_final_state_is_a_tangle_error():
     # the evaluator raises rather than asserts, so the check survives -O.
     prog = TangleProgram("raw", (-1, 1), ())
     with pytest.raises(TangleError, match="ends in state"):
-        evaluate(prog, parse_loop("[1] v [] ^ [1]"), PLANCHEREL)
+        evaluate(prog, [parse_loop("[1] v [] ^ [1]")], PLANCHEREL)
 
 
 def test_as_element_signature_check():
@@ -340,9 +352,8 @@ def test_the_crossing_runs_once_per_distinct_window():
         for loop in enumerate_loops(base, prog.signature)
     ]
     for _ in range(2):
-        for loop in loops:
-            want = evaluate(programs()["ind_ind_lhs"], loop, PLANCHEREL)
-            assert evaluate(prog, loop, PLANCHEREL) == want
+        want = evaluate(programs()["ind_ind_lhs"], loops, PLANCHEREL)
+        assert evaluate(prog, loops, PLANCHEREL) == want
     assert len(windows) == len(set(windows)) > 0
 
 
@@ -353,9 +364,8 @@ def test_a_box_value_is_kept_apart_per_harmonic_function():
         loop for base in diagrams_up_to(4) for loop in enumerate_loops(base, (-1, 1))
     ]
     for _ in range(2):
-        for loop in loops:
-            for f, want in ((PLANCHEREL, 1), (ONE_ROW_MIX, 2), (PLANCHEREL, 1)):
-                assert evaluate(prog, loop, f) == ONE * want
+        for f, want in ((PLANCHEREL, 1), (ONE_ROW_MIX, 2), (PLANCHEREL, 1)):
+            assert evaluate(prog, loops, f) == [ONE * want] * len(loops)
 
 
 def test_a_box_that_raises_raises_on_every_evaluation():
@@ -369,7 +379,7 @@ def test_a_box_that_raises_raises_on_every_evaluation():
     loop = parse_loop("[1] v [] ^ [1]")
     for count in range(1, 4):
         with pytest.raises(ArithmeticError, match="no value here"):
-            evaluate(prog, loop, PLANCHEREL)
+            evaluate(prog, [loop], PLANCHEREL)
         assert len(calls) == count
 
 
@@ -435,9 +445,8 @@ def test_earlier_tangles_are_boxes_under_the_callers_f():
         "tangle flat : () { row cup_ud; row cap; }"
     )
     for f in (PLANCHEREL, ONE_ROW_MIX):
-        for lam in diagrams_up_to(4):
-            loop = _base_loop(lam)
-            assert evaluate(progs["boxed"], loop, f) == evaluate(progs["flat"], loop, f)
+        loops = [_base_loop(lam) for lam in diagrams_up_to(4)]
+        assert evaluate(progs["boxed"], loops, f) == evaluate(progs["flat"], loops, f)
 
 
 _DSL_TOKENS = (
@@ -528,7 +537,7 @@ def test_dsl_fuzz_parses_and_evaluates_or_raises_tangle_error(text):
     for base in diagrams_up_to(3):
         for loop in enumerate_loops(base, prog.signature):
             try:
-                assert isinstance(evaluate(prog, loop, PLANCHEREL), Surd)
+                assert isinstance(evaluate(prog, [loop], PLANCHEREL)[0], Surd)
             except TangleError:
                 pass
 
@@ -545,8 +554,8 @@ def test_a_row_equals_its_atoms_one_per_row_east_to_west(layers):
         return
     split = parse(_source(signs, _one_atom_per_row(rows)), BUILTIN_ELEMENTS)
     for base in diagrams_up_to(3):
-        for loop in enumerate_loops(base, prog.signature):
-            assert evaluate(split, loop, PLANCHEREL) == evaluate(prog, loop, PLANCHEREL)
+        loops = enumerate_loops(base, prog.signature)
+        assert evaluate(split, loops, PLANCHEREL) == evaluate(prog, loops, PLANCHEREL)
 
 
 def _unpinned(prog: TangleProgram) -> TangleProgram:
@@ -560,7 +569,7 @@ def _unpinned(prog: TangleProgram) -> TangleProgram:
 
 def _value_or_error(prog, loop):
     try:
-        return evaluate(prog, loop, PLANCHEREL)
+        return evaluate(prog, [loop], PLANCHEREL)[0]
     except TangleError:
         return TangleError
 
@@ -592,9 +601,9 @@ def test_a_cup_is_pinned_to_the_region_a_later_box_equates_it_with(source, cup):
     assert prog.steps[0] == cup
     _assert_pins_keep_every_value(prog)
     assert any(
-        evaluate(prog, loop, PLANCHEREL)
+        value
         for base in diagrams_up_to(3)
-        for loop in enumerate_loops(base, prog.signature)
+        for value in evaluate(prog, enumerate_loops(base, prog.signature), PLANCHEREL)
     )
 
 
@@ -727,20 +736,30 @@ def _merge_after_every_step(program, loop, f):
     return Surd(terms)
 
 
-def _outcome(run, prog, loop):
-    """The terms of the value in order, or the error's class and message."""
+def _outcome(run, prog, loops):
+    """The terms of each value in order, or the error's class and message."""
     try:
-        return list(run(prog, loop, PLANCHEREL).terms.items())
+        return [list(value.terms.items()) for value in run(prog, loops, PLANCHEREL)]
     except TangleError as exc:
         return type(exc), str(exc)
 
 
+def _one_by_one(prog, loops, f):
+    return [_merge_after_every_step(prog, loop, f) for loop in loops]
+
+
 def _assert_merge_order_keeps_every_value(prog, max_weight):
+    # Each loop alone, then all the loops of a base in one call.
     for base in diagrams_up_to(max_weight):
-        for loop in enumerate_loops(base, prog.signature):
-            assert _outcome(evaluate, prog, loop) == _outcome(
-                _merge_after_every_step, prog, loop
+        loops = enumerate_loops(base, prog.signature)
+        for loop in loops:
+            assert _outcome(evaluate, prog, [loop]) == _outcome(
+                _one_by_one, prog, [loop]
             ), (prog.name, loop)
+        assert _outcome(evaluate, prog, loops) == _outcome(_one_by_one, prog, loops), (
+            prog.name,
+            base,
+        )
 
 
 @settings(deadline=None, max_examples=200)
@@ -787,7 +806,7 @@ def test_two_radicands_of_one_region_tuple_enter_a_cup():
     assert [kind for kind, _, _ in prog.steps] == ["box", "cup", "cap"]
     _assert_merge_order_keeps_every_value(prog, 3)
     loop = enumerate_loops((2, 1), prog.signature)[0]
-    assert evaluate(prog, loop, PLANCHEREL) == Surd({1: Fraction(1), 2: Fraction(1)})
+    assert evaluate(prog, [loop], PLANCHEREL)[0] == Surd({1: Fraction(1), 2: Fraction(1)})
 
 
 def _recording(x, received):
@@ -829,8 +848,7 @@ def test_a_box_receives_the_loop_the_checked_constructor_builds():
     legs = set()
     for prog in progs:
         for base in diagrams_up_to(5):
-            for loop in enumerate_loops(base, prog.signature):
-                evaluate(prog, loop, PLANCHEREL)
+            evaluate(prog, enumerate_loops(base, prog.signature), PLANCHEREL)
         legs |= {x.legs() for kind, _, x in prog.steps if kind == "box"}
     assert legs == {hs.CROSS.legs(), hs.DOT.legs()}
     assert {loop.signature for loop in received} == {hs.CROSS_SIGNATURE, hs.DOT.signature}

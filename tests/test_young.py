@@ -251,9 +251,9 @@ def test_a_loop_stores_each_diagram_as_a_tuple():
     loop = LoopPath(([1],), ())
     assert loop.diagrams == ((1,),) and loop == LoopPath(((1,),), ())
     assert hash(loop) == hash(LoopPath(((1,),), ()))
-    assert evaluate(hs.programs()["left_circle"], loop, pl.PLANCHEREL) == evaluate(
-        hs.programs()["left_circle"], LoopPath(((1,),), ()), pl.PLANCHEREL
-    )
+    assert evaluate(hs.programs()["left_circle"], [loop], pl.PLANCHEREL)[0] == evaluate(
+        hs.programs()["left_circle"], [LoopPath(((1,),), ())], pl.PLANCHEREL
+    )[0]
     step = LoopPath(((1,), [2], (1,)), (1, -1))
     assert step.diagrams == ((1,), (2,), (1,))
     assert type(step.diagrams[1]) is tuple
