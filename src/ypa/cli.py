@@ -33,9 +33,9 @@ MAX_CLI_KEROV_WEIGHT = 5
 # quadratically in --upto: on lambda = (5,3,1) they took 0.5 s at 200, 2.0 s
 # at 400 and 9 s at 800 (one run each, 2-core VM, Python 3.11).
 MAX_CLI_MOMENT_INDEX = 200
-# `verify --relation all` took 3.0 s at --max-weight 12 and 10.6 s at 14;
-# `kerov --pi "[5]"`, the slowest |pi| <= 5, took 4.0 s at --sample-weight 20
-# and 7.0 s at 22 (one run each, 2-core VM, Python 3.11).
+# `verify --relation all --jobs 1` took 1.3 s at --max-weight 12 and 3.1 s at
+# 14 (medians of 8 runs), `kerov --pi "[5]"`, the slowest |pi| <= 5, 4.0 s at
+# --sample-weight 20 and 7.0 s at 22 (one run each; 2-core VM, Python 3.11).
 MAX_CLI_VERIFY_WEIGHT = 12
 MAX_CLI_KEROV_SAMPLE_WEIGHT = 20
 # The oracle traces on V^mu for every mu of weight |pi| below lambda.  On the

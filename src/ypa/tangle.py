@@ -465,29 +465,31 @@ def evaluate(
 ) -> list[Surd]:
     """Exact state-sum values of the program on the loops, one per loop.
 
-    Every loop's signature is checked before any state is built; then all
-    the loops go through the steps together, a state ``(i, regions, d, n,
-    m)`` carrying the index ``i`` of its loop (see the module docstring).
-    Each step multiplies every state by each term of its weight: a radicand
-    1 leaves the other one, and two others multiply, with the square part
-    of their product folded into the numerator.  Openings (cups and dots)
-    are injective on states: a cup's output holds its input's regions and
-    its cover, the squarefree part of ``d1 * d2`` determines ``d1`` for a
-    fixed ``d2``, and a dot keeps its state's regions and radicand.  So they
-    append their outputs to the next list as they come, unreduced, and hash
-    no region tuple.  Cups and caps read :func:`_cup_table`, a pinned cup
-    or a cap in one lookup, of the kind compiled into the cap's step; a dot
-    reads its regions in the order its compiled orientation gives.  Only
-    caps and boxes merge, in one dict keyed by ``(i, regions, d)`` whose
-    values are ``[n, m]`` accumulators, so states of different loops never
-    meet and each loop's states keep the order they have alone: equal keys
-    add, zero amplitudes drop and each pair is reduced as it is emitted to
-    the next list.  The paths into one region tuple share a radicand on
-    every relation and character tangle; a box whose value has several
-    terms fans out into several states.  Each ``Surd`` is built once, at
-    the end, from one ``Fraction`` per radicand.
+    ``loops`` is a sequence: a bare ``LoopPath`` or an iterator raises
+    ``TypeError``.  Every loop's signature is checked before any state is
+    built; then all the loops go through the steps together, a state ``(i,
+    regions, d, n, m)`` carrying the index ``i`` of its loop (see the module
+    docstring).  Each step multiplies every state by each term of its
+    weight: a radicand 1 leaves the other one, and two others multiply, with
+    the square part of their product folded into the numerator.  Openings
+    (cups and dots) are injective on states: a cup's output holds its
+    input's regions and its cover, the squarefree part of ``d1 * d2``
+    determines ``d1`` for a fixed ``d2``, and a dot keeps its state's
+    regions and radicand.  So they append their outputs to the next list as
+    they come, unreduced, and hash no region tuple.  Cups and caps read
+    :func:`_cup_table`, a pinned cup or a cap in one lookup, of the kind
+    compiled into the cap's step; a dot reads its regions in the order its
+    compiled orientation gives.  Only caps and boxes merge, in one dict
+    keyed by ``(i, regions, d)`` whose values are ``[n, m]`` accumulators,
+    so states of different loops never meet and each loop's states keep the
+    order they have alone: equal keys add, zero amplitudes drop and each
+    pair is reduced as it is emitted to the next list.  The paths into one
+    region tuple share a radicand on every relation and character tangle; a
+    box whose value has several terms fans out into several states.  Each
+    ``Surd`` is built once, at the end, from one ``Fraction`` per radicand.
     """
-    for loop in loops:  # a bare LoopPath is not iterable: TypeError
+    terms: list[dict[int, Fraction]] = [{} for _ in range(len(loops))]
+    for loop in loops:
         if loop.signature != program.signature:
             raise TangleError(
                 f"loop signature {loop.signature} does not match program "
@@ -565,7 +567,6 @@ def evaluate(
                     g = gcd(n, m)
                     nxt.append((i, out, d, n // g, m // g))
         states = nxt
-    terms: list[dict[int, Fraction]] = [{} for _ in loops]
     for i, regions, d, n, m in states:
         if len(regions) != 1 or regions[0] != loops[i].base:
             raise TangleError(

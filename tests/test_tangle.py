@@ -175,8 +175,9 @@ def test_empty_signature_program_loop_mismatch():
     with pytest.raises(TangleError, match="signature"):
         evaluate(boxed, [loop, _base_loop(())], PLANCHEREL)
     assert calls == [] and evaluate(boxed, [], PLANCHEREL) == []
-    with pytest.raises(TypeError):
-        evaluate(boxed, loop, PLANCHEREL)
+    for not_a_list in (loop, iter([loop])):  # an iterator would read as empty
+        with pytest.raises(TypeError):
+            evaluate(boxed, not_a_list, PLANCHEREL)
     assert evaluate(boxed, [loop], PLANCHEREL) == [ONE] and len(calls) == 1
 
 
